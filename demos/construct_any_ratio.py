@@ -2,8 +2,9 @@
 """Build (m, n) with phi(m^2)/phi(n^2) = r for ratios of every flavor.
 
 The construction peels off the largest prime of r one step at a time, so the
-recursion depth never exceeds the number of primes up to the largest prime,
-and m*n only ever contains primes that are <= that largest prime.
+construction depth (number of steps) never exceeds the number of primes up to
+the largest prime, and m*n only ever contains primes that are <= that largest
+prime.
 """
 
 from phisq import parse_rational, prime_pi, represent, verify
@@ -31,5 +32,5 @@ for text in RATIOS:
     if top is not None:
         primes_used = sorted(set(rep.m.factors) | set(rep.n.factors))
         print(f"  largest prime of r: {top}; primes of m*n: {primes_used}")
-        print(f"  recursion depth {rep.depth} <= pi({top}) = {prime_pi(top)}")
+        print(f"  construction depth {rep.depth} <= pi({top}) = {prime_pi(top)}")
     print()

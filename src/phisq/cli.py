@@ -8,12 +8,14 @@ Exit codes are a stable scripting contract:
     2  unsupported scale (factorization failure, exponent overflow, or an
        integer beyond the exact-primality bound)
     3  internal invariant violation (a self-check that can only fail if the
-       library itself is wrong)
+       library itself is wrong, or any unexpected exception, reported by
+       type instead of a traceback)
     4  verify ran cleanly but the ratio does not hold
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from random import Random
@@ -301,31 +303,37 @@ def _input_echo(args: argparse.Namespace) -> str:
     return ""
 
 
+def _error_record(args: argparse.Namespace | None, status: str, message: str) -> OutputRecord:
+    command = getattr(args, "command", None) or ""
+    return OutputRecord(command, _input_echo(args), None, status, [f"error: {message}"], error=message)
+
+
+def _describe_unexpected(exc: Exception) -> str:
+    """Exception type, message and innermost frame, in one line instead of a traceback."""
+    text = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+    tb = exc.__traceback__
+    if tb is not None:
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        text += f" (in {code.co_name}, {os.path.basename(code.co_filename)}:{tb.tb_lineno})"
+    return text
+
+
 def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
         record, code = _dispatch(args)
     except ParseError as exc:
-        record = OutputRecord(
-            getattr(args, "command", None) or "",
-            _input_echo(args),
-            None,
-            STATUS_PARSE_ERROR,
-            [f"error: {exc}"],
-            error=str(exc),
-        )
-        code = EXIT_PARSE_ERROR
+        record, code = _error_record(args, STATUS_PARSE_ERROR, str(exc)), EXIT_PARSE_ERROR
     except (FactorizationFailure, ExponentOverflowError, UnsupportedScaleError) as exc:
-        record = OutputRecord(
-            getattr(args, "command", None) or "",
-            _input_echo(args),
-            None,
-            STATUS_UNSUPPORTED_SCALE,
-            [f"error: {exc}"],
-            error=str(exc),
-        )
-        code = EXIT_UNSUPPORTED_SCALE
+        record, code = _error_record(args, STATUS_UNSUPPORTED_SCALE, str(exc)), EXIT_UNSUPPORTED_SCALE
+    except Exception as exc:
+        # Anything else (RecursionError, MemoryError, a failed assert) is a bug
+        # in the library, never the input's fault: report it, never crash.
+        record = _error_record(args, STATUS_INVARIANT_VIOLATION, _describe_unexpected(exc))
+        code = EXIT_INVARIANT_VIOLATION
     stream = sys.stderr if record.error is not None else sys.stdout
     if getattr(args, "json", False):
         print(json.dumps(record.to_dict()), file=stream)

@@ -3,8 +3,14 @@
 A FactoredInteger is a finite map prime -> exponent >= 1; the empty map is 1.
 A FactoredRational allows nonzero signed exponents; the empty map is 1, and
 numerator and denominator are coprime by construction.  Both types are
-immutable, hashable, keep their primes in ascending order, and certify every
-key with the exact primality test.
+immutable, hashable, and keep their primes in ascending order.
+
+Validation happens once, at the boundary: the public constructors, factor()
+and the parsers certify every key with the exact primality test and check
+order and exponent range.  Results of this module's own arithmetic on values
+that are already valid (products, inverses, numerator and denominator) are
+canonical by construction and skip that check; products still report
+exponent overflow.
 
 Both render as (and parse from) the literal grammar
 
@@ -28,6 +34,12 @@ from .primes import factorize, is_prime
 EXPONENT_LIMIT = 2**63 - 1
 
 
+def check_exponent(p: int, e: int) -> None:
+    """Raise ExponentOverflowError if e, the exponent of p, leaves +/-EXPONENT_LIMIT."""
+    if abs(e) > EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+
+
 def _check_entries(entries: tuple[tuple[int, int], ...], allow_negative: bool) -> None:
     previous = 1
     for p, e in entries:
@@ -37,8 +49,7 @@ def _check_entries(entries: tuple[tuple[int, int], ...], allow_negative: bool) -
             raise ValueError(f"key {p} is not prime")
         if e == 0 or (e < 0 and not allow_negative):
             raise ValueError(f"invalid exponent {e} for prime {p}")
-        if abs(e) > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+        check_exponent(p, e)
         previous = p
 
 
@@ -49,13 +60,19 @@ def _merge(
     acc = dict(a)
     for p, e in b:
         s = acc.get(p, 0) + e
-        if abs(s) > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {s} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+        check_exponent(p, s)
         if s == 0:
             acc.pop(p, None)
         else:
             acc[p] = s
     return tuple(sorted(acc.items()))
+
+
+def _canonical(cls, entries: tuple[tuple[int, int], ...]):
+    """An instance of cls holding entries already known to be canonical, unchecked."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "entries", entries)
+    return obj
 
 
 def _render(entries: tuple[tuple[int, int], ...]) -> str:
@@ -97,17 +114,13 @@ class FactoredInteger:
         """Cheap upper bound on value().bit_length()."""
         return sum(e * p.bit_length() for p, e in self.entries)
 
-    def largest_prime(self) -> int | None:
-        return self.entries[-1][0] if self.entries else None
-
     def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        return FactoredInteger(_merge(self.entries, other.entries))
-
-    def times_prime_power(self, p: int, e: int) -> "FactoredInteger":
-        return self * FactoredInteger(((p, e),))
+        if not isinstance(other, FactoredInteger):
+            return NotImplemented
+        return _canonical(FactoredInteger, _merge(self.entries, other.entries))
 
     def as_rational(self) -> "FactoredRational":
-        return FactoredRational(self.entries)
+        return _canonical(FactoredRational, self.entries)
 
     def __str__(self) -> str:
         return _render(self.entries)
@@ -130,10 +143,6 @@ class FactoredRational:
         items = factors.items() if hasattr(factors, "items") else factors
         return cls(tuple(sorted(items)))
 
-    @classmethod
-    def from_prime_power(cls, p: int, e: int) -> "FactoredRational":
-        return cls(((p, e),))
-
     @property
     def factors(self) -> dict[int, int]:
         return dict(self.entries)
@@ -143,26 +152,22 @@ class FactoredRational:
         return not self.entries
 
     def numerator(self) -> FactoredInteger:
-        return FactoredInteger(tuple((p, e) for p, e in self.entries if e > 0))
+        return _canonical(FactoredInteger, tuple((p, e) for p, e in self.entries if e > 0))
 
     def denominator(self) -> FactoredInteger:
-        return FactoredInteger(tuple((p, -e) for p, e in self.entries if e < 0))
+        return _canonical(FactoredInteger, tuple((p, -e) for p, e in self.entries if e < 0))
 
     def value(self) -> Fraction:
         """Expand back to an exact fraction."""
         return Fraction(self.numerator().value(), self.denominator().value())
 
-    def largest_entry(self) -> tuple[int, int] | None:
-        return self.entries[-1] if self.entries else None
-
-    def without(self, p: int) -> "FactoredRational":
-        return FactoredRational(tuple(entry for entry in self.entries if entry[0] != p))
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return FactoredRational(_merge(self.entries, other.entries))
+    def __mul__(self, other: "FactoredRational | FactoredInteger") -> "FactoredRational":
+        if not isinstance(other, (FactoredRational, FactoredInteger)):
+            return NotImplemented
+        return _canonical(FactoredRational, _merge(self.entries, other.entries))
 
     def inverse(self) -> "FactoredRational":
-        return FactoredRational(tuple((p, -e) for p, e in self.entries))
+        return _canonical(FactoredRational, tuple((p, -e) for p, e in self.entries))
 
     def __str__(self) -> str:
         return _render(self.entries)
@@ -212,8 +217,7 @@ def _parse_literal_entries(text: str) -> tuple[tuple[int, int], ...]:
             raise ParseError(f"prime {p} appears more than once")
         if e == 0:
             raise ParseError(f"exponent for prime {p} must be nonzero")
-        if abs(e) > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+        check_exponent(p, e)
         acc[p] = e
     return tuple(sorted(acc.items()))
 

@@ -1,24 +1,34 @@
 """Construct (m, n) with phi(m^2)/phi(n^2) = r for any positive rational r.
 
-The construction recurses on the largest prime q of r, with exponent a:
+The construction peels the largest remaining prime q of r, with exponent a,
+one step at a time:
 
-  * a even: drop q from r, solve the rest as (m0, n0), then append q^b to m0
-    and q^c to n0 where b - c = a/2 and both are >= 1. The factors (q - 1)
-    introduced by the totients cancel, leaving exactly q^a.
-  * a odd and positive: divide r by (q - 1) * q^a (which only involves primes
-    below q), solve the rest, then append q^((a+1)/2) to m0 alone; its totient
-    contributes the removed q^a * (q - 1) back.
-  * a odd and negative: solve the inverse and swap the pair.
+  * a even: drop q from r and give q^b to m and q^c to n, where b - c = a/2
+    and both are >= 1. The factors (q - 1) introduced by the totients cancel,
+    leaving exactly q^a.
+  * a odd and positive: give q^((a+1)/2) to m alone; its totient contributes
+    q^a * (q - 1), so r is divided by (q - 1) * q^a, which removes q and only
+    touches primes below q.
+  * a odd and negative: the mirror image, symmetric placement on n. Give
+    q^((|a|+1)/2) to n and multiply r by (q - 1) * q^|a|. Every rule commutes
+    with inversion, so this is exactly representing 1/r and swapping the pair.
+  * q = 2: r = 2^a is the last factor left and is solved directly by a
+    two-power identity; r = 1 gives (1, 1).
 
-Every recursive step eliminates the current largest prime, so the recursion
-depth is at most the number of primes up to the largest prime of r, and all
-primes of m*n stay at or below it.  The base case r = 2^a is a direct
-two-power identity; r = 1 gives (1, 1).
+The steps run as one loop over a mutable prime -> exponent map, popping primes
+in descending order from a max-heap; the primes a step pulls in from q - 1 are
+all below q, so the heap order is never violated. m and n grow as plain maps
+and become FactoredIntegers once, at the end. depth counts the peeling steps.
+Each step eliminates the current largest prime, so depth is at most the number
+of primes up to the largest prime of r, and all primes of m*n stay at or below
+it.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .factored import FactoredInteger, FactoredRational, factor
+from .factored import FactoredInteger, FactoredRational, check_exponent
+from .primes import factorize
 from .totient import totient_of_square
 
 _ONE = FactoredInteger()
@@ -72,25 +82,40 @@ def represent_power_of_two(a: int) -> tuple[FactoredInteger, FactoredInteger]:
 
 
 def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, int]:
-    if r.is_one:
-        return _ONE, _ONE, 0
-    q, a = r.entries[-1]
-    if q == 2:
-        m, n = represent_power_of_two(a)
-        return m, n, 1
-    if a % 2 == 0:
-        m0, n0, d = _construct(r.without(q))
-        half = a // 2
-        c = max(1, 1 - half)
-        b = c + half
-        return m0.times_prime_power(q, b), n0.times_prime_power(q, c), d + 1
-    if a > 0:
-        removed = factor(q - 1).as_rational() * FactoredRational.from_prime_power(q, a)
-        m0, n0, d = _construct(r * removed.inverse())
-        return m0.times_prime_power(q, (a + 1) // 2), n0, d + 1
-    # a odd and negative: represent 1/r and swap sides.
-    m_inv, n_inv, d = _construct(r.inverse())
-    return n_inv, m_inv, d
+    rest = dict(r.entries)
+    heap = [-p for p in rest]
+    heapify(heap)
+    m: dict[int, int] = {}
+    n: dict[int, int] = {}
+    depth = 0
+    while heap:
+        q = -heappop(heap)
+        a = rest.pop(q, 0)
+        if a == 0:
+            continue  # stale heap entry: the exponent of q cancelled to zero
+        depth += 1
+        if q == 2:
+            m2, n2 = represent_power_of_two(a)
+            m.update(m2.entries)
+            n.update(n2.entries)
+        elif a % 2 == 0:
+            half = a // 2
+            c = max(1, 1 - half)
+            m[q], n[q] = c + half, c
+        else:
+            side, sign = (m, 1) if a > 0 else (n, -1)
+            side[q] = (abs(a) + 1) // 2
+            for p, e in factorize(q - 1).items():
+                old = rest.get(p, 0)
+                s = old - sign * e
+                check_exponent(p, s)
+                if s == 0:
+                    del rest[p]
+                else:
+                    rest[p] = s
+                    if old == 0:
+                        heappush(heap, -p)
+    return FactoredInteger.from_factors(m), FactoredInteger.from_factors(n), depth
 
 
 def represent(r: FactoredRational) -> Representation:

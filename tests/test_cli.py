@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from phisq import cli
 from phisq.cli import (
@@ -9,8 +15,11 @@ from phisq.cli import (
     EXIT_VERIFY_FALSE,
     main,
 )
+from phisq.factored import EXPONENT_LIMIT
+from phisq.primes import prime_pi, primes_up_to
 
 M127 = 2**127 - 1  # beyond the exact-primality bound
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -194,3 +203,53 @@ def test_selftest_corruption_sets_status(capsys, monkeypatch):
     assert body["status"] == "internal_invariant_violation"
     failing = [c["name"] for c in body["checks"] if not c["passed"]]
     assert failing == ["identity phi(n^2) = n*phi(n) to 10^4"]
+
+
+# --- unexpected exceptions: exit 3, one JSON status, never a traceback ---
+
+@pytest.mark.parametrize(
+    "exc", [RecursionError("maximum recursion depth exceeded"), MemoryError(), AssertionError("x")]
+)
+def test_unexpected_exception_maps_to_exit_3(capsys, monkeypatch, exc):
+    def broken(r):
+        raise exc
+
+    monkeypatch.setattr(cli, "represent", broken)
+    code, out, err = run(capsys, "represent", "2/3")
+    assert code == EXIT_INVARIANT_VIOLATION
+    assert out == ""
+    assert err.startswith(f"error: {type(exc).__name__}")
+    assert "Traceback" not in err
+    code, body = run_json(capsys, "represent", "2/3")
+    assert code == EXIT_INVARIANT_VIOLATION
+    assert body["status"] == "internal_invariant_violation"
+    assert body["command"] == "represent"
+    assert body["input"] == "2/3"
+    assert type(exc).__name__ in body["error"]
+
+
+# --- deep inputs and exponent overflow through the real entry point ---
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "phisq", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_represents_all_primes_to_20000():
+    literal = " * ".join(f"{p}^{(-1) ** i * (i % 3 + 1)}" for i, p in enumerate(primes_up_to(20000)))
+    proc = run_module("represent", literal, "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    body = json.loads(proc.stdout)
+    assert body["verified"] is True
+    assert body["depth"] <= prime_pi(20000)
+
+
+def test_module_exponent_overflow_exits_2():
+    proc = run_module("represent", f"7^1 * 3^-{EXPONENT_LIMIT}", "--json")
+    assert proc.returncode == EXIT_UNSUPPORTED_SCALE
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["status"] == "unsupported_scale"

@@ -11,7 +11,7 @@ from phisq.factored import (
     parse_rational,
 )
 from phisq.oracle import random_rational
-from phisq.primes import prime_pi
+from phisq.primes import prime_pi, primes_up_to
 from phisq.represent import represent, represent_power_of_two, verify
 from phisq.totient import totient_of_square
 
@@ -140,6 +140,10 @@ def test_exponent_overflow_propagates():
     r = FactoredRational.from_factors({2: -EXPONENT_LIMIT, 3: 1})
     with pytest.raises(ExponentOverflowError):
         represent(r)
+    # 7^1 divides r by 6 * 7, pushing 3 from -EXPONENT_LIMIT past the limit.
+    r = parse_rational(f"7^1 * 3^-{EXPONENT_LIMIT}")
+    with pytest.raises(ExponentOverflowError):
+        represent(r)
 
 
 # --- verification ---
@@ -176,3 +180,22 @@ def test_verify_common_value_scales_both_sides():
         q = r.denominator().value()
         assert report.common_value * p == totient_of_square(rep.m).value()
         assert report.common_value * q == totient_of_square(rep.n).value()
+
+
+# --- deep inputs: one step per prime, no recursion limit ---
+
+def alternating_product(limit):
+    """All primes <= limit, exponents cycling 1, -2, 3, -1, 2, -3."""
+    return FactoredRational.from_factors(
+        {p: (-1) ** i * (i % 3 + 1) for i, p in enumerate(primes_up_to(limit))}
+    )
+
+
+@pytest.mark.parametrize("limit", [20_000, 100_000])
+def test_deep_products_construct_and_verify(limit):
+    r = alternating_product(limit)
+    rep = represent(r)
+    assert verify(rep.m, rep.n, r).holds
+    top = r.entries[-1][0]
+    assert all(p <= top for p in set(rep.m.factors) | set(rep.n.factors))
+    assert rep.depth <= prime_pi(top)
