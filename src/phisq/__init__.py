@@ -38,7 +38,7 @@ from .represent import (
     represent_power_of_two,
     verify,
 )
-from .totient import TotientValue, phi_square_value, totient, totient_of_square
+from .totient import phi_square_value, totient, totient_of_square
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "PhisqError",
     "Representation",
     "SearchResult",
-    "TotientValue",
     "UnsupportedScaleError",
     "VerificationReport",
     "ZeroValueError",

@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     UnsupportedScaleError,
 )
-from .factored import FactoredInteger, factor, parse_integer, parse_rational
+from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, factor, parse_integer, parse_rational
 from .oracle import brute_force_minimal, injectivity_scan, random_rational
 from .primes import prime_pi
 from .represent import represent, verify
@@ -42,9 +42,6 @@ STATUS_OK = "ok"
 STATUS_PARSE_ERROR = "parse_error"
 STATUS_UNSUPPORTED_SCALE = "unsupported_scale"
 STATUS_INVARIANT_VIOLATION = "internal_invariant_violation"
-
-# Refuse to expand values larger than this many bits; factored output always works.
-EXPANDED_VALUE_BIT_LIMIT = 5_000_000
 
 SELFTEST_SEED = 20260811
 
@@ -81,9 +78,9 @@ def _factors_obj(f: FactoredInteger) -> dict[str, int]:
 def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
     body: dict = {"factors": _factors_obj(f)}
     if expanded:
-        if f.bit_size() > EXPANDED_VALUE_BIT_LIMIT:
+        if f.bit_size() > EXPANSION_BIT_LIMIT:
             raise UnsupportedScaleError(
-                f"expanded value would exceed {EXPANDED_VALUE_BIT_LIMIT} bits; "
+                f"expanded value would exceed {EXPANSION_BIT_LIMIT} bits; "
                 "rerun without --expanded"
             )
         body["value"] = f.value()

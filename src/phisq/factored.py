@@ -33,6 +33,10 @@ from .primes import factorize, is_prime
 # leave it reports ExponentOverflowError instead of silently continuing.
 EXPONENT_LIMIT = 2**63 - 1
 
+# Factored values are expanded to plain integers (verify's common value, the
+# CLI's --expanded) only while bit_size() stays within this many bits.
+EXPANSION_BIT_LIMIT = 5_000_000
+
 
 def check_exponent(p: int, e: int) -> None:
     """Raise ExponentOverflowError if e, the exponent of p, leaves +/-EXPONENT_LIMIT."""

@@ -6,14 +6,24 @@ combination verified to be a complete test for every n below
 ever accepted: numbers at or above that bound raise UnsupportedScaleError
 instead of getting a "probably prime" answer.
 
-Factorization trial-divides up to TRIAL_DIVISION_BOUND and then splits any
-remaining cofactor with Brent's variant of Pollard's rho, certifying every
-piece prime before it is emitted.  The rho stage is seeded from the cofactor
-itself, so factorization is deterministic.
+Factorization trial-divides by 2, 3 and the candidates 6k +- 1 up to
+TRIAL_DIVISION_BOUND, in two stages.  Divisors below 1025 are tried one by
+one.  Above that, the candidates go in fixed blocks.  Before each block, a
+cofactor that changed and lies below the primality bound is tested with
+is_prime and, if prime, ends the factorization; otherwise a block whose
+primes' product shares no factor with the cofactor (one gcd) is skipped
+whole, and any other block is divided one candidate at a time.  A skip never
+passes the last divisor full trial division would try, so the cofactor left
+over is exactly the one full trial division leaves.  That cofactor is then
+split with Brent's variant of Pollard's rho, certifying every piece prime
+before it is emitted.  The rho stage is seeded from the cofactor itself, so
+factorization is deterministic, and every result and every refusal
+(UnsupportedScaleError, FactorizationFailure, with their messages) is that of
+full trial division.
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from random import Random
 
 from .errors import FactorizationFailure, UnsupportedScaleError
@@ -24,6 +34,13 @@ PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
+# Trial division tries f and f + 2 for f = 5, 11, 17, ... up to the bound, so
+# it stops at the first f = 6k + 5 past it.
+_TRIAL_END = TRIAL_DIVISION_BOUND + 1 + (4 - TRIAL_DIVISION_BOUND) % 6
+# From this f on (6k + 5, just above 32^2) candidates go in blocks of this many
+# pairs; inputs whose factors all lie below it never reach the blocks.
+_BLOCK_START = 1025
+_BLOCK_PAIRS = 512
 
 # Effort budget for splitting one stubborn cofactor.
 RHO_MAX_ATTEMPTS = 16
@@ -105,6 +122,24 @@ def _rho_split(n: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _block_product(start: int) -> int:
+    """Product of the primes among the trial candidates of the block at f = start.
+
+    When factorize reaches the block, its cofactor has no prime factor below
+    start, so it shares a factor with this product exactly when one of the
+    block's candidates f, f + 2 divides it.  The primes come from sieving the
+    block's range.
+    """
+    stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
+    size = stop - start
+    sieve = bytearray([1]) * size
+    for p in primes_up_to(isqrt(stop)):
+        first = max(p * p, -(-start // p) * p) - start
+        sieve[first::p] = bytes(len(range(first, size, p)))
+    return prod(start + i for r in (0, 2) for i in range(r, size, 6) if sieve[i])
+
+
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of n >= 1 as a prime -> exponent dict."""
     if n < 1:
@@ -115,12 +150,27 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n and f <= TRIAL_DIVISION_BOUND:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
+    tested = 1  # the last cofactor given to is_prime
+    while f * f <= n and f < _TRIAL_END:
+        # Below _BLOCK_START divide by every candidate; above it, one block at a time.
+        stop = _BLOCK_START
+        if f >= _BLOCK_START:
+            if n != tested and n < PRIMALITY_BOUND:
+                tested = n
+                if is_prime(n):
+                    out[n] = out.get(n, 0) + 1
+                    return dict(sorted(out.items()))
+            stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
+            if gcd(n, _block_product(f)) == 1:
+                # No candidate of the block divides n: dividing would only move f.
+                f = stop
+                continue
+        while f * f <= n and f < stop:
+            for p in (f, f + 2):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+            f += 6
     if n == 1:
         return dict(sorted(out.items()))
     if f * f > n:

@@ -27,15 +27,11 @@ it.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .factored import FactoredInteger, FactoredRational, check_exponent
+from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, check_exponent
 from .primes import factorize
 from .totient import totient_of_square
 
 _ONE = FactoredInteger()
-
-# verify() skips the optional expanded common factor once the expansion would
-# exceed this many bits; factored comparison is unaffected.
-COMMON_VALUE_BIT_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
     lhs = tm.as_rational() * tn.as_rational().inverse()
     holds = lhs == r
     common = None
-    if holds and tn.bit_size() <= COMMON_VALUE_BIT_LIMIT:
+    if holds and tn.bit_size() <= EXPANSION_BIT_LIMIT:
         q = r.denominator().value()
         common, rem = divmod(tn.value(), q)
         assert rem == 0  # q | phi(n^2) whenever the ratio holds exactly

@@ -12,9 +12,6 @@ output is a canonical FactoredInteger ready for further exponent arithmetic.
 from .factored import FactoredInteger, factor
 from .primes import factorize
 
-# Totient results are plain factored integers; the alias marks intent.
-TotientValue = FactoredInteger
-
 
 def _accumulate(acc: dict[int, int], p: int, e: int) -> None:
     if e:
@@ -23,7 +20,7 @@ def _accumulate(acc: dict[int, int], p: int, e: int) -> None:
         acc[q] = acc.get(q, 0) + b
 
 
-def totient(f: FactoredInteger) -> TotientValue:
+def totient(f: FactoredInteger) -> FactoredInteger:
     """phi of the integer denoted by f, fully factored."""
     acc: dict[int, int] = {}
     for p, a in f.entries:
@@ -31,7 +28,7 @@ def totient(f: FactoredInteger) -> TotientValue:
     return FactoredInteger.from_factors(acc)
 
 
-def totient_of_square(f: FactoredInteger) -> TotientValue:
+def totient_of_square(f: FactoredInteger) -> FactoredInteger:
     """phi(n^2) for the integer n denoted by f, fully factored."""
     acc: dict[int, int] = {}
     for p, a in f.entries:

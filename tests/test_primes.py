@@ -8,6 +8,7 @@ from phisq.primes import PRIMALITY_BOUND, factorize, is_prime, prime_pi, primes_
 
 # Mersenne prime above the deterministic Miller-Rabin bound.
 M127 = 2**127 - 1
+P40 = 1099511627791  # the first prime above 2^40
 
 
 def trial_division_is_prime(n):
@@ -130,3 +131,138 @@ def test_prime_pi():
     assert prime_pi(2) == 1
     assert prime_pi(97) == 25
     assert prime_pi(10**4) == 1229
+
+
+# --- factorize against full trial division ----------------------------------
+
+
+def reference_factorize(n):
+    """factorize with plain trial division over every candidate to the bound.
+
+    This is the loop the staged trial division replaced, kept as the oracle:
+    the staged version must give the same factors, hand rho the same
+    cofactors and raise the same errors with the same messages.
+    """
+    out = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n and f <= primes.TRIAL_DIVISION_BOUND:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n == 1:
+        return dict(sorted(out.items()))
+    if f * f > n:
+        out[n] = out.get(n, 0) + 1
+        return dict(sorted(out.items()))
+    stack = [n]
+    while stack:
+        c = stack.pop()
+        if primes.is_prime(c):
+            out[c] = out.get(c, 0) + 1
+            continue
+        d = primes._rho_split(c)
+        stack.append(d)
+        stack.append(c // d)
+    return dict(sorted(out.items()))
+
+
+@pytest.fixture
+def rho_args(monkeypatch):
+    """The arguments of every _rho_split call, in order."""
+    calls = []
+    split = primes._rho_split
+
+    def recording(n):
+        calls.append(n)
+        return split(n)
+
+    monkeypatch.setattr(primes, "_rho_split", recording)
+    return calls
+
+
+def outcome(fn, n, rho_args):
+    """(factors or (error type, message), cofactors given to rho) of fn(n)."""
+    rho_args.clear()
+    try:
+        result = fn(n)
+    except (FactorizationFailure, UnsupportedScaleError) as exc:
+        result = (type(exc), str(exc))
+    return result, list(rho_args)
+
+
+def assert_matches_reference(values, rho_args):
+    for n in values:
+        assert outcome(factorize, n, rho_args) == outcome(reference_factorize, n, rho_args), n
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def primes_near(x, radius=20):
+    return [p for p in range(max(2, x - radius), x + radius) if is_prime(p)]
+
+
+def test_staged_matches_reference_on_smooth_times_large_primes(rho_args):
+    # Beside the first large prime of 2^10..2^46, any others stay below 2^30,
+    # so rho splits every cofactor below the primality bound quickly; three
+    # large primes often land past the bound and are refused instead.
+    rng = random.Random(20261018)
+    values = []
+    for _ in range(30):
+        n = 1
+        for p in rng.sample(primes_up_to(1000), rng.randint(0, 5)):
+            n *= p ** rng.randint(1, 3)
+        for i in range(rng.randint(1, 3)):
+            n *= next_prime(1 << rng.randint(10, 45 if i == 0 else 29) | rng.getrandbits(10))
+        values.append(n)
+    assert_matches_reference(values, rho_args)
+
+
+def test_staged_matches_reference_at_switch_and_block_edges(rho_args):
+    block = 6 * primes._BLOCK_PAIRS
+    last_block = primes._TRIAL_END - (primes._TRIAL_END - primes._BLOCK_START) % block
+    edges = [primes._BLOCK_START + block * k for k in (0, 1, 2, 100)]
+    edges += [last_block, primes._TRIAL_END]
+    values = []
+    for edge in edges:
+        near = primes_near(edge)
+        for p in near:
+            values += [p, p * p, p * P40]
+        for p, q in zip(near, near[1:]):
+            values += [p * q, p * p * q]
+        values.append(near[0] * near[-1] * 1000003 * 1000033)
+    assert_matches_reference(values, rho_args)
+
+
+def test_products_of_primes_just_above_trial_bound(rho_args):
+    # Neither factor is a trial divisor and the product exceeds the square of
+    # the last one, so full trial division hands the whole product to rho once.
+    near = [p for p in range(10**6, 1_003_000) if is_prime(p)]
+    pairs = list(zip(near, near[1:]))
+    assert (1000037, 1000039) in pairs
+    for p, q in pairs:
+        assert outcome(factorize, p * q, rho_args) == ({p: 1, q: 1}, [p * q])
+    sample = pairs[::20] + [pairs[-1], (1000037, 1000039)]
+    assert_matches_reference([p * q for p, q in sample], rho_args)
+
+
+def test_staged_matches_reference_past_primality_bound(rho_args):
+    values = [M127 * k for k in (1, 2, 15, 1021, 7 * 1031, 999983, 1000003, 5 * P40)]
+    values.append(1000003 * 1000033 * P40 * P40)
+    assert_matches_reference(values, rho_args)
+
+
+def test_staged_matches_reference_on_exhausted_budget(monkeypatch, rho_args):
+    monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
+    n = 1000003 * 1000033
+    assert outcome(factorize, n, rho_args) == outcome(reference_factorize, n, rho_args)
+    assert rho_args == [n]

@@ -1,0 +1,41 @@
+"""Property-based checks of factorization (skipped without hypothesis)."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from phisq.primes import TRIAL_DIVISION_BOUND, factorize, is_prime  # noqa: E402
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _primes(lo: int, hi: int):
+    return st.integers(min_value=lo, max_value=hi).map(_next_prime)
+
+
+# Primes below the trial-division bound with multiplicities, and at most two
+# primes above it, one of up to 2^45 and one of up to 2^30: rho then splits the
+# cofactor quickly and it stays below the exact-primality bound.
+SMALL = st.dictionaries(_primes(2, 999_983), st.integers(min_value=1, max_value=4), max_size=6)
+LARGE = st.tuples(
+    st.lists(_primes(TRIAL_DIVISION_BOUND, 2**45 - 2**10), max_size=1),
+    st.lists(_primes(TRIAL_DIVISION_BOUND, 2**30), max_size=1),
+).map(lambda pair: pair[0] + pair[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL, LARGE)
+def test_factorize_returns_the_multiset_it_was_given(small, large):
+    expected = dict(small)
+    for p in large:
+        expected[p] = expected.get(p, 0) + 1
+    n = 1
+    for p, e in expected.items():
+        n *= p**e
+    assert factorize(n) == dict(sorted(expected.items()))
