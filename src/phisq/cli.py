@@ -5,8 +5,9 @@ Exit codes are a stable scripting contract:
 
     0  success (and, for verify, the ratio holds)
     1  parse error in any input
-    2  unsupported scale (factorization failure, exponent overflow, or an
-       integer beyond the exact-primality bound)
+    2  unsupported scale (factorization failure, exponent overflow, an
+       integer beyond the exact-primality bound, or a decimal numeral, read
+       or printed, longer than Python's int-string conversion limit)
     3  internal invariant violation (a self-check that can only fail if the
        library itself is wrong, or any unexpected exception, reported by
        type instead of a traceback)
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from random import Random
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     UnsupportedScaleError,
 )
-from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, factor, parse_integer, parse_rational
+from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, factor, parse_integer, parse_rational
 from .oracle import brute_force_minimal, injectivity_scan, random_rational
 from .primes import prime_pi
 from .represent import represent, verify
@@ -38,41 +38,29 @@ EXIT_UNSUPPORTED_SCALE = 2
 EXIT_INVARIANT_VIOLATION = 3
 EXIT_VERIFY_FALSE = 4
 
-STATUS_OK = "ok"
-STATUS_PARSE_ERROR = "parse_error"
-STATUS_UNSUPPORTED_SCALE = "unsupported_scale"
-STATUS_INVARIANT_VIOLATION = "internal_invariant_violation"
+# The JSON record's status for each exit code.
+STATUS = {
+    EXIT_OK: "ok",
+    EXIT_PARSE_ERROR: "parse_error",
+    EXIT_UNSUPPORTED_SCALE: "unsupported_scale",
+    EXIT_INVARIANT_VIOLATION: "internal_invariant_violation",
+    EXIT_VERIFY_FALSE: "ok",
+}
 
 SELFTEST_SEED = 20260811
 
-
-@dataclass
-class OutputRecord:
-    """One command's result: structured payload plus equivalent plain lines.
-
-    payload is present exactly when status is "ok" or the command produced a
-    full report anyway (selftest failures, an unverifiable represent);
-    errors carry no payload, only the error message.
-    """
-
-    command: str
-    input_echo: str
-    payload: dict | None
-    status: str = STATUS_OK
-    lines: list[str] = field(default_factory=list)
-    error: str | None = None
-
-    def to_dict(self) -> dict:
-        body = {"command": self.command, "input": self.input_echo, "status": self.status}
-        if self.payload is not None:
-            body.update(self.payload)
-        if self.error is not None:
-            body["error"] = self.error
-        return body
+# A command's JSON payload, its plain lines (own order and labels) and exit code.
+Result = tuple[dict, list[str], int]
 
 
-def _factors_obj(f: FactoredInteger) -> dict[str, int]:
+def _factors_obj(f: FactoredRational) -> dict[str, int]:
     return {str(p): e for p, e in f.entries}
+
+
+def _printable(value: int) -> bool:
+    """Whether str(value) stays within Python's int-string conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or value < 10**limit
 
 
 def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
@@ -83,11 +71,17 @@ def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
                 f"expanded value would exceed {EXPANSION_BIT_LIMIT} bits; "
                 "rerun without --expanded"
             )
-        body["value"] = f.value()
+        value = f.value()
+        if not _printable(value):
+            raise UnsupportedScaleError(
+                f"expanded value would exceed {sys.get_int_max_str_digits()} decimal digits; "
+                "rerun without --expanded"
+            )
+        body["value"] = value
     return body
 
 
-def cmd_represent(ratio_text: str, expanded: bool = False) -> tuple[OutputRecord, int]:
+def cmd_represent(ratio_text: str, expanded: bool = False) -> Result:
     r = parse_rational(ratio_text)
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
@@ -101,61 +95,59 @@ def cmd_represent(ratio_text: str, expanded: bool = False) -> tuple[OutputRecord
     if expanded:
         lines += [f"m value: {payload['m']['value']}", f"n value: {payload['n']['value']}"]
     lines += [f"depth: {rep.depth}", f"verified: {str(report.holds).lower()}"]
-    if not report.holds:
-        # Unreachable unless the construction itself is broken.
-        record = OutputRecord("represent", ratio_text, payload, STATUS_INVARIANT_VIOLATION, lines)
-        return record, EXIT_INVARIANT_VIOLATION
-    return OutputRecord("represent", ratio_text, payload, STATUS_OK, lines), EXIT_OK
+    # A failed check is unreachable unless the construction itself is broken.
+    return payload, lines, EXIT_OK if report.holds else EXIT_INVARIANT_VIOLATION
 
 
-def cmd_verify(m_text: str, n_text: str, ratio_text: str) -> tuple[OutputRecord, int]:
+def cmd_verify(m_text: str, n_text: str, ratio_text: str) -> Result:
     m = parse_integer(m_text)
     n = parse_integer(n_text)
     r = parse_rational(ratio_text)
     report = verify(m, n, r)
+    common = report.common_value
+    if common is not None and not _printable(common):
+        common = None
     payload = {
         "m": {"factors": _factors_obj(m)},
         "n": {"factors": _factors_obj(n)},
         "holds": report.holds,
-        "computed": {str(p): e for p, e in report.lhs.entries},
-        "expected": {str(p): e for p, e in report.expected.entries},
-        "common_value": report.common_value,
+        "computed": _factors_obj(report.lhs),
+        "expected": _factors_obj(report.expected),
+        "common_value": common,
     }
-    echo = f"m={m_text} n={n_text} r={ratio_text}"
     lines = [
-        f"input: {echo}",
+        f"input: m={m_text} n={n_text} r={ratio_text}",
         f"m: {m}",
         f"n: {n}",
         f"computed ratio: {report.lhs}",
         f"expected ratio: {report.expected}",
         f"holds: {str(report.holds).lower()}",
     ]
-    if report.common_value is not None:
-        lines.append(f"common value: {report.common_value}")
-    record = OutputRecord("verify", echo, payload, STATUS_OK, lines)
-    return record, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
+    if common is not None:
+        lines.append(f"common value: {common}")
+    return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
-def cmd_factor(nat_text: str) -> tuple[OutputRecord, int]:
+def cmd_factor(nat_text: str) -> Result:
     s = nat_text.strip()
     if not s.isdigit():
         raise ParseError(f"factor takes a plain positive integer, got {nat_text!r}")
     f = parse_integer(s)
     payload = {"factors": _factors_obj(f), "value": f.value()}
     lines = [f"input: {nat_text}", f"factors: {f}"]
-    return OutputRecord("factor", nat_text, payload, STATUS_OK, lines), EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_sequence(limit: int) -> tuple[OutputRecord, int]:
+def cmd_sequence(limit: int) -> Result:
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {limit}")
     values = [phi_square_value(k) for k in range(1, limit + 1)]
     payload = {"limit": limit, "values": values}
     lines = [str(v) for v in values]
-    return OutputRecord("sequence", str(limit), payload, STATUS_OK, lines), EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_search(ratio_text: str, bound: int) -> tuple[OutputRecord, int]:
+def cmd_search(ratio_text: str, bound: int) -> Result:
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
     r = parse_rational(ratio_text)
@@ -166,7 +158,7 @@ def cmd_search(ratio_text: str, bound: int) -> tuple[OutputRecord, int]:
         lines += [f"m: {result.m}", f"n: {result.n}"]
     else:
         lines.append(f"no pair with max(m, n) <= {bound}")
-    return OutputRecord("search", ratio_text, payload, STATUS_OK, lines), EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _check_known_pair(m: int, n: int, ratio: str, common: int) -> tuple[bool, str]:
@@ -206,7 +198,7 @@ def _check_round_trip(cases: int = 200) -> tuple[bool, str]:
     return True, f"{cases} random ratios represented and verified"
 
 
-def cmd_selftest() -> tuple[OutputRecord, int]:
+def cmd_selftest() -> Result:
     checks = [
         ("known pair 39330/55836 for 19/47", lambda: _check_known_pair(39330, 55836, "19/47", 19673280)),
         ("known pair 14476/20010 for 47/58", lambda: _check_known_pair(14476, 20010, "47/58", 1700160)),
@@ -223,9 +215,7 @@ def cmd_selftest() -> tuple[OutputRecord, int]:
         results.append({"name": name, "passed": ok, "detail": detail})
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<42} {detail}")
     lines.append(f"selftest: {'all checks passed' if all_ok else 'FAILURES PRESENT'}")
-    status = STATUS_OK if all_ok else STATUS_INVARIANT_VIOLATION
-    record = OutputRecord("selftest", "", {"checks": results, "all_passed": all_ok}, status, lines)
-    return record, EXIT_OK if all_ok else EXIT_INVARIANT_VIOLATION
+    return {"checks": results, "all_passed": all_ok}, lines, EXIT_OK if all_ok else EXIT_INVARIANT_VIOLATION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def _dispatch(args: argparse.Namespace) -> Result:
     if args.command == "represent":
         return cmd_represent(args.ratio, expanded=args.expanded)
     if args.command == "verify":
@@ -290,8 +280,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 
 
 def _input_echo(args: argparse.Namespace) -> str:
-    if args is None or not getattr(args, "command", None):
-        return ""
     if args.command == "verify":
         return f"m={args.m} n={args.n} r={args.ratio}"
     for attr in ("ratio", "n", "limit"):
@@ -300,9 +288,11 @@ def _input_echo(args: argparse.Namespace) -> str:
     return ""
 
 
-def _error_record(args: argparse.Namespace | None, status: str, message: str) -> OutputRecord:
-    command = getattr(args, "command", None) or ""
-    return OutputRecord(command, _input_echo(args), None, status, [f"error: {message}"], error=message)
+def _output(args: argparse.Namespace | None, code: int, payload: dict, lines: list[str]) -> str:
+    """The plain lines, or under --json one record: command, input, status, then the payload."""
+    if not getattr(args, "json", False):
+        return "\n".join(lines)
+    return json.dumps({"command": args.command, "input": _input_echo(args), "status": STATUS[code], **payload})
 
 
 def _describe_unexpected(exc: Exception) -> str:
@@ -321,21 +311,19 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        record, code = _dispatch(args)
+        payload, lines, code = _dispatch(args)
+        # Rendered inside the try: formatting a large integer can raise too.
+        print(_output(args, code, payload, lines))
+        return code
     except ParseError as exc:
-        record, code = _error_record(args, STATUS_PARSE_ERROR, str(exc)), EXIT_PARSE_ERROR
+        code, message = EXIT_PARSE_ERROR, str(exc)
     except (FactorizationFailure, ExponentOverflowError, UnsupportedScaleError) as exc:
-        record, code = _error_record(args, STATUS_UNSUPPORTED_SCALE, str(exc)), EXIT_UNSUPPORTED_SCALE
+        code, message = EXIT_UNSUPPORTED_SCALE, str(exc)
     except Exception as exc:
         # Anything else (RecursionError, MemoryError, a failed assert) is a bug
         # in the library, never the input's fault: report it, never crash.
-        record = _error_record(args, STATUS_INVARIANT_VIOLATION, _describe_unexpected(exc))
-        code = EXIT_INVARIANT_VIOLATION
-    stream = sys.stderr if record.error is not None else sys.stdout
-    if getattr(args, "json", False):
-        print(json.dumps(record.to_dict()), file=stream)
-    else:
-        print("\n".join(record.lines), file=stream)
+        code, message = EXIT_INVARIANT_VIOLATION, _describe_unexpected(exc)
+    print(_output(args, code, {"error": message}, [f"error: {message}"]), file=sys.stderr)
     return code
 
 

@@ -5,8 +5,8 @@ class PhisqError(Exception):
     """Base class for all phisq errors."""
 
 
-class ParseError(PhisqError):
-    """Input text does not match any accepted grammar."""
+class ParseError(PhisqError, ValueError):
+    """Input text, or entries given to a factored type, match no accepted grammar."""
 
 
 class ZeroValueError(ParseError):

@@ -1,18 +1,19 @@
-"""Canonical factored forms of positive integers and rationals.
+"""Canonical factored forms of positive rationals and integers.
 
-A FactoredInteger is a finite map prime -> exponent >= 1; the empty map is 1.
-A FactoredRational allows nonzero signed exponents; the empty map is 1, and
-numerator and denominator are coprime by construction.  Both types are
-immutable, hashable, and keep their primes in ascending order.
+A FactoredRational is a finite map prime -> nonzero exponent; the empty map
+is 1, and numerator and denominator are coprime by construction.  An integer
+is a rational with every exponent >= 1: FactoredInteger adds only that rule
+and an int-valued value(), and equals the rational with the same entries.
+Values are immutable, hashable, and keep their primes in ascending order.
 
-Validation happens once, at the boundary: the public constructors, factor()
-and the parsers certify every key with the exact primality test and check
-order and exponent range.  Results of this module's own arithmetic on values
-that are already valid (products, inverses, numerator and denominator) are
-canonical by construction and skip that check; products still report
-exponent overflow.
+Validation happens once, at the boundary, in one validator: constructors,
+from_factors(), factor() and the parsers certify every key with the exact
+primality test and check order, exponent range and sign.  Results computed
+inside the package from valid values (products, inverses, numerator and
+denominator, totients, the construction's m and n) are canonical by
+construction and skip it; exponents that grow still report overflow.
 
-Both render as (and parse from) the literal grammar
+Values render as (and parse from) the literal grammar
 
     term ("*" term)*        term = <nat> "^" <signed int>
 
@@ -22,11 +23,12 @@ so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ExponentOverflowError, ParseError, ZeroValueError
+from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
 from .primes import factorize, is_prime
 
 # Exponents are kept inside the signed 64-bit range; arithmetic that would
@@ -42,19 +44,6 @@ def check_exponent(p: int, e: int) -> None:
     """Raise ExponentOverflowError if e, the exponent of p, leaves +/-EXPONENT_LIMIT."""
     if abs(e) > EXPONENT_LIMIT:
         raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
-
-
-def _check_entries(entries: tuple[tuple[int, int], ...], allow_negative: bool) -> None:
-    previous = 1
-    for p, e in entries:
-        if p <= previous:
-            raise ValueError(f"prime keys must be distinct and ascending, got {p} after {previous}")
-        if not is_prime(p):
-            raise ValueError(f"key {p} is not prime")
-        if e == 0 or (e < 0 and not allow_negative):
-            raise ValueError(f"invalid exponent {e} for prime {p}")
-        check_exponent(p, e)
-        previous = p
 
 
 def _merge(
@@ -79,71 +68,39 @@ def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     return obj
 
 
-def _render(entries: tuple[tuple[int, int], ...]) -> str:
-    if not entries:
-        return "1"
-    return " * ".join(f"{p}^{e}" for p, e in entries)
+def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
+    """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
+    entries = tuple(sorted(acc.items()))
+    for p, e in entries:
+        check_exponent(p, e)
+    return _canonical(FactoredInteger, entries)
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer as an ascending tuple of (prime, exponent >= 1)."""
-
-    entries: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_entries(self.entries, allow_negative=False)
-
-    @classmethod
-    def from_factors(cls, factors) -> "FactoredInteger":
-        """Build from any iterable of (prime, exponent) pairs or a mapping."""
-        items = factors.items() if hasattr(factors, "items") else factors
-        return cls(tuple(sorted(items)))
-
-    @property
-    def factors(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.entries
-
-    def value(self) -> int:
-        """Expand back to the ordinary integer."""
-        return prod(p**e for p, e in self.entries)
-
-    __int__ = value
-
-    def bit_size(self) -> int:
-        """Cheap upper bound on value().bit_length()."""
-        return sum(e * p.bit_length() for p, e in self.entries)
-
-    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        if not isinstance(other, FactoredInteger):
-            return NotImplemented
-        return _canonical(FactoredInteger, _merge(self.entries, other.entries))
-
-    def as_rational(self) -> "FactoredRational":
-        return _canonical(FactoredRational, self.entries)
-
-    def __str__(self) -> str:
-        return _render(self.entries)
-
-    def __repr__(self) -> str:
-        return f"FactoredInteger({_render(self.entries)!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredRational:
     """A positive rational as an ascending tuple of (prime, nonzero exponent)."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
+    _integral = False  # whether every exponent must be >= 1
+
     def __post_init__(self) -> None:
-        _check_entries(self.entries, allow_negative=True)
+        previous = 1
+        for p, e in self.entries:
+            if not is_prime(p):
+                raise ParseError(f"base {p} is not prime")
+            if p <= previous:
+                raise ParseError(f"prime keys must be distinct and ascending, got {p} after {previous}")
+            if e == 0:
+                raise ParseError(f"exponent for prime {p} must be nonzero")
+            check_exponent(p, e)
+            if e < 0 and self._integral:
+                raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
+            previous = p
 
     @classmethod
-    def from_factors(cls, factors) -> "FactoredRational":
+    def from_factors(cls, factors) -> FactoredRational:
+        """Build from any iterable of (prime, exponent) pairs or a mapping."""
         items = factors.items() if hasattr(factors, "items") else factors
         return cls(tuple(sorted(items)))
 
@@ -165,19 +122,45 @@ class FactoredRational:
         """Expand back to an exact fraction."""
         return Fraction(self.numerator().value(), self.denominator().value())
 
-    def __mul__(self, other: "FactoredRational | FactoredInteger") -> "FactoredRational":
-        if not isinstance(other, (FactoredRational, FactoredInteger)):
-            return NotImplemented
-        return _canonical(FactoredRational, _merge(self.entries, other.entries))
+    def bit_size(self) -> int:
+        """Cheap upper bound on the bit lengths of numerator and denominator together."""
+        return sum(abs(e) * p.bit_length() for p, e in self.entries)
 
-    def inverse(self) -> "FactoredRational":
+    def __mul__(self, other: FactoredRational) -> FactoredRational:
+        """The product; an integer when both factors are integers."""
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        cls = FactoredInteger if self._integral and other._integral else FactoredRational
+        return _canonical(cls, _merge(self.entries, other.entries))
+
+    def inverse(self) -> FactoredRational:
         return _canonical(FactoredRational, tuple((p, -e) for p, e in self.entries))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
     def __str__(self) -> str:
-        return _render(self.entries)
+        return " * ".join(f"{p}^{e}" for p, e in self.entries) or "1"
 
     def __repr__(self) -> str:
-        return f"FactoredRational({_render(self.entries)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class FactoredInteger(FactoredRational):
+    """A positive integer: a FactoredRational whose exponents are all >= 1."""
+
+    _integral = True
+
+    def value(self) -> int:
+        """Expand back to the ordinary integer."""
+        return prod(p**e for p, e in self.entries)
+
+    __int__ = value
 
 
 def factor(n: int) -> FactoredInteger:
@@ -191,17 +174,29 @@ _NAT_RE = re.compile(r"\d+")
 _EXP_RE = re.compile(r"[+-]?\d+")
 
 
+def _decimal(text: str) -> int:
+    """int() of a matched numeral, refusing one past Python's int-string conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    digits = len(text.lstrip("+-"))
+    if limit and digits > limit:
+        raise UnsupportedScaleError(
+            f"a numeral of {digits} digits exceeds the {limit}-digit limit for reading integers"
+        )
+    return int(text)
+
+
 def _parse_nat(text: str, what: str) -> int:
     s = text.strip()
     if not _NAT_RE.fullmatch(s):
         raise ParseError(f"{what} must be an unsigned integer, got {text!r}")
-    n = int(s)
+    n = _decimal(s)
     if n == 0:
         raise ZeroValueError(f"{what} must be positive, got 0")
     return n
 
 
-def _parse_literal_entries(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_literal(text: str, cls):
+    """A factored literal as a cls; the grammar is checked here, the values by cls."""
     acc: dict[int, int] = {}
     for term in text.split("*"):
         base_text, sep, exp_text = term.partition("^")
@@ -213,17 +208,11 @@ def _parse_literal_entries(text: str) -> tuple[tuple[int, int], ...]:
             raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
         if not _EXP_RE.fullmatch(exp_s):
             raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
-        p = int(base_s)
-        e = int(exp_s)
-        if not is_prime(p):
-            raise ParseError(f"base {p} is not prime")
+        p = _decimal(base_s)
         if p in acc:
             raise ParseError(f"prime {p} appears more than once")
-        if e == 0:
-            raise ParseError(f"exponent for prime {p} must be nonzero")
-        check_exponent(p, e)
-        acc[p] = e
-    return tuple(sorted(acc.items()))
+        acc[p] = _decimal(exp_s)
+    return cls.from_factors(acc)
 
 
 def parse_rational(text: str) -> FactoredRational:
@@ -236,13 +225,13 @@ def parse_rational(text: str) -> FactoredRational:
     if not s:
         raise ParseError("empty input")
     if "^" in s:
-        return FactoredRational(_parse_literal_entries(s))
+        return _parse_literal(s, FactoredRational)
     if "/" in s:
         num_text, _, den_text = s.partition("/")
         num = factor(_parse_nat(num_text, "numerator"))
         den = factor(_parse_nat(den_text, "denominator"))
-        return num.as_rational() * den.as_rational().inverse()
-    return factor(_parse_nat(s, "value")).as_rational()
+        return num * den.inverse()
+    return factor(_parse_nat(s, "value"))
 
 
 def parse_integer(text: str) -> FactoredInteger:
@@ -251,9 +240,5 @@ def parse_integer(text: str) -> FactoredInteger:
     if not s:
         raise ParseError("empty input")
     if "^" in s:
-        entries = _parse_literal_entries(s)
-        for p, e in entries:
-            if e < 0:
-                raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
-        return FactoredInteger(entries)
+        return _parse_literal(s, FactoredInteger)
     return factor(_parse_nat(s, "value"))

@@ -27,7 +27,7 @@ it.
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, check_exponent
+from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, _trusted_integer, check_exponent
 from .primes import factorize
 from .totient import totient_of_square
 
@@ -111,7 +111,8 @@ def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, i
                     rest[p] = s
                     if old == 0:
                         heappush(heap, -p)
-    return FactoredInteger.from_factors(m), FactoredInteger.from_factors(n), depth
+    # Every prime came from r or from factorize: no need to certify them again.
+    return _trusted_integer(m), _trusted_integer(n), depth
 
 
 def represent(r: FactoredRational) -> Representation:
@@ -124,7 +125,7 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
     """Check phi(m^2)/phi(n^2) = r by exact factored arithmetic."""
     tm = totient_of_square(m)
     tn = totient_of_square(n)
-    lhs = tm.as_rational() * tn.as_rational().inverse()
+    lhs = tm * tn.inverse()
     holds = lhs == r
     common = None
     if holds and tn.bit_size() <= EXPANSION_BIT_LIMIT:

@@ -7,9 +7,11 @@ For n = p1^a1 * ... * pk^ak,
 
 Results come back fully factored: each (p - 1) is factored eagerly, so the
 output is a canonical FactoredInteger ready for further exponent arithmetic.
+Its primes come from f or from factorize, so they are not certified again;
+only the exponents, which grow, are checked.
 """
 
-from .factored import FactoredInteger, factor
+from .factored import FactoredInteger, _trusted_integer, factor
 from .primes import factorize
 
 
@@ -25,7 +27,7 @@ def totient(f: FactoredInteger) -> FactoredInteger:
     acc: dict[int, int] = {}
     for p, a in f.entries:
         _accumulate(acc, p, a - 1)
-    return FactoredInteger.from_factors(acc)
+    return _trusted_integer(acc)
 
 
 def totient_of_square(f: FactoredInteger) -> FactoredInteger:
@@ -33,7 +35,7 @@ def totient_of_square(f: FactoredInteger) -> FactoredInteger:
     acc: dict[int, int] = {}
     for p, a in f.entries:
         _accumulate(acc, p, 2 * a - 1)
-    return FactoredInteger.from_factors(acc)
+    return _trusted_integer(acc)
 
 
 def phi_square_value(n: int) -> int:

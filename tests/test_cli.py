@@ -160,7 +160,51 @@ def test_unsupported_scale_exit_code(capsys):
 
 
 def test_expanded_refuses_huge_values(capsys):
-    code, body = run_json(capsys, "represent", "2^20000000", "--expanded")
+    # Past EXPANSION_BIT_LIMIT, and past Python's int-string conversion limit.
+    digits = f"{sys.get_int_max_str_digits()} decimal digits"
+    for literal, limit in [("2^20000000", "5000000 bits"), ("2^40000", digits)]:
+        code, out, err = run(capsys, "represent", literal, "--expanded")
+        assert code == EXIT_UNSUPPORTED_SCALE
+        assert err == f"error: expanded value would exceed {limit}; rerun without --expanded\n"
+        code, body = run_json(capsys, "represent", literal, "--expanded")
+        assert code == EXIT_UNSUPPORTED_SCALE
+        assert body["status"] == "unsupported_scale"
+
+
+def test_verify_omits_common_value_past_the_digit_limit(capsys):
+    # phi((2^20000)^2) = 2^39999 has 12041 digits, past the conversion limit.
+    code, out, err = run(capsys, "verify", "2^20000", "2^20000", "1")
+    assert code == EXIT_OK
+    assert "holds: true" in out
+    assert "common value" not in out
+    code, body = run_json(capsys, "verify", "2^20000", "2^20000", "1")
+    assert code == EXIT_OK
+    assert body["holds"] is True and body["common_value"] is None
+    code, out, err = run(capsys, "verify", "2^20000", "2^20000", "3")
+    assert code == EXIT_VERIFY_FALSE
+
+
+LONG = "7" * 4400  # past Python's default 4300-digit int-string conversion limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", LONG],
+        ["represent", LONG],
+        ["represent", f"{LONG}/3"],
+        ["represent", f"3/{LONG}"],
+        ["represent", f"2^1 * {LONG}^1"],
+        ["represent", f"2^-{LONG}"],
+        ["verify", LONG, "1", "1"],
+    ],
+)
+def test_numerals_past_the_digit_limit_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_UNSUPPORTED_SCALE
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: a numeral of 4400 digits exceeds the {limit}-digit limit for reading integers\n"
+    code, body = run_json(capsys, *argv)
     assert code == EXIT_UNSUPPORTED_SCALE
     assert body["status"] == "unsupported_scale"
 

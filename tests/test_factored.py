@@ -144,6 +144,15 @@ def test_canonical_form_after_arithmetic():
         assert not (set(r.numerator().factors) & set(r.denominator().factors))
 
 
+def test_mul_result_type():
+    assert type(factor(6) * factor(10)) is FactoredInteger
+    assert (factor(6) * factor(10)).value() == 60
+    for product in (factor(6) * rational_of({2: -1}), rational_of({2: -1}) * factor(6)):
+        assert type(product) is FactoredRational
+        assert product == rational_of({3: 1})
+    assert type(factor(6).inverse()) is FactoredRational
+
+
 def test_mul_exponent_overflow_is_reported():
     a = rational_of({2: EXPONENT_LIMIT})
     with pytest.raises(ExponentOverflowError):
@@ -220,7 +229,12 @@ def test_numerator_denominator_split():
 
 def test_factored_values_are_immutable_and_hashable():
     a = factor(12)
-    b = factor(12)
-    assert a == b and hash(a) == hash(b)
+    # An integer equals, and hashes like, the rational with the same entries.
+    for b in (factor(12), parse_rational("12"), parse_rational("24/2"), rational_of({2: 2, 3: 1})):
+        assert a == b and hash(a) == hash(b)
+    assert factor(12) != rational_of({2: 2, 3: -1})
+    assert isinstance(a, FactoredRational)
+    assert repr(a) == "FactoredInteger('2^2 * 3^1')"
+    assert repr(rational_of({2: -1})) == "FactoredRational('2^-1')"
     with pytest.raises(AttributeError):
         a.entries = ()

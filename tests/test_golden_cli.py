@@ -1,11 +1,13 @@
-"""Golden CLI corpus for inputs that need large-prime factorization.
+"""Golden CLI corpus: every command, its refusals and one input per error class.
 
 Each line of golden/cli.jsonl holds one argv for `phisq` with the exit code,
 stdout and stderr it gave when the corpus was recorded, plain and --json.
-The inputs hold primes above the trial-division range, semiprimes that rho
-must split, and cofactors past the exact-primality bound, so any change to
-factorization that alters a result, a refusal or an error message shows up
-here. To re-record after an intended change of output, run
+The factor, represent and verify inputs hold primes above the trial-division
+range, semiprimes that rho must split, and cofactors past the exact-primality
+bound, so any change to factorization that alters a result, a refusal or an
+error message shows up here. The rest cover sequence, search, selftest, one
+single-fault input per parse-error class, the --expanded refusal and
+exponent overflow. To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -54,6 +56,10 @@ REPRESENT_INPUTS = [
     str(M127),
 ]
 
+# One fault each: bad literal, zero numerator, zero denominator, non-prime
+# base, duplicate prime, zero exponent.
+PARSE_ERRORS = ["2^1 * x^2", "0", "5/0", "4^2", "2^1 * 2^1", "2^0"]
+
 
 def _phi_square(factors: dict[int, int]) -> int:
     """phi(k^2) = k * phi(k) for k given by its factorization, in plain integers."""
@@ -84,6 +90,21 @@ def corpus_argvs() -> list[list[str]]:
         _verify_argv({2: 1, B1: 1}, {3: 1, B2: 1}, truthful=False),
         _verify_argv({B6: 1}, {5: 1, B7: 1}, truthful=True),
         _verify_argv({7: 2, S1: 1}, {P40: 1}, truthful=True),
+    ]
+    commands += [["sequence", limit] for limit in ("1", "10", "5000")]
+    commands += [
+        ["search", "3", "--bound", "10"],
+        ["search", "19/47", "--bound", "100"],
+        ["search", "1", "--bound", "1"],
+        ["selftest"],
+    ]
+    commands += [["represent", text] for text in PARSE_ERRORS]
+    commands += [
+        ["verify", "2^-1", "1", "1"],  # a negative exponent in an integer
+        ["search", "3"],  # --bound missing
+        ["frobnicate"],  # unknown command
+        ["represent", "2^20000000", "--expanded"],
+        ["represent", "7^1 * 3^-9223372036854775807"],
     ]
     return [argv + extra for argv in commands for extra in ([], ["--json"])]
 

@@ -1,7 +1,10 @@
 import random
 from math import gcd
 
-from phisq.factored import FactoredInteger, factor
+import pytest
+
+from phisq.errors import ExponentOverflowError
+from phisq.factored import EXPONENT_LIMIT, FactoredInteger, factor
 from phisq.totient import phi_square_value, totient, totient_of_square
 
 PRIMES_TO_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -53,6 +56,15 @@ def test_multiplicative_over_coprime_parts():
         a = FactoredInteger.from_factors({p: rng.randint(1, 6) for p in chosen[:split]})
         b = FactoredInteger.from_factors({p: rng.randint(1, 6) for p in chosen[split:]})
         assert totient(a * b).value() == totient(a).value() * totient(b).value()
+
+
+def test_exponent_overflow_is_reported():
+    # 2a - 1 past the limit, and p - 1 = 2^2 pushing 2^(LIMIT - 1) past it.
+    with pytest.raises(ExponentOverflowError):
+        totient_of_square(FactoredInteger(((3, 2**62 + 1),)))
+    with pytest.raises(ExponentOverflowError):
+        totient(FactoredInteger(((2, EXPONENT_LIMIT), (5, 1))))
+    assert totient(FactoredInteger(((2, EXPONENT_LIMIT), (3, 1)))).factors == {2: EXPONENT_LIMIT}
 
 
 def test_phi_square_value_fixtures():
