@@ -6,8 +6,9 @@ Exit codes are a stable scripting contract:
     0  success (and, for verify, the ratio holds)
     1  parse error in any input
     2  unsupported scale (factorization failure, exponent overflow, an
-       integer beyond the exact-primality bound, or a decimal numeral, read
-       or printed, longer than Python's int-string conversion limit)
+       integer beyond the exact-primality bound, a decimal numeral, read
+       or printed, longer than Python's int-string conversion limit, or a
+       sequence limit or search bound past the sieve cap of 10^7)
     3  internal invariant violation (a self-check that can only fail if the
        library itself is wrong, or any unexpected exception, reported by
        type instead of a traceback)
@@ -15,6 +16,7 @@ Exit codes are a stable scripting contract:
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +29,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, factor, parse_integer, parse_rational
-from .oracle import brute_force_minimal, injectivity_scan, random_rational
+from .oracle import brute_force_minimal, injectivity_scan, phi_square_sequence, random_rational
 from .primes import prime_pi
 from .represent import represent, verify
 from .totient import phi_square_value, totient
@@ -46,6 +48,8 @@ STATUS = {
     EXIT_INVARIANT_VIOLATION: "internal_invariant_violation",
     EXIT_VERIFY_FALSE: "ok",
 }
+
+COMMANDS = ("represent", "verify", "factor", "sequence", "search", "selftest")
 
 SELFTEST_SEED = 20260811
 
@@ -141,7 +145,7 @@ def cmd_factor(nat_text: str) -> Result:
 def cmd_sequence(limit: int) -> Result:
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {limit}")
-    values = [phi_square_value(k) for k in range(1, limit + 1)]
+    values = phi_square_sequence(limit)
     payload = {"limit": limit, "values": values}
     lines = [str(v) for v in values]
     return payload, lines, EXIT_OK
@@ -225,7 +229,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     # The flags are accepted both before and after the subcommand; SUPPRESS
     # keeps the subparser from clobbering a value given up front.
     common = _Parser(add_help=False)
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", parents=[common], help="phi(k^2) for k = 1..limit")
     p.add_argument("limit", type=int)
 
-    p = sub.add_parser("search", parents=[common], help="minimal (m, n) by exhaustive scan")
+    p = sub.add_parser("search", parents=[common], help="minimal (m, n) with m, n <= bound")
     p.add_argument("ratio")
     p.add_argument("--bound", type=int, required=True, help="search m, n <= bound")
 
@@ -288,9 +294,15 @@ def _input_echo(args: argparse.Namespace) -> str:
     return ""
 
 
-def _output(args: argparse.Namespace | None, code: int, payload: dict, lines: list[str]) -> str:
+def _rejected(argv: list[str]) -> argparse.Namespace:
+    """What a command line argparse rejected still tells: --json, and a known command."""
+    first = next((a for a in argv if not a.startswith("-")), None)
+    return argparse.Namespace(json="--json" in argv, command=first if first in COMMANDS else None)
+
+
+def _output(args: argparse.Namespace, code: int, payload: dict, lines: list[str]) -> str:
     """The plain lines, or under --json one record: command, input, status, then the payload."""
-    if not getattr(args, "json", False):
+    if not args.json:
         return "\n".join(lines)
     return json.dumps({"command": args.command, "input": _input_echo(args), "status": STATUS[code], **payload})
 
@@ -308,6 +320,7 @@ def _describe_unexpected(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = None
     try:
         args = build_parser().parse_args(argv)
@@ -323,6 +336,8 @@ def main(argv=None) -> int:
         # Anything else (RecursionError, MemoryError, a failed assert) is a bug
         # in the library, never the input's fault: report it, never crash.
         code, message = EXIT_INVARIANT_VIOLATION, _describe_unexpected(exc)
+    if args is None:
+        args = _rejected(argv)
     print(_output(args, code, {"error": message}, [f"error: {message}"]), file=sys.stderr)
     return code
 

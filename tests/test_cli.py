@@ -214,6 +214,29 @@ def test_unknown_command_is_parse_error(capsys):
     assert code == EXIT_PARSE_ERROR
 
 
+def test_usage_errors_honour_json(capsys):
+    for argv, command in [(["search", "3"], "search"), (["frobnicate"], None), ([], None)]:
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        body = json.loads(err)
+        assert body["command"] == command
+        assert body["input"] == ""
+        assert body["status"] == "parse_error"
+        assert body["error"]
+
+
+def test_sieve_past_the_cap_exits_2(capsys):
+    # Refused before the sieve is allocated, so this costs nothing.
+    for argv in (["sequence", "10000001"], ["search", "3", "--bound", "10000001"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_UNSUPPORTED_SCALE
+        assert out == ""
+        assert err == "error: a totient sieve to 10000001 exceeds the cap of 10000000\n"
+        code, body = run_json(capsys, *argv)
+        assert body["status"] == "unsupported_scale"
+
+
 def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == EXIT_OK

@@ -96,6 +96,11 @@ def corpus_argvs() -> list[list[str]]:
         ["search", "3", "--bound", "10"],
         ["search", "19/47", "--bound", "100"],
         ["search", "1", "--bound", "1"],
+        ["search", "1/3", "--bound", "10"],  # a hit with m < max(m, n)
+        ["search", "3", "--bound", "2"],  # a miss one below the minimal pair (3, 2)
+        ["search", "3", "--bound", "3"],  # a hit at max(m, n) == bound, m == max(m, n)
+        ["search", "1/3", "--bound", "3"],  # a hit at max(m, n) == bound, m < max(m, n)
+        ["search", "19/47", "--bound", "2000"],  # a miss at the benchmark's bound
         ["selftest"],
     ]
     commands += [["represent", text] for text in PARSE_ERRORS]

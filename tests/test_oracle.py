@@ -1,9 +1,11 @@
+import json
 import random
 from math import gcd
 
 import pytest
 
 from phisq import oracle
+from phisq.cli import EXIT_INVARIANT_VIOLATION, main
 from phisq.factored import parse_rational
 from phisq.oracle import (
     SearchResult,
@@ -104,6 +106,84 @@ def test_brute_force_found_pairs_satisfy_ratio():
         if result.found:
             assert phi_sq(result.m) * (q // g) == phi_sq(result.n) * (p // g)
             assert max(result.m, result.n) <= 120
+
+
+def reference_minimal(r, bound):
+    """The O(bound^2) pair scan brute_force_minimal used before its value index."""
+    p = r.numerator().value()
+    q = r.denominator().value()
+    phi = sieve_totients(bound)
+    lhs = [0] * (bound + 1)  # phi(k^2) * q
+    rhs = [0] * (bound + 1)  # phi(k^2) * p
+    for k in range(1, bound + 1):
+        v = k * phi[k]
+        lhs[k] = v * q
+        rhs[k] = v * p
+    for top in range(1, bound + 1):
+        for m in range(1, top):
+            if lhs[m] == rhs[top]:
+                return SearchResult(found=True, m=m, n=top, bound=bound)
+        for n in range(1, top + 1):
+            if lhs[top] == rhs[n]:
+                return SearchResult(found=True, m=top, n=n, bound=bound)
+    return SearchResult(found=False, m=None, n=None, bound=bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 300])
+def test_search_matches_reference_on_small_ratios(bound):
+    for p in range(1, 25):
+        for q in range(1, 25):
+            if gcd(p, q) == 1:
+                r = parse_rational(f"{p}/{q}")
+                assert brute_force_minimal(r, bound) == reference_minimal(r, bound), (p, q)
+
+
+def test_search_matches_reference_on_attained_ratios():
+    # v[a]/v[b] has a pair with max(m, n) <= max(a, b): probe just below,
+    # at and above that top.
+    v = [0] + phi_square_sequence(400)
+    rng = random.Random(47)
+    for _ in range(40):
+        a, b = rng.randint(1, 400), rng.randint(1, 400)
+        g = gcd(v[a], v[b])
+        r = parse_rational(f"{v[a] // g}/{v[b] // g}")
+        for bound in {max(a, b) - 1, max(a, b), 400} - {0}:
+            assert brute_force_minimal(r, bound) == reference_minimal(r, bound), (a, b, bound)
+        assert brute_force_minimal(r, max(a, b)).found
+
+
+def test_search_refuses_a_colliding_index(monkeypatch, capsys):
+    # A corrupted totient table makes phi(2^2) = phi(3^2): the value index
+    # would be wrong, so the search must stop instead of answering.
+    monkeypatch.setattr(oracle, "sieve_totients", lambda limit: [0, 1] + [0] * (limit - 1))
+    with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
+        brute_force_minimal(parse_rational("3"), 10)
+    assert main(["search", "3", "--bound", "10", "--json"]) == EXIT_INVARIANT_VIOLATION
+    body = json.loads(capsys.readouterr().err)
+    assert body["status"] == "internal_invariant_violation"
+    assert "k = 2 and k = 3" in body["error"]
+
+
+def test_search_at_a_large_bound():
+    # No k <= 10^5 has a prime above 10^10 > k^2 > phi(k^2) in phi(k^2): a
+    # miss that scans the whole bound.
+    result = brute_force_minimal(parse_rational("10000000019"), 100000)
+    assert result == SearchResult(False, None, None, 100000)
+    # The minimal pair for 19/47 is the construction's own (13110, 18612).
+    assert brute_force_minimal(parse_rational("19/47"), 100000) == SearchResult(True, 13110, 18612, 100000)
+    assert not brute_force_minimal(parse_rational("19/47"), 18611).found
+
+
+def test_oracles_agree_with_sympy_totient():
+    sympy = pytest.importorskip("sympy")
+    assert phi_square_sequence(2000) == [k * sympy.totient(k) for k in range(1, 2001)]
+    for text in ["3", "1/3", "4/5", "6", "9/8", "19/47", "47/58"]:
+        r = parse_rational(text)
+        result = brute_force_minimal(r, 20010)
+        assert result.found, text
+        p, q = r.numerator().value(), r.denominator().value()
+        m, n = result.m, result.n
+        assert m * sympy.totient(m) * q == n * sympy.totient(n) * p, text
 
 
 def test_random_rational_respects_ranges():
