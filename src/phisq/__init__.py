@@ -35,7 +35,6 @@ from .represent import (
     Representation,
     VerificationReport,
     represent,
-    represent_power_of_two,
     verify,
 )
 from .totient import phi_square_value, totient, totient_of_square
@@ -68,7 +67,6 @@ __all__ = [
     "primes_up_to",
     "random_rational",
     "represent",
-    "represent_power_of_two",
     "sieve_totients",
     "totient",
     "totient_of_square",

@@ -17,18 +17,22 @@ Exit codes are a stable scripting contract:
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
 from random import Random
 
-from .errors import (
-    ExponentOverflowError,
-    FactorizationFailure,
-    ParseError,
-    UnsupportedScaleError,
+from .errors import ExponentOverflowError, FactorizationFailure, ParseError, UnsupportedScaleError
+from .factored import (
+    EXPANSION_BIT_LIMIT,
+    FactoredInteger,
+    FactoredRational,
+    _decimal,
+    factor,
+    parse_integer,
+    parse_rational,
 )
-from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, factor, parse_integer, parse_rational
 from .oracle import brute_force_minimal, injectivity_scan, phi_square_sequence, random_rational
 from .primes import prime_pi
 from .represent import represent, verify
@@ -48,8 +52,6 @@ STATUS = {
     EXIT_INVARIANT_VIOLATION: "internal_invariant_violation",
     EXIT_VERIFY_FALSE: "ok",
 }
-
-COMMANDS = ("represent", "verify", "factor", "sequence", "search", "selftest")
 
 SELFTEST_SEED = 20260811
 
@@ -85,8 +87,8 @@ def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
     return body
 
 
-def cmd_represent(ratio_text: str, expanded: bool = False) -> Result:
-    r = parse_rational(ratio_text)
+def cmd_represent(ratio: str, expanded: bool = False) -> Result:
+    r = parse_rational(ratio)
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
     payload = {
@@ -95,7 +97,7 @@ def cmd_represent(ratio_text: str, expanded: bool = False) -> Result:
         "verified": report.holds,
         "depth": rep.depth,
     }
-    lines = [f"input: {ratio_text}", f"m: {rep.m}", f"n: {rep.n}"]
+    lines = [f"input: {ratio}", f"m: {rep.m}", f"n: {rep.n}"]
     if expanded:
         lines += [f"m value: {payload['m']['value']}", f"n value: {payload['n']['value']}"]
     lines += [f"depth: {rep.depth}", f"verified: {str(report.holds).lower()}"]
@@ -103,26 +105,25 @@ def cmd_represent(ratio_text: str, expanded: bool = False) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_INVARIANT_VIOLATION
 
 
-def cmd_verify(m_text: str, n_text: str, ratio_text: str) -> Result:
-    m = parse_integer(m_text)
-    n = parse_integer(n_text)
-    r = parse_rational(ratio_text)
-    report = verify(m, n, r)
+def cmd_verify(m: str, n: str, ratio: str) -> Result:
+    mf = parse_integer(m)
+    nf = parse_integer(n)
+    report = verify(mf, nf, parse_rational(ratio))
     common = report.common_value
     if common is not None and not _printable(common):
         common = None
     payload = {
-        "m": {"factors": _factors_obj(m)},
-        "n": {"factors": _factors_obj(n)},
+        "m": {"factors": _factors_obj(mf)},
+        "n": {"factors": _factors_obj(nf)},
         "holds": report.holds,
         "computed": _factors_obj(report.lhs),
         "expected": _factors_obj(report.expected),
         "common_value": common,
     }
     lines = [
-        f"input: m={m_text} n={n_text} r={ratio_text}",
-        f"m: {m}",
-        f"n: {n}",
+        f"input: m={m} n={n} r={ratio}",
+        f"m: {mf}",
+        f"n: {nf}",
         f"computed ratio: {report.lhs}",
         f"expected ratio: {report.expected}",
         f"holds: {str(report.holds).lower()}",
@@ -132,13 +133,13 @@ def cmd_verify(m_text: str, n_text: str, ratio_text: str) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
-def cmd_factor(nat_text: str) -> Result:
-    s = nat_text.strip()
+def cmd_factor(n: str) -> Result:
+    s = n.strip()
     if not s.isdigit():
-        raise ParseError(f"factor takes a plain positive integer, got {nat_text!r}")
+        raise ParseError(f"factor takes a plain positive integer, got {n!r}")
     f = parse_integer(s)
     payload = {"factors": _factors_obj(f), "value": f.value()}
-    lines = [f"input: {nat_text}", f"factors: {f}"]
+    lines = [f"input: {n}", f"factors: {f}"]
     return payload, lines, EXIT_OK
 
 
@@ -151,13 +152,13 @@ def cmd_sequence(limit: int) -> Result:
     return payload, lines, EXIT_OK
 
 
-def cmd_search(ratio_text: str, bound: int) -> Result:
+def cmd_search(ratio: str, bound: int) -> Result:
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
-    r = parse_rational(ratio_text)
+    r = parse_rational(ratio)
     result = brute_force_minimal(r, bound)
     payload = {"bound": bound, "found": result.found, "m": result.m, "n": result.n}
-    lines = [f"input: {ratio_text}", f"bound: {bound}", f"found: {str(result.found).lower()}"]
+    lines = [f"input: {ratio}", f"bound: {bound}", f"found: {str(result.found).lower()}"]
     if result.found:
         lines += [f"m: {result.m}", f"n: {result.n}"]
     else:
@@ -222,8 +223,35 @@ def cmd_selftest() -> Result:
     return {"checks": results, "all_passed": all_ok}, lines, EXIT_OK if all_ok else EXIT_INVARIANT_VIOLATION
 
 
+# The global flags: declared once, on the top-level parser, and accepted before
+# or after the command, spelled in full.
+FLAGS = {"--json": "emit one JSON object", "--expanded": "also emit expanded decimal values"}
+
+# Each command: its help, the input its JSON record echoes, and its arguments
+# with their argparse options, named as the parameters of cmd_<command>.
+COMMANDS = {
+    "represent": (
+        "find (m, n) with phi(m^2)/phi(n^2) = ratio", "{ratio}",
+        {"ratio": {"help": '"p/q", "n", or a factored literal like "2^3 * 5^-1"'}},
+    ),
+    "verify": ("check phi(m^2)/phi(n^2) = ratio", "m={m} n={n} r={ratio}", {"m": {}, "n": {}, "ratio": {}}),
+    "factor": ("prime factorization of a positive integer", "{n}", {"n": {}}),
+    "sequence": ("phi(k^2) for k = 1..limit", "{limit}", {"limit": {"type": int}}),
+    "search": (
+        "minimal (m, n) with m, n <= bound", "{ratio}",
+        {"ratio": {}, "--bound": {"type": int, "required": True, "help": "search m, n <= bound"}},
+    ),
+    "selftest": ("run the built-in cross-check suite", "", {}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ParseError (exit code 1)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # type=int reads through _decimal: past the digit limit is exit 2, as for any numeral.
+        self.register("type", int, _decimal)
 
     def error(self, message):
         raise ParseError(message)
@@ -232,79 +260,26 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser unchanged.
-    # The flags are accepted both before and after the subcommand; SUPPRESS
-    # keeps the subparser from clobbering a value given up front.
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="emit one JSON object"
+    parser = _Parser(
+        prog="phisq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
     )
-    common.add_argument(
-        "--expanded",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="also emit expanded decimal values",
-    )
-    parser = _Parser(prog="phisq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--json", action="store_true", help="emit one JSON object")
-    parser.add_argument("--expanded", action="store_true", help="also emit expanded decimal values")
+    for flag, text in FLAGS.items():
+        parser.add_argument(flag, action="store_true", help=text)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("represent", parents=[common], help="find (m, n) with phi(m^2)/phi(n^2) = ratio")
-    p.add_argument("ratio", help='"p/q", "n", or a factored literal like "2^3 * 5^-1"')
-
-    p = sub.add_parser("verify", parents=[common], help="check phi(m^2)/phi(n^2) = ratio")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("ratio")
-
-    p = sub.add_parser("factor", parents=[common], help="prime factorization of a positive integer")
-    p.add_argument("n")
-
-    p = sub.add_parser("sequence", parents=[common], help="phi(k^2) for k = 1..limit")
-    p.add_argument("limit", type=int)
-
-    p = sub.add_parser("search", parents=[common], help="minimal (m, n) with m, n <= bound")
-    p.add_argument("ratio")
-    p.add_argument("--bound", type=int, required=True, help="search m, n <= bound")
-
-    sub.add_parser("selftest", parents=[common], help="run the built-in cross-check suite")
+    for name, (text, echo, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(echo=echo)
+        for argument, options in arguments.items():
+            p.add_argument(argument, **options)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> Result:
-    if args.command == "represent":
-        return cmd_represent(args.ratio, expanded=args.expanded)
-    if args.command == "verify":
-        return cmd_verify(args.m, args.n, args.ratio)
-    if args.command == "factor":
-        return cmd_factor(args.n)
-    if args.command == "sequence":
-        return cmd_sequence(args.limit)
-    if args.command == "search":
-        return cmd_search(args.ratio, args.bound)
-    return cmd_selftest()
-
-
-def _input_echo(args: argparse.Namespace) -> str:
-    if args.command == "verify":
-        return f"m={args.m} n={args.n} r={args.ratio}"
-    for attr in ("ratio", "n", "limit"):
-        if hasattr(args, attr):
-            return str(getattr(args, attr))
-    return ""
-
-
-def _rejected(argv: list[str]) -> argparse.Namespace:
-    """What a command line argparse rejected still tells: --json, and a known command."""
-    first = next((a for a in argv if not a.startswith("-")), None)
-    return argparse.Namespace(json="--json" in argv, command=first if first in COMMANDS else None)
 
 
 def _output(args: argparse.Namespace, code: int, payload: dict, lines: list[str]) -> str:
     """The plain lines, or under --json one record: command, input, status, then the payload."""
     if not args.json:
         return "\n".join(lines)
-    return json.dumps({"command": args.command, "input": _input_echo(args), "status": STATUS[code], **payload})
+    echo = args.echo.format_map(vars(args))
+    return json.dumps({"command": args.command, "input": echo, "status": STATUS[code], **payload})
 
 
 def _describe_unexpected(exc: Exception) -> str:
@@ -321,10 +296,15 @@ def _describe_unexpected(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # Move the global flags in front of the command, where they are declared. Abbreviations
+    # are refused, so an accepted and a rejected line both choose JSON by the exact "--json".
+    argv = sorted(argv, key=lambda a: a not in FLAGS)
     args = None
     try:
         args = build_parser().parse_args(argv)
-        payload, lines, code = _dispatch(args)
+        # Looked up per call, not bound in the parser: the traced benchmark rebinds cmd_*.
+        run = globals()[f"cmd_{args.command}"]
+        payload, lines, code = run(**{p: getattr(args, p) for p in inspect.signature(run).parameters})
         # Rendered inside the try: formatting a large integer can raise too.
         print(_output(args, code, payload, lines))
         return code
@@ -337,7 +317,9 @@ def main(argv=None) -> int:
         # in the library, never the input's fault: report it, never crash.
         code, message = EXIT_INVARIANT_VIOLATION, _describe_unexpected(exc)
     if args is None:
-        args = _rejected(argv)
+        # A rejected line still tells --json, and a known command; its input is not echoed.
+        first = next((a for a in argv if not a.startswith("-")), None)
+        args = argparse.Namespace(json="--json" in argv, command=first if first in COMMANDS else None, echo="")
     print(_output(args, code, {"error": message}, [f"error: {message}"]), file=sys.stderr)
     return code
 

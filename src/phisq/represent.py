@@ -12,8 +12,8 @@ one step at a time:
   * a odd and negative: the mirror image, symmetric placement on n. Give
     q^((|a|+1)/2) to n and multiply r by (q - 1) * q^|a|. Every rule commutes
     with inversion, so this is exactly representing 1/r and swapping the pair.
-  * q = 2: r = 2^a is the last factor left and is solved directly by a
-    two-power identity; r = 1 gives (1, 1).
+
+q = 2 needs no rule of its own, because q - 1 = 1; r = 1 gives (1, 1).
 
 The steps run as one loop over a mutable prime -> exponent map, popping primes
 in descending order from a max-heap; the primes a step pulls in from q - 1 are
@@ -30,8 +30,6 @@ from heapq import heapify, heappop, heappush
 from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, _trusted_integer, check_exponent
 from .primes import factorize
 from .totient import totient_of_square
-
-_ONE = FactoredInteger()
 
 
 @dataclass(frozen=True)
@@ -59,24 +57,6 @@ class VerificationReport:
     common_value: int | None = None
 
 
-def represent_power_of_two(a: int) -> tuple[FactoredInteger, FactoredInteger]:
-    """Solve r = 2^a directly: phi(2^(2k)) = 2^(2k-1) for k >= 1.
-
-    Even a = 2t uses the pair (2^(t+b), 2^b) with the smallest b keeping both
-    exponents >= 1; odd a takes one side to 1.
-    """
-    if a == 0:
-        return _ONE, _ONE
-    if a % 2 == 0:
-        t = a // 2
-        b = max(1, 1 - t)
-        return FactoredInteger(((2, t + b),)), FactoredInteger(((2, b),))
-    t = (a - 1) // 2
-    if t >= 0:
-        return FactoredInteger(((2, t + 1),)), _ONE
-    return _ONE, FactoredInteger(((2, -t),))
-
-
 def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, int]:
     rest = dict(r.entries)
     heap = [-p for p in rest]
@@ -90,11 +70,7 @@ def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, i
         if a == 0:
             continue  # stale heap entry: the exponent of q cancelled to zero
         depth += 1
-        if q == 2:
-            m2, n2 = represent_power_of_two(a)
-            m.update(m2.entries)
-            n.update(n2.entries)
-        elif a % 2 == 0:
+        if a % 2 == 0:
             half = a // 2
             c = max(1, 1 - half)
             m[q], n[q] = c + half, c

@@ -197,6 +197,8 @@ LONG = "7" * 4400  # past Python's default 4300-digit int-string conversion limi
         ["represent", f"2^1 * {LONG}^1"],
         ["represent", f"2^-{LONG}"],
         ["verify", LONG, "1", "1"],
+        ["sequence", LONG],
+        ["search", "3", "--bound", LONG],
     ],
 )
 def test_numerals_past_the_digit_limit_exit_2(capsys, argv):
@@ -207,6 +209,22 @@ def test_numerals_past_the_digit_limit_exit_2(capsys, argv):
     code, body = run_json(capsys, *argv)
     assert code == EXIT_UNSUPPORTED_SCALE
     assert body["status"] == "unsupported_scale"
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["--expanded"], ["--json", "--expanded"]])
+def test_global_flags_before_or_after_the_command_spelled_in_full(capsys, flags):
+    before = run(capsys, *flags, "represent", "19/47")
+    after = run(capsys, "represent", "19/47", *flags)
+    assert before == after
+    assert before[0] == EXIT_OK
+    assert before[1] != run(capsys, "represent", "19/47")[1]
+    for flag in flags:
+        abbreviation = flag[:4]
+        for argv in ([abbreviation, "represent", "19/47"], ["represent", "19/47", abbreviation]):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_PARSE_ERROR
+            assert out == ""
+            assert err == f"error: unrecognized arguments: {abbreviation}\n"
 
 
 def test_unknown_command_is_parse_error(capsys):

@@ -12,7 +12,7 @@ from phisq.factored import (
 )
 from phisq.oracle import random_rational
 from phisq.primes import prime_pi, primes_up_to
-from phisq.represent import represent, represent_power_of_two, verify
+from phisq.represent import represent, verify
 from phisq.totient import totient_of_square
 
 
@@ -35,26 +35,29 @@ def phi_square(n):
     return n * euler_phi(n)
 
 
-# --- base case: powers of two ---
+# --- powers of two: the generic rules, with q - 1 = 1 ---
+
+def represent_two_to(a):
+    return represent(FactoredRational.from_factors({2: a} if a else {}))
+
 
 def test_power_of_two_fixtures():
-    one = FactoredInteger()
-    assert represent_power_of_two(0) == (one, one)
-    m, n = represent_power_of_two(2)
-    assert (m.value(), n.value()) == (4, 2)
+    for a, pair, depth in [(2, (4, 2), 1), (-1, (1, 2), 1), (0, (1, 1), 0)]:
+        rep = represent_two_to(a)
+        assert (rep.m.value(), rep.n.value()) == pair, a
+        assert rep.depth == depth, a
     assert phi_square(4) * 1 == phi_square(2) * 4  # phi(16)/phi(4) = 4
-    m, n = represent_power_of_two(-1)
-    assert (m.value(), n.value()) == (1, 2)
     assert phi_square(1) * 2 == phi_square(2) * 1  # phi(1)/phi(4) = 1/2
 
 
 def test_power_of_two_sweep_against_direct_phi():
     for a in range(-12, 13):
-        m, n = represent_power_of_two(a)
+        rep = represent_two_to(a)
+        assert rep.depth == (1 if a else 0), a
+        for f in (rep.m, rep.n):
+            assert set(f.factors) <= {2}, a
         num, den = (2**a, 1) if a >= 0 else (1, 2**-a)
-        assert phi_square(m.value()) * den == phi_square(n.value()) * num, a
-        for f in (m, n):
-            assert set(f.factors) <= {2}
+        assert phi_square(rep.m.value()) * den == phi_square(rep.n.value()) * num, a
 
 
 # --- the construction ---
