@@ -20,6 +20,10 @@ before it is emitted.  The rho stage is seeded from the cofactor itself, so
 factorization is deterministic, and every result and every refusal
 (UnsupportedScaleError, FactorizationFailure, with their messages) is that of
 full trial division.
+
+The totients and the construction need p - 1 factored for each prime p they
+meet.  _factor_p_minus_1 factors each prime's p - 1 once per process, in an
+LRU cache bounded like is_prime's; a refusal is raised again, not cached.
 """
 
 from functools import lru_cache
@@ -187,6 +191,12 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(c // d)
     return dict(sorted(out.items()))
+
+
+@lru_cache(maxsize=1 << 16)
+def _factor_p_minus_1(p: int) -> tuple[tuple[int, int], ...]:
+    """factorize(p - 1) as ascending (prime, exponent) pairs, cached per prime p."""
+    return tuple(factorize(p - 1).items())
 
 
 def primes_up_to(limit: int) -> list[int]:

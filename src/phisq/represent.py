@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, _trusted_integer, check_exponent
-from .primes import factorize
+from .primes import _factor_p_minus_1
 from .totient import totient_of_square
 
 
@@ -77,7 +77,7 @@ def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, i
         else:
             side, sign = (m, 1) if a > 0 else (n, -1)
             side[q] = (abs(a) + 1) // 2
-            for p, e in factorize(q - 1).items():
+            for p, e in _factor_p_minus_1(q):
                 old = rest.get(p, 0)
                 s = old - sign * e
                 check_exponent(p, s)

@@ -109,6 +109,10 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
+# factorize itself caches nothing, but primes._factor_p_minus_1 does: a test
+# that patches the rho budget and reaches p - 1 through the construction or a
+# totient must call primes._factor_p_minus_1.cache_clear() first, or it may
+# read a factorization cached under the full budget.
 def test_factorize_reports_exhausted_budget(monkeypatch):
     monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
     with pytest.raises(FactorizationFailure):

@@ -1,12 +1,20 @@
 """Property-based checks of factorization (skipped without hypothesis)."""
 
+from random import Random
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from phisq.primes import TRIAL_DIVISION_BOUND, factorize, is_prime  # noqa: E402
+from phisq.primes import (  # noqa: E402
+    TRIAL_DIVISION_BOUND,
+    _factor_p_minus_1,
+    factorize,
+    is_prime,
+    primes_up_to,
+)
 
 
 def _next_prime(n: int) -> int:
@@ -39,3 +47,20 @@ def test_factorize_returns_the_multiset_it_was_given(small, large):
     for p, e in expected.items():
         n *= p**e
     assert factorize(n) == dict(sorted(expected.items()))
+
+
+# A few primes of 2^36..2^60, drawn once from a fixed seed: their p - 1 reach
+# the block stage of trial division, and one of them needs rho.
+_RNG = Random(20201)
+LARGE_PRIMES = [_next_prime(_RNG.randrange(2**36, 2**60)) for _ in range(6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(primes_up_to(10**5)) | st.sampled_from(LARGE_PRIMES))
+@example(2)
+def test_factor_p_minus_1_is_factorize_of_p_minus_1(p):
+    assert _factor_p_minus_1(p) == tuple(factorize(p - 1).items())
+
+
+def test_factor_p_minus_1_cache_is_bounded_like_is_prime():
+    assert _factor_p_minus_1.cache_info().maxsize == is_prime.cache_info().maxsize

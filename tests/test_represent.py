@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from phisq import factored, primes
 from phisq.errors import ExponentOverflowError
 from phisq.factored import (
     EXPONENT_LIMIT,
@@ -11,7 +12,7 @@ from phisq.factored import (
     parse_rational,
 )
 from phisq.oracle import random_rational
-from phisq.primes import prime_pi, primes_up_to
+from phisq.primes import factorize, prime_pi, primes_up_to
 from phisq.represent import represent, verify
 from phisq.totient import totient_of_square
 
@@ -202,3 +203,26 @@ def test_deep_products_construct_and_verify(limit):
     top = r.entries[-1][0]
     assert all(p <= top for p in set(rep.m.factors) | set(rep.n.factors))
     assert rep.depth <= prime_pi(top)
+
+
+def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(primes, "factorize", counting)
+    monkeypatch.setattr(factored, "factorize", counting)
+    primes._factor_p_minus_1.cache_clear()
+
+    def run():
+        r = parse_rational("2^3 * 7^-1 * 97^5")
+        rep = represent(r)
+        assert verify(rep.m, rep.n, r).holds
+
+    run()
+    assert sorted(calls) == [1, 6, 96]  # p - 1 for the peeled primes 2, 7 and 97, once each
+    calls.clear()
+    run()
+    assert calls == []

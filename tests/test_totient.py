@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from phisq.errors import ExponentOverflowError
+from phisq import primes
+from phisq.errors import ExponentOverflowError, FactorizationFailure
 from phisq.factored import EXPONENT_LIMIT, FactoredInteger, factor
 from phisq.totient import phi_square_value, totient, totient_of_square
 
@@ -71,3 +72,21 @@ def test_phi_square_value_fixtures():
     assert phi_square_value(1) == 1
     assert phi_square_value(10) == 40
     assert phi_square_value(7) == 42
+
+
+def test_refusal_is_not_cached(monkeypatch):
+    # p - 1 = 2^3 * 3 * 1000003 * 1000033: the cofactor past trial division needs rho.
+    p = 24 * 1000003 * 1000033 + 1
+    f = factor(p)
+    primes._factor_p_minus_1.cache_clear()
+    monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FactorizationFailure) as info:
+            totient_of_square(f)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == (
+        "could not split cofactor 1000036000099 within 0 rho attempts"
+    )
+    monkeypatch.undo()
+    assert totient_of_square(f).factors == {2: 3, 3: 1, 1000003: 1, 1000033: 1, p: 1}
