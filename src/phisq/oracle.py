@@ -2,6 +2,13 @@
 
 Everything here works on plain integers with a totient sieve, deliberately
 avoiding the factored-arithmetic path it is meant to cross-check.
+
+The sequence, the search and the injectivity scan all read one table per
+process, v[k] = phi(k^2) = k * phi(k) for k = 0..L.  A request past L sieves
+to its own limit; the new table is kept only while L <= 1 << 16 (the bound
+of the primes caches), and a larger one serves its one request and is
+dropped.  Each request reads only v[1..limit] of its own limit, so a larger
+kept table never changes an answer.
 """
 
 from dataclasses import dataclass
@@ -16,6 +23,10 @@ from .primes import primes_up_to
 # search or sequence costs ~140 bytes per value, so 10^7 already takes ~1.4 GB.
 _SIEVE_CAP = 10**7
 
+# The largest L whose table v[0..L] outlives the request that built it.
+_KEEP_LIMIT = 1 << 16
+_table: list[int] = [0]
+
 
 def sieve_totients(limit: int) -> list[int]:
     """phi(0..limit) by the classic in-place multiplicative sieve."""
@@ -29,21 +40,33 @@ def sieve_totients(limit: int) -> list[int]:
     return phi
 
 
+def _phi_squares(limit: int) -> list[int]:
+    """The table v[0..L], L >= limit, with v[k] = phi(k^2) = k * phi(k); callers
+    must not mutate it.  Sieves only when limit is past the kept table."""
+    global _table
+    if limit < len(_table):
+        return _table
+    v = sieve_totients(limit)
+    for k in range(limit + 1):
+        v[k] *= k
+    if limit <= _KEEP_LIMIT:
+        _table = v
+    return v
+
+
 def phi_square_sequence(limit: int) -> list[int]:
     """[phi(1^2), phi(2^2), ..., phi(limit^2)], i.e. k * phi(k) for k = 1..limit."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    phi = sieve_totients(limit)
-    return [k * phi[k] for k in range(1, limit + 1)]
+    return _phi_squares(limit)[1 : limit + 1]
 
 
 def _index_phi_squares(limit: int) -> tuple[list[int], dict[int, int], tuple[int, int] | None]:
-    """v[k] = phi(k^2) = k * phi(k) for k <= limit and the index v[k] -> k, built
-    up to the first collision v[j] = v[k], j < k, returned third as (j, k)."""
-    v = sieve_totients(limit)
+    """The table v (see _phi_squares) and the index v[k] -> k for k <= limit,
+    built up to the first collision v[j] = v[k], j < k, returned third as (j, k)."""
+    v = _phi_squares(limit)
     index: dict[int, int] = {}
     for k in range(1, limit + 1):
-        v[k] *= k
         if (j := index.setdefault(v[k], k)) != k:
             return v, index, (j, k)
     return v, index, None

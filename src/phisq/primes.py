@@ -133,12 +133,14 @@ def _block_product(start: int) -> int:
     When factorize reaches the block, its cofactor has no prime factor below
     start, so it shares a factor with this product exactly when one of the
     block's candidates f, f + 2 divides it.  The primes come from sieving the
-    block's range.
+    block's range by _SIEVING_PRIMES.
     """
     stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
     size = stop - start
     sieve = bytearray([1]) * size
-    for p in primes_up_to(isqrt(stop)):
+    for p in _SIEVING_PRIMES:
+        if p * p > stop:
+            break
         first = max(p * p, -(-start // p) * p) - start
         sieve[first::p] = bytes(len(range(first, size, p)))
     return prod(start + i for r in (0, 2) for i in range(r, size, 6) if sieve[i])
@@ -209,6 +211,10 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
     return [p for p in range(2, limit + 1) if sieve[p]]
+
+
+# Every prime a trial-division block needs for its sieve, sieved once.
+_SIEVING_PRIMES = primes_up_to(isqrt(_TRIAL_END))
 
 
 def prime_pi(x: int) -> int:

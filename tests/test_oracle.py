@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phisq import oracle
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
@@ -15,6 +17,13 @@ from phisq.oracle import (
     random_rational,
     sieve_totients,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_table(monkeypatch):
+    """Each test starts from an empty phi(k^2) table, and a table built from a
+    patched sieve_totients is gone once the test ends."""
+    monkeypatch.setattr(oracle, "_table", [0])
 
 
 def euler_phi(n):
@@ -52,10 +61,73 @@ def test_injectivity_scan_finds_nothing():
     assert injectivity_scan(10**4) is None
 
 
+def test_injectivity_scan_answers_the_same_on_a_warm_table():
+    phi_square_sequence(20000)
+    test_injectivity_scan_finds_nothing()
+
+
 def test_injectivity_scan_reports_first_collision(monkeypatch):
     # A corrupted totient table must surface as a collision.
     monkeypatch.setattr(oracle, "sieve_totients", lambda limit: [0, 1] + [0] * (limit - 1))
     assert injectivity_scan(10) == (2, 3)
+
+
+_KEPT = oracle._KEEP_LIMIT
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(1, 3000), st.sampled_from([_KEPT - 1, _KEPT, _KEPT + 1, 20000])),
+    min_size=1, max_size=5,
+))
+def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
+    # Growing, shrinking and crossing the kept bound in any order gives the
+    # sieve's own answer, and no table past the bound is kept.
+    oracle._table = [0]
+    for limit in limits:
+        phi = sieve_totients(limit)
+        assert phi_square_sequence(limit) == [k * phi[k] for k in range(1, limit + 1)], limits
+        assert len(oracle._table) <= _KEPT + 1
+
+
+def test_mutating_a_sequence_leaves_the_next_answer():
+    values = phi_square_sequence(100)
+    values[:] = [0] * 100
+    assert phi_square_sequence(10) == [1, 2, 6, 8, 20, 12, 42, 32, 54, 40]
+    assert phi_square_sequence(100)[-1] == 100 * euler_phi(100)
+
+
+def test_table_is_sieved_only_when_it_grows(monkeypatch):
+    sieved = []
+    monkeypatch.setattr(oracle, "sieve_totients", lambda limit: sieved.append(limit) or sieve_totients(limit))
+    phi_square_sequence(100)
+    phi_square_sequence(50)
+    injectivity_scan(100)
+    brute_force_minimal(parse_rational("3"), 80)
+    phi_square_sequence(200)
+    assert sieved == [100, 200]
+    # Past the kept bound every request sieves, and the kept table stays.
+    phi_square_sequence(_KEPT + 1)
+    phi_square_sequence(_KEPT + 1)
+    phi_square_sequence(150)
+    assert sieved == [100, 200, _KEPT + 1, _KEPT + 1]
+
+
+def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
+    # A corrupted sieve makes phi(50^2) = phi(51^2) = 2550 in a table built
+    # to 100; a request whose own limit stops below 50 never sees it.
+    def corrupted(limit):
+        phi = sieve_totients(limit)
+        phi[50], phi[51] = 51, 50
+        return phi
+
+    monkeypatch.setattr(oracle, "sieve_totients", corrupted)
+    assert phi_square_sequence(100)[49:51] == [2550, 2550]
+    assert injectivity_scan(60) == (50, 51)
+    assert injectivity_scan(10) is None
+    assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
+    with pytest.raises(RuntimeError, match="k = 50 and k = 51"):
+        brute_force_minimal(parse_rational("3"), 60)
 
 
 def test_brute_force_fixtures():
@@ -136,6 +208,14 @@ def test_search_matches_reference_on_small_ratios(bound):
             if gcd(p, q) == 1:
                 r = parse_rational(f"{p}/{q}")
                 assert brute_force_minimal(r, bound) == reference_minimal(r, bound), (p, q)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 300])
+def test_search_answers_the_same_on_a_warm_table(bound):
+    # Cold, the first search above builds the table to its own bound; here the
+    # table already reaches far past it.
+    phi_square_sequence(20000)
+    test_search_matches_reference_on_small_ratios(bound)
 
 
 def test_search_matches_reference_on_attained_ratios():

@@ -40,3 +40,6 @@ def test_traced_run_sees_the_cli_commands():
     assert report["correct"] is True
     assert report["metrics"]["cli.sequence_s"]["value"] > 0
     assert report["metrics"]["oracle.search_s"]["value"] > 0
+    # The oracle calls sieve_totients through its module attribute, so the
+    # wrapper sees the sieve that builds the shared table.
+    assert report["metrics"]["oracle.sieve_s"]["value"] > 0
