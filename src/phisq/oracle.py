@@ -8,10 +8,14 @@ process, v[k] = phi(k^2) = k * phi(k) for k = 0..L.  A request past L sieves
 to its own limit; the new table is kept only while L <= 1 << 16 (the bound
 of the primes caches), and a larger one serves its one request and is
 dropped.  Each request reads only v[1..limit] of its own limit, so a larger
-kept table never changes an answer.
+kept table never changes an answer.  The plain sequence text is rendered once
+per process in the same way: the decimal lines of v[1..K], K <= 1 << 16, are
+kept and grown by the values they lack, and a request slices them.
 """
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from .errors import UnsupportedScaleError
@@ -26,6 +30,10 @@ _SIEVE_CAP = 10**7
 # The largest L whose table v[0..L] outlives the request that built it.
 _KEEP_LIMIT = 1 << 16
 _table: list[int] = [0]
+# The rendering "\n" + "\n".join(str(v[k]) for k = 1..K), and _digits[k], the digits in
+# its first k lines (summed in C by accumulate): line k ends at offset _digits[k] + k.
+_text = ""
+_digits = array("I", [0])
 
 
 def sieve_totients(limit: int) -> list[int]:
@@ -59,6 +67,19 @@ def phi_square_sequence(limit: int) -> list[int]:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     return _phi_squares(limit)[1 : limit + 1]
+
+
+def phi_square_text(limit: int) -> str:
+    """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of
+    the rendering kept up to _KEEP_LIMIT, then the values past it, if any."""
+    global _text
+    v = _phi_squares(limit)
+    stop = min(limit, _KEEP_LIMIT)
+    if len(_digits) <= stop:
+        lines = [str(x) for x in v[len(_digits) : stop + 1]]
+        _digits[-1:] = array("I", accumulate(map(len, lines), initial=_digits[-1]))
+        _text += "\n" + "\n".join(lines)
+    return "\n".join([_text[1 : _digits[stop] + stop], *[str(x) for x in v[stop + 1 : limit + 1]]])
 
 
 def _index_phi_squares(limit: int) -> tuple[list[int], dict[int, int], tuple[int, int] | None]:
@@ -107,12 +128,12 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     v, index, collision = _index_phi_squares(bound)
     if collision is not None:
         raise RuntimeError(f"phi(k^2) collides at k = {collision[0]} and k = {collision[1]}")
+    # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].
     for top in range(1, bound + 1):
-        x, rest = divmod(v[top] * p, q)  # phi(m^2) for the pair (m, top)
-        if not rest and (m := index.get(x, top)) < top:
+        w = v[top]
+        if not w % q and (m := index.get(w // q * p, top)) < top:  # the pair (m, top)
             return SearchResult(found=True, m=m, n=top, bound=bound)
-        x, rest = divmod(v[top] * q, p)  # phi(n^2) for the pair (top, n)
-        if not rest and (n := index.get(x, top + 1)) <= top:
+        if not w % p and (n := index.get(w // p * q, top + 1)) <= top:  # the pair (top, n)
             return SearchResult(found=True, m=top, n=n, bound=bound)
     return SearchResult(found=False, m=None, n=None, bound=bound)
 

@@ -1,9 +1,12 @@
+import io
 import json
 import random
+from array import array
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phisq import oracle
@@ -21,9 +24,12 @@ from phisq.oracle import (
 
 @pytest.fixture(autouse=True)
 def fresh_table(monkeypatch):
-    """Each test starts from an empty phi(k^2) table, and a table built from a
-    patched sieve_totients is gone once the test ends."""
+    """Each test starts from an empty phi(k^2) table and an empty rendering of
+    it, and a table or rendering built from a patched sieve_totients is gone
+    once the test ends."""
     monkeypatch.setattr(oracle, "_table", [0])
+    monkeypatch.setattr(oracle, "_text", "")
+    monkeypatch.setattr(oracle, "_digits", array("I", [0]))
 
 
 def euler_phi(n):
@@ -88,6 +94,34 @@ def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
         phi = sieve_totients(limit)
         assert phi_square_sequence(limit) == [k * phi[k] for k in range(1, limit + 1)], limits
         assert len(oracle._table) <= _KEPT + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(1, 3000), st.sampled_from([_KEPT - 1, _KEPT, _KEPT + 1, 20000])),
+    min_size=1, max_size=5,
+))
+def test_sequence_text_equals_a_fresh_sieve_in_any_order(limits):
+    # The plain output is a slice of the kept rendering, grown in any order:
+    # it is byte for byte a fresh render, and never covers more than the bound.
+    oracle._table, oracle._text, oracle._digits = [0], "", array("I", [0])
+    for limit in limits:
+        phi = sieve_totients(limit)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["sequence", str(limit)]) == 0
+        assert out.getvalue() == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)) + "\n", limits
+        kept = len(oracle._digits) - 1
+        assert oracle._text.count("\n") == kept <= _KEPT and len(oracle._text) == oracle._digits[-1] + kept
+
+
+def test_sequence_json_equals_a_fresh_sieve():
+    for limit in [1, 3000, _KEPT + 1, 20]:
+        phi = sieve_totients(limit)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["sequence", str(limit), "--json"]) == 0
+        assert json.loads(out.getvalue())["values"] == [k * phi[k] for k in range(1, limit + 1)]
 
 
 def test_mutating_a_sequence_leaves_the_next_answer():
@@ -208,6 +242,38 @@ def test_search_matches_reference_on_small_ratios(bound):
             if gcd(p, q) == 1:
                 r = parse_rational(f"{p}/{q}")
                 assert brute_force_minimal(r, bound) == reference_minimal(r, bound), (p, q)
+
+
+def naive_pairs(p, q, bound):
+    """Every (m, n) with m, n <= bound and phi(m^2) * q = phi(n^2) * p, by a
+    plain double loop over the sieve (p/q need not be reduced)."""
+    phi = sieve_totients(bound)
+    return [
+        (m, n)
+        for m in range(1, bound + 1)
+        for n in range(1, bound + 1)
+        if m * phi[m] * q == n * phi[n] * p
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(1, 60), st.just(1)),
+    st.one_of(st.integers(1, 60), st.just(1)),
+    st.integers(1, 300),
+)
+@example(6, 4, 300)
+@example(1, 1, 300)
+@example(1, 7, 300)
+@example(12, 1, 300)
+def test_search_equals_a_naive_double_loop(p, q, bound):
+    # The search tests divisibility before multiplying; the text p/q is not reduced.
+    pairs = naive_pairs(p, q, bound)
+    result = brute_force_minimal(parse_rational(f"{p}/{q}"), bound)
+    if pairs:
+        assert (result.m, result.n) == min(pairs, key=lambda mn: (max(mn), mn[0], mn[1]))
+    else:
+        assert not result.found
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7, 300])
