@@ -143,10 +143,13 @@ def cmd_factor(n: str) -> Result:
     return payload, lines, EXIT_OK
 
 
-def cmd_sequence(limit: int) -> Result:
+def cmd_sequence(limit: int, json: bool = False) -> Result:
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {limit}")
-    return {"limit": limit, "values": phi_square_sequence(limit)}, [phi_square_text(limit)], EXIT_OK
+    # Only the output main prints is built: the value list or the text.
+    if json:
+        return {"limit": limit, "values": phi_square_sequence(limit)}, [], EXIT_OK
+    return {}, [phi_square_text(limit)], EXIT_OK
 
 
 def cmd_search(ratio: str, bound: int) -> Result:

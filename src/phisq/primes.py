@@ -6,18 +6,20 @@ combination verified to be a complete test for every n below
 ever accepted: numbers at or above that bound raise UnsupportedScaleError
 instead of getting a "probably prime" answer.
 
-Factorization trial-divides by 2, 3 and the candidates 6k +- 1 up to
-TRIAL_DIVISION_BOUND, in two stages.  Divisors below 1025 are tried one by
-one.  Above that, the candidates go in fixed blocks.  Before each block, a
-cofactor that changed and lies below the primality bound is tested with
-is_prime and, if prime, ends the factorization; otherwise a block whose
-primes' product shares no factor with the cofactor (one gcd) is skipped
-whole, and any other block is divided one candidate at a time.  A skip never
-passes the last divisor full trial division would try, so the cofactor left
-over is exactly the one full trial division leaves.  That cofactor is then
-split with Brent's variant of Pollard's rho, certifying every piece prime
-before it is emitted.  The rho stage is seeded from the cofactor itself, so
-factorization is deterministic, and every result and every refusal
+Factorization finds the primes below TRIAL_DIVISION_BOUND that full trial
+division by 2, 3 and the candidates 6k +- 1 would find, one stage at a time:
+the primes below 1025 first, then fixed blocks of candidates.  Each stage
+takes one gcd g of the cofactor with the product of its primes.  g is small
+and squarefree, so it is split by the stage's candidates until c * c > g
+leaves a prime, and the cofactor is divided only by the primes found.  Before
+each block, a cofactor that changed and lies below the primality bound is
+tested with is_prime and, if prime, ends the factorization; trial division
+also ends once the next stage starts past the cofactor's square root.  No
+stage passes the last divisor full trial division would try, so the cofactor
+left over is exactly the one full trial division leaves.  That cofactor is
+then split with Brent's variant of Pollard's rho, certifying every piece
+prime before it is emitted.  The rho stage is seeded from the cofactor itself,
+so factorization is deterministic, and every result and every refusal
 (UnsupportedScaleError, FactorizationFailure, with their messages) is that of
 full trial division.
 
@@ -38,11 +40,11 @@ PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
-# Trial division tries f and f + 2 for f = 5, 11, 17, ... up to the bound, so
-# it stops at the first f = 6k + 5 past it.
+# Full trial division tries f and f + 2 for f = 5, 11, 17, ... up to the
+# bound, so the last stage ends at the first f = 6k + 5 past it.
 _TRIAL_END = TRIAL_DIVISION_BOUND + 1 + (4 - TRIAL_DIVISION_BOUND) % 6
-# From this f on (6k + 5, just above 32^2) candidates go in blocks of this many
-# pairs; inputs whose factors all lie below it never reach the blocks.
+# The first stage takes the primes below this f (6k + 5, just above 32^2); from
+# it on, candidates go in blocks of this many pairs.
 _BLOCK_START = 1025
 _BLOCK_PAIRS = 512
 
@@ -131,14 +133,14 @@ def _block_product(start: int) -> int:
     """Product of the primes among the trial candidates of the block at f = start.
 
     When factorize reaches the block, its cofactor has no prime factor below
-    start, so it shares a factor with this product exactly when one of the
-    block's candidates f, f + 2 divides it.  The primes come from sieving the
-    block's range by _SIEVING_PRIMES.
+    start, so its gcd with this product is the product of the block's primes
+    that divide it, which factorize then splits.  The primes come from sieving
+    the block's range by _SMALL_PRIMES.
     """
     stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
     size = stop - start
     sieve = bytearray([1]) * size
-    for p in _SIEVING_PRIMES:
+    for p in _SMALL_PRIMES:
         if p * p > stop:
             break
         first = max(p * p, -(-start // p) * p) - start
@@ -146,42 +148,59 @@ def _block_product(start: int) -> int:
     return prod(start + i for r in (0, 2) for i in range(r, size, 6) if sieve[i])
 
 
+def _split(g: int, candidates) -> list[int]:
+    """The primes of a squarefree g > 1, ascending.
+
+    candidates ascend through every prime of g, and each composite among them
+    has a prime factor that g lacks.  Once c * c > g, what is left of g has no
+    factor up to its square root, so it is prime.
+    """
+    found = []
+    for c in candidates:
+        if c * c > g:
+            break
+        if g % c == 0:
+            g //= c
+            found.append(c)
+    if g > 1:
+        found.append(g)
+    return found
+
+
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of n >= 1 as a prime -> exponent dict."""
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
+    # The first stage's primes lie below _BLOCK_START, each later stage's in one block.
+    stop, product, candidates = _BLOCK_START, _SMALL_PRODUCT, _SMALL_PRIMES
     tested = 1  # the last cofactor given to is_prime
-    while f * f <= n and f < _TRIAL_END:
-        # Below _BLOCK_START divide by every candidate; above it, one block at a time.
-        stop = _BLOCK_START
-        if f >= _BLOCK_START:
-            if n != tested and n < PRIMALITY_BOUND:
-                tested = n
-                if is_prime(n):
-                    out[n] = out.get(n, 0) + 1
-                    return dict(sorted(out.items()))
-            stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
-            if gcd(n, _block_product(f)) == 1:
-                # No candidate of the block divides n: dividing would only move f.
-                f = stop
-                continue
-        while f * f <= n and f < stop:
-            for p in (f, f + 2):
+    while True:
+        # g is squarefree and holds exactly the stage's primes that divide n.
+        g = gcd(n, product)
+        if g > 1:
+            for p in _split(g, candidates):
+                n //= p
+                e = 1
                 while n % p == 0:
-                    out[p] = out.get(p, 0) + 1
                     n //= p
-            f += 6
+                    e += 1
+                out[p] = e
+        f = stop
+        if f * f > n or f >= _TRIAL_END:
+            break
+        if n != tested and n < PRIMALITY_BOUND:
+            tested = n
+            if is_prime(n):
+                out[n] = 1
+                return dict(sorted(out.items()))
+        stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
+        product, candidates = _block_product(f), range(f, stop, 2)
     if n == 1:
         return dict(sorted(out.items()))
     if f * f > n:
         # Trial division reached sqrt(n); the leftover is prime.
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
         return dict(sorted(out.items()))
     stack = [n]
     while stack:
@@ -213,8 +232,10 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if sieve[p]]
 
 
-# Every prime a trial-division block needs for its sieve, sieved once.
-_SIEVING_PRIMES = primes_up_to(isqrt(_TRIAL_END))
+# The primes below _BLOCK_START: trial division's first stage, and the primes
+# that sieve each block (every block ends below _BLOCK_START ** 2).
+_SMALL_PRIMES = primes_up_to(_BLOCK_START - 1)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def prime_pi(x: int) -> int:

@@ -117,6 +117,18 @@ def test_sequence_json(capsys):
     assert body["values"] == [1, 2, 6, 8, 20, 12, 42, 32, 54, 40]
 
 
+def test_sequence_builds_only_the_output_it_prints(capsys, monkeypatch):
+    calls = []
+    for name in ("phi_square_sequence", "phi_square_text"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda limit, build=build, name=name: calls.append(name) or build(limit))
+    code, out, err = run(capsys, "sequence", "5")
+    assert (code, out, calls) == (EXIT_OK, "1\n2\n6\n8\n20\n", ["phi_square_text"])
+    calls.clear()
+    code, body = run_json(capsys, "sequence", "5")
+    assert (code, body["values"], calls) == (EXIT_OK, [1, 2, 6, 8, 20], ["phi_square_sequence"])
+
+
 def test_sequence_rejects_bad_limit(capsys):
     code, out, err = run(capsys, "sequence", "0")
     assert code == EXIT_PARSE_ERROR

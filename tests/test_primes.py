@@ -270,3 +270,58 @@ def test_staged_matches_reference_on_exhausted_budget(monkeypatch, rho_args):
     n = 1000003 * 1000033
     assert outcome(factorize, n, rho_args) == outcome(reference_factorize, n, rho_args)
     assert rho_args == [n]
+
+
+# --- one gcd per stage, split candidate by candidate -------------------------
+
+BLOCK = 6 * primes._BLOCK_PAIRS
+# The block whose first candidate, 13313, is prime.
+PRIME_START = primes._BLOCK_START + 4 * BLOCK
+# The last block is cut short by _TRIAL_END.
+LAST_BLOCK = primes._TRIAL_END - (primes._TRIAL_END - primes._BLOCK_START) % BLOCK
+STARTS = (primes._BLOCK_START, primes._BLOCK_START + BLOCK, PRIME_START, primes._BLOCK_START + 100 * BLOCK, LAST_BLOCK)
+
+
+def primes_in_block(start):
+    return [p for p in range(start, min(start + BLOCK, primes._TRIAL_END)) if is_prime(p)]
+
+
+def test_staged_matches_reference_on_products_within_one_block(rho_args):
+    # Two or three primes of one block make its gcd g >= f^2; with three, what
+    # is left of g after the first prime is split off is still composite.
+    assert is_prime(PRIME_START)
+    values = []
+    for start in STARTS:
+        block = primes_in_block(start)
+        lo, mid, hi = block[0], block[len(block) // 2], block[-1]
+        for n in (lo * block[1], lo * hi, mid * hi, lo * block[1] * block[2], lo * mid * hi, mid * block[-2] * hi):
+            values += [n, n * 2**5 * 3 * 1021, n * lo]
+        values.append(lo * mid * hi * P40)
+    assert_matches_reference(values, rho_args)
+
+
+def test_staged_matches_reference_on_squares_and_cubes_of_block_primes(rho_args):
+    values = []
+    for start in STARTS:
+        block = primes_in_block(start)
+        for p in (block[0], block[1], block[-1]):
+            values += [p**2, p**3, p**2 * 1019, p**3 * block[len(block) // 2]]
+        values.append(block[0] ** 3 * P40)
+    assert_matches_reference(values, rho_args)
+
+
+def test_staged_matches_reference_on_powers_of_every_small_prime(rho_args):
+    small = primes_up_to(primes._BLOCK_START - 1)
+    assert small[-1] == 1021
+    values = [p**e for p in small for e in range(1, 7)]
+    values += [p**e * q for p, q in zip(small, small[::-1]) for e in (2, 6)]
+    values += [p**6 * P40 for p in small[::17]]
+    assert_matches_reference(values, rho_args)
+
+
+def test_staged_matches_reference_on_the_truncated_last_block(rho_args):
+    block = primes_in_block(LAST_BLOCK)
+    assert LAST_BLOCK + BLOCK > primes._TRIAL_END > block[-1]
+    values = [p * P40 for p in block[::6] + [block[-1]]]
+    values += [block[0] * block[-1] * P40, block[-1] ** 2 * P40]
+    assert_matches_reference(values, rho_args)

@@ -1,5 +1,6 @@
 """Property-based checks of factorization (skipped without hypothesis)."""
 
+from math import prod
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from phisq.primes import (  # noqa: E402
     is_prime,
     primes_up_to,
 )
+from test_primes import reference_factorize  # noqa: E402
 
 
 def _next_prime(n: int) -> int:
@@ -47,6 +49,20 @@ def test_factorize_returns_the_multiset_it_was_given(small, large):
     for p, e in expected.items():
         n *= p**e
     assert factorize(n) == dict(sorted(expected.items()))
+
+
+# Products of primes below 2^16, each to a power of 1..6, and at most one prime
+# of 2^30..2^45: every prime below 2^16 is found by one stage's gcd and split.
+SMOOTH = st.dictionaries(st.sampled_from(primes_up_to(1 << 16)), st.integers(min_value=1, max_value=6), max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMOOTH, st.none() | _primes(2**30, 2**45 - 2**10))
+@example({1021: 6, 1031: 1, 1033: 2, 1039: 3}, None)
+@example({p: 6 for p in (2, 3, 5, 7, 11, 13, 17, 19)}, 2**40 + 15)
+def test_factorize_equals_full_trial_division(smooth, large):
+    n = prod(p**e for p, e in smooth.items()) * (large or 1)
+    assert factorize(n) == reference_factorize(n)
 
 
 # A few primes of 2^36..2^60, drawn once from a fixed seed: their p - 1 reach
