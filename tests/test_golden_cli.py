@@ -110,6 +110,15 @@ def corpus_argvs() -> list[list[str]]:
         ["frobnicate"],  # unknown command
         ["represent", "2^20000000", "--expanded"],
         ["represent", "7^1 * 3^-9223372036854775807"],
+        # Range checks owned by the oracles: a warmed sequence table must not hide them.
+        ["sequence", "0"],
+        ["sequence", "-3"],
+        ["search", "3", "--bound", "0"],
+        # Refusals before any factoring: factor's digits-only rule, a literal
+        # term without an exponent, an empty integer.
+        ["factor", "2^3"],
+        ["represent", "2^1 * 3"],
+        ["verify", "", "1", "1"],
     ]
     return [argv + extra for argv in commands for extra in ([], ["--json"])]
 
