@@ -37,7 +37,7 @@ from .represent import (
     represent,
     verify,
 )
-from .totient import phi_square_value, totient, totient_of_square
+from .totient import totient, totient_of_square
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "parse_integer",
     "parse_rational",
     "phi_square_sequence",
-    "phi_square_value",
     "prime_pi",
     "primes_up_to",
     "random_rational",

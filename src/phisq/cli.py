@@ -36,7 +36,7 @@ from .factored import (
 from .oracle import brute_force_minimal, injectivity_scan, phi_square_sequence, phi_square_text, random_rational
 from .primes import prime_pi
 from .represent import represent, verify
-from .totient import phi_square_value
+from .totient import totient_of_square
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
@@ -87,7 +87,7 @@ def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
     return body
 
 
-def cmd_represent(ratio: str, expanded: bool = False) -> Result:
+def cmd_represent(ratio: str, expanded: bool) -> Result:
     r = parse_rational(ratio)
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
@@ -143,9 +143,7 @@ def cmd_factor(n: str) -> Result:
     return payload, lines, EXIT_OK
 
 
-def cmd_sequence(limit: int, json: bool = False) -> Result:
-    if limit < 1:
-        raise ParseError(f"limit must be >= 1, got {limit}")
+def cmd_sequence(limit: int, json: bool) -> Result:
     # Only the output main prints is built: the value list or the text.
     if json:
         return {"limit": limit, "values": phi_square_sequence(limit)}, [], EXIT_OK
@@ -153,10 +151,7 @@ def cmd_sequence(limit: int, json: bool = False) -> Result:
 
 
 def cmd_search(ratio: str, bound: int) -> Result:
-    if bound < 1:
-        raise ParseError(f"bound must be >= 1, got {bound}")
-    r = parse_rational(ratio)
-    result = brute_force_minimal(r, bound)
+    result = brute_force_minimal(parse_rational(ratio), bound)
     payload = {"bound": bound, "found": result.found, "m": result.m, "n": result.n}
     lines = [f"input: {ratio}", f"bound: {bound}", f"found: {str(result.found).lower()}"]
     if result.found:
@@ -172,24 +167,24 @@ def _check_known_pair(m: int, n: int, ratio: str, common: int) -> tuple[bool, st
     return ok, f"verify({m}, {n}, {ratio}) -> holds={report.holds}, common={report.common_value}"
 
 
-def _check_square_identity(limit: int = 10**4) -> tuple[bool, str]:
+def _check_square_identity() -> tuple[bool, str]:
     # The factored path against the sieve oracle, which shares none of its code.
-    for k, sieved in enumerate(phi_square_sequence(limit), 1):
-        if phi_square_value(k) != sieved:
+    for k, sieved in enumerate(phi_square_sequence(10**4), 1):
+        if totient_of_square(factor(k)).value() != sieved:
             return False, f"phi(k^2) != k*phi(k) at k={k}"
-    return True, f"phi(k^2) = k*phi(k) for k <= {limit}"
+    return True, "phi(k^2) = k*phi(k) for k <= 10000"
 
 
-def _check_injectivity(limit: int = 10**4) -> tuple[bool, str]:
-    collision = injectivity_scan(limit)
+def _check_injectivity() -> tuple[bool, str]:
+    collision = injectivity_scan(10**4)
     if collision is not None:
-        return False, f"collision {collision} below {limit}"
-    return True, f"no collision below {limit}"
+        return False, f"collision {collision} below 10000"
+    return True, "no collision below 10000"
 
 
-def _check_round_trip(cases: int = 200) -> tuple[bool, str]:
+def _check_round_trip() -> tuple[bool, str]:
     rng = Random(SELFTEST_SEED)
-    for i in range(cases):
+    for i in range(200):
         r = random_rational(rng)
         rep = represent(r)
         if not verify(rep.m, rep.n, r).holds:
@@ -201,7 +196,7 @@ def _check_round_trip(cases: int = 200) -> tuple[bool, str]:
                 return False, f"r = 1 must give m = n = 1, got {rep.m}, {rep.n}"
         elif any(p > top for p in mn_primes) or rep.depth > prime_pi(top):
             return False, f"prime bound or depth violated for r = {r}"
-    return True, f"{cases} random ratios represented and verified"
+    return True, "200 random ratios represented and verified"
 
 
 def cmd_selftest() -> Result:

@@ -6,7 +6,7 @@ class PhisqError(Exception):
 
 
 class ParseError(PhisqError, ValueError):
-    """Input text, or entries given to a factored type, match no accepted grammar."""
+    """Input text or factored entries match no accepted grammar, or an argument leaves its documented range."""
 
 
 class ZeroValueError(ParseError):

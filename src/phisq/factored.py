@@ -6,12 +6,13 @@ is a rational with every exponent >= 1: FactoredInteger adds only that rule
 and an int-valued value(), and equals the rational with the same entries.
 Values are immutable, hashable, and keep their primes in ascending order.
 
-Validation happens once, at the boundary, in one validator: constructors,
-from_factors(), factor() and the parsers certify every key with the exact
-primality test and check order, exponent range and sign.  Results computed
-inside the package from valid values (products, inverses, numerator and
-denominator, totients, the construction's m and n) are canonical by
-construction and skip it; exponents that grow still report overflow.
+Each key is certified once.  Constructors, from_factors() and the literal
+parsers run the one validator (exact primality, order, exponent range, sign);
+factor(), which also reads the parsers' plain numerals, trusts factorize,
+which certifies every prime it returns.  Results computed inside the package
+from valid values (products, inverses, numerator and denominator, totients,
+the construction's m and n) are canonical by construction and skip it;
+exponents that grow still report overflow.
 
 Values render as (and parse from) the literal grammar
 
@@ -164,10 +165,8 @@ class FactoredInteger(FactoredRational):
 
 
 def factor(n: int) -> FactoredInteger:
-    """Factor a positive integer into canonical form."""
-    if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
-    return FactoredInteger(tuple(factorize(n).items()))
+    """Factor a positive integer into canonical form; factorize certifies every prime."""
+    return _trusted_integer(factorize(n))
 
 
 _NAT_RE = re.compile(r"\d+")

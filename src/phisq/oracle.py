@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 
-from .errors import UnsupportedScaleError
+from .errors import ParseError, UnsupportedScaleError
 from .factored import FactoredRational
 from .primes import primes_up_to
 
@@ -65,7 +65,7 @@ def _phi_squares(limit: int) -> list[int]:
 def phi_square_sequence(limit: int) -> list[int]:
     """[phi(1^2), phi(2^2), ..., phi(limit^2)], i.e. k * phi(k) for k = 1..limit."""
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ParseError(f"limit must be >= 1, got {limit}")
     return _phi_squares(limit)[1 : limit + 1]
 
 
@@ -73,6 +73,8 @@ def phi_square_text(limit: int) -> str:
     """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of
     the rendering kept up to _KEEP_LIMIT, then the values past it, if any."""
     global _text
+    if limit < 1:
+        raise ParseError(f"limit must be >= 1, got {limit}")
     v = _phi_squares(limit)
     stop = min(limit, _KEEP_LIMIT)
     if len(_digits) <= stop:
@@ -96,7 +98,7 @@ def _index_phi_squares(limit: int) -> tuple[list[int], dict[int, int], tuple[int
 def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
+        raise ParseError(f"limit must be >= 2, got {limit}")
     return _index_phi_squares(limit)[2]
 
 
@@ -122,7 +124,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     RuntimeError naming both k.
     """
     if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+        raise ParseError(f"bound must be >= 1, got {bound}")
     p = r.numerator().value()
     q = r.denominator().value()
     v, index, collision = _index_phi_squares(bound)

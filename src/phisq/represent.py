@@ -57,7 +57,8 @@ class VerificationReport:
     common_value: int | None = None
 
 
-def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, int]:
+def represent(r: FactoredRational) -> Representation:
+    """Find (m, n) with phi(m^2)/phi(n^2) = r and all primes of m*n <= max prime of r."""
     rest = dict(r.entries)
     heap = [-p for p in rest]
     heapify(heap)
@@ -88,13 +89,7 @@ def _construct(r: FactoredRational) -> tuple[FactoredInteger, FactoredInteger, i
                     if old == 0:
                         heappush(heap, -p)
     # Every prime came from r or from factorize: no need to certify them again.
-    return _trusted_integer(m), _trusted_integer(n), depth
-
-
-def represent(r: FactoredRational) -> Representation:
-    """Find (m, n) with phi(m^2)/phi(n^2) = r and all primes of m*n <= max prime of r."""
-    m, n, depth = _construct(r)
-    return Representation(m=m, n=n, ratio=r, depth=depth)
+    return Representation(m=_trusted_integer(m), n=_trusted_integer(n), ratio=r, depth=depth)
 
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:

@@ -12,7 +12,7 @@ arithmetic. Its primes come from f or from factorize, so they are not
 certified again; only the exponents, which grow, are checked.
 """
 
-from .factored import FactoredInteger, _trusted_integer, factor
+from .factored import FactoredInteger, _trusted_integer
 from .primes import _factor_p_minus_1
 
 
@@ -37,8 +37,3 @@ def totient_of_square(f: FactoredInteger) -> FactoredInteger:
     for p, a in f.entries:
         _accumulate(acc, p, 2 * a - 1)
     return _trusted_integer(acc)
-
-
-def phi_square_value(n: int) -> int:
-    """n * phi(n) as a plain integer, computed through the factored path."""
-    return totient_of_square(factor(n)).value()

@@ -21,7 +21,7 @@ from phisq.oracle import (
 )
 from phisq.primes import primes_up_to
 from phisq.represent import represent, verify
-from phisq.totient import phi_square_value
+from phisq.totient import totient_of_square
 
 SUITE_SEED = 97_2026
 SUITE_SIZE = 1000
@@ -106,7 +106,7 @@ def test_criterion_4_prime_bound(random_suite):
 def test_criterion_5_square_identity_to_1e4():
     start = time.perf_counter()
     for n in range(1, 10**4 + 1):
-        assert phi_square_value(n) == n * euler_phi(n), n
+        assert totient_of_square(factor(n)).value() == n * euler_phi(n), n
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f} s"
     print(f"\ncriterion 5 (phi(n^2) = n*phi(n) for n <= 10^4, {elapsed:.2f} s): PASS")
@@ -161,6 +161,6 @@ def test_criterion_8_recursion_depth(random_suite):
 def test_criterion_9_sequence():
     assert phi_square_sequence(10) == [1, 2, 6, 8, 20, 12, 42, 32, 54, 40]
     sieved = phi_square_sequence(10**4)
-    per_value = [phi_square_value(k) for k in range(1, 10**4 + 1)]
+    per_value = [totient_of_square(factor(k)).value() for k in range(1, 10**4 + 1)]
     assert sieved == per_value
     print("\ncriterion 9 (sequence fixture and sieve = per-value to 10^4): PASS")

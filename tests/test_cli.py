@@ -294,7 +294,7 @@ def test_selftest_names_failing_check_when_corrupted(capsys, monkeypatch):
 
 def test_selftest_corruption_sets_status(capsys, monkeypatch):
     # A corrupted phi(n^2) path must fail the identity check, not crash.
-    monkeypatch.setattr(cli, "phi_square_value", lambda k: k)
+    monkeypatch.setattr(cli, "totient_of_square", lambda f: f)
     code, body = run_json(capsys, "selftest")
     assert code == EXIT_INVARIANT_VIOLATION
     assert body["status"] == "internal_invariant_violation"

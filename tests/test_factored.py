@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import phisq.factored
 from phisq.errors import ExponentOverflowError, ParseError, ZeroValueError
 from phisq.factored import (
     EXPONENT_LIMIT,
@@ -77,6 +78,23 @@ def test_factor_fixtures():
     assert factor(39330).factors == {2: 1, 3: 2, 5: 1, 19: 1, 23: 1}
     assert factor(20010).factors == {2: 1, 3: 1, 5: 1, 23: 1, 29: 1}
     assert factor(1).factors == {}
+
+
+def test_factor_trusts_factorize_and_literals_stay_validated(monkeypatch):
+    # factorize certifies every prime it returns; factor() must not certify
+    # them a second time, while constructors and literals still must.
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called by the validator")
+
+    monkeypatch.setattr(phisq.factored, "is_prime", refuse)
+    n = 2**5 * 3**3 * 7 * 931392751327
+    assert factor(n).factors == {2: 5, 3: 3, 7: 1, 931392751327: 1}
+    with pytest.raises(AssertionError, match="validator"):
+        FactoredInteger(((4, 1),))
+    with pytest.raises(AssertionError, match="validator"):
+        parse_rational("4^2")
+    with pytest.raises(ValueError, match="can only factor positive integers, got 0"):
+        factor(0)
 
 
 def test_factor_expand_round_trip():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from phisq import oracle
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
+from phisq.errors import ParseError
 from phisq.factored import parse_rational
 from phisq.oracle import (
     SearchResult,
@@ -59,6 +60,30 @@ def test_sequence_fixtures():
     assert phi_square_sequence(3) == [1, 2, 6]
     with pytest.raises(ValueError):
         phi_square_sequence(0)
+
+
+def test_text_refuses_a_limit_below_one_even_on_a_warm_table():
+    with pytest.raises(ParseError, match="limit must be >= 1, got 0"):
+        oracle.phi_square_text(0)
+    assert oracle.phi_square_text(20).count("\n") == 19
+    with pytest.raises(ParseError, match="limit must be >= 1, got -5"):
+        oracle.phi_square_text(-5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: phi_square_sequence(0), "limit must be >= 1, got 0"),
+        (lambda: brute_force_minimal(parse_rational("3"), 0), "bound must be >= 1, got 0"),
+        (lambda: injectivity_scan(1), "limit must be >= 2, got 1"),
+    ],
+    ids=["sequence", "search", "injectivity"],
+)
+def test_oracles_own_their_range_checks(call, message):
+    # ParseError, which main maps to exit 1, and still a ValueError for library callers.
+    with pytest.raises(ParseError, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_injectivity_scan_finds_nothing():

@@ -6,7 +6,7 @@ import pytest
 from phisq import primes
 from phisq.errors import ExponentOverflowError, FactorizationFailure
 from phisq.factored import EXPONENT_LIMIT, FactoredInteger, factor
-from phisq.totient import phi_square_value, totient, totient_of_square
+from phisq.totient import totient, totient_of_square
 
 PRIMES_TO_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -69,9 +69,10 @@ def test_exponent_overflow_is_reported():
 
 
 def test_phi_square_value_fixtures():
-    assert phi_square_value(1) == 1
-    assert phi_square_value(10) == 40
-    assert phi_square_value(7) == 42
+    # phi(n^2) as a plain value, through the factored path.
+    assert totient_of_square(factor(1)).value() == 1
+    assert totient_of_square(factor(10)).value() == 40
+    assert totient_of_square(factor(7)).value() == 42
 
 
 def test_refusal_is_not_cached(monkeypatch):
