@@ -12,13 +12,14 @@ factor(), which also reads the parsers' plain numerals, trusts factorize,
 which certifies every prime it returns.  Results computed inside the package
 from valid values (products, inverses, numerator and denominator, totients,
 the construction's m and n) are canonical by construction and skip it;
-exponents that grow still report overflow.
+exponents that grow still report overflow (_merge, _in_range).
 
 Values render as (and parse from) the literal grammar
 
     term ("*" term)*        term = <nat> "^" <signed int>
 
-so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".
+so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  One regex match
+reads each term; only a term it refuses is taken apart to name the wrong part.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ def check_exponent(p: int, e: int) -> None:
         raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
 
 
-def _merge(
-    a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """Exponent-wise sum of two entry tuples, zero entries removed."""
+def _merge(a, b) -> tuple[tuple[int, int], ...]:
+    """Exponent-wise sum of a (entries, or a prime -> exponent map) and the pairs b, zeros removed."""
     acc = dict(a)
     for p, e in b:
         s = acc.get(p, 0) + e
-        check_exponent(p, s)
+        if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
+            check_exponent(p, s)
         if s == 0:
             acc.pop(p, None)
         else:
@@ -69,12 +69,17 @@ def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     return obj
 
 
+def _in_range(acc: dict[int, int]) -> dict[int, int]:
+    """acc, a map of primes to exponents >= 1, range-checked: one max(), and a walk only past the limit."""
+    if acc and max(acc.values()) > EXPONENT_LIMIT:
+        for p in sorted(acc):
+            check_exponent(p, acc[p])
+    return acc
+
+
 def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
     """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
-    entries = tuple(sorted(acc.items()))
-    for p, e in entries:
-        check_exponent(p, e)
-    return _canonical(FactoredInteger, entries)
+    return _canonical(FactoredInteger, tuple(sorted(_in_range(acc).items())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +175,7 @@ def factor(n: int) -> FactoredInteger:
 
 
 _NAT_RE = re.compile(r"\d+")
-_EXP_RE = re.compile(r"[+-]?\d+")
+_TERM_RE = re.compile(r"\s*(\d+)\s*\^\s*([+-]?\d+)\s*")
 
 
 def _decimal(text: str) -> int:
@@ -198,19 +203,25 @@ def _parse_literal(text: str, cls):
     """A factored literal as a cls; the grammar is checked here, the values by cls."""
     acc: dict[int, int] = {}
     for term in text.split("*"):
-        base_text, sep, exp_text = term.partition("^")
-        if not sep:
-            raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
-        base_s = base_text.strip()
-        exp_s = exp_text.strip()
-        if not _NAT_RE.fullmatch(base_s):
-            raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
-        if not _EXP_RE.fullmatch(exp_s):
+        match = _TERM_RE.fullmatch(term)
+        if match is None:
+            base_text, sep, exp_text = term.partition("^")
+            if not sep:
+                raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+            if not _NAT_RE.fullmatch(base_text.strip()):
+                raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
             raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
-        p = _decimal(base_s)
+        base_s, exp_s = match.groups()
+        try:
+            p = int(base_s)
+        except ValueError:
+            p = _decimal(base_s)
         if p in acc:
             raise ParseError(f"prime {p} appears more than once")
-        acc[p] = _decimal(exp_s)
+        try:
+            acc[p] = int(exp_s)
+        except ValueError:
+            acc[p] = _decimal(exp_s)
     return cls.from_factors(acc)
 
 

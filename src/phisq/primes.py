@@ -167,6 +167,14 @@ def _split(g: int, candidates) -> list[int]:
     return found
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """n with every factor p divided out, and how many: p^2, p^4, ... first, so e costs ~log2(e) steps."""
+    if n % p:
+        return n, 0
+    n, e = _strip(n, p * p)
+    return (n // p, 2 * e + 1) if n % p == 0 else (n, 2 * e)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of n >= 1 as a prime -> exponent dict."""
     if n < 1:
@@ -180,12 +188,7 @@ def factorize(n: int) -> dict[int, int]:
         g = gcd(n, product)
         if g > 1:
             for p in _split(g, candidates):
-                n //= p
-                e = 1
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
+                n, out[p] = _strip(n, p)
         f = stop
         if f * f > n or f >= _TRIAL_END:
             break

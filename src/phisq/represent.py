@@ -21,15 +21,20 @@ all below q, so the heap order is never violated. m and n grow as plain maps
 and become FactoredIntegers once, at the end. depth counts the peeling steps.
 Each step eliminates the current largest prime, so depth is at most the number
 of primes up to the largest prime of r, and all primes of m*n stay at or below
-it.
+it. Each new exponent is compared with EXPONENT_LIMIT in the loop itself.
+
+verify range-checks phi(m^2) and phi(n^2) (totient's one accumulator), forms their
+difference once, and expands common_value from exponents: phi(n^2)'s less q's.
 """
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import prod
 
-from .factored import EXPANSION_BIT_LIMIT, FactoredInteger, FactoredRational, _trusted_integer, check_exponent
+from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
+from .factored import _canonical, _in_range, _merge, _trusted_integer
 from .primes import _factor_p_minus_1
-from .totient import totient_of_square
+from .totient import _totient_exponents
 
 
 @dataclass(frozen=True)
@@ -73,15 +78,16 @@ def represent(r: FactoredRational) -> Representation:
         depth += 1
         if a % 2 == 0:
             half = a // 2
-            c = max(1, 1 - half)
+            c = 1 if half >= 0 else 1 - half
             m[q], n[q] = c + half, c
         else:
             side, sign = (m, 1) if a > 0 else (n, -1)
-            side[q] = (abs(a) + 1) // 2
+            side[q] = (a * sign + 1) // 2
             for p, e in _factor_p_minus_1(q):
                 old = rest.get(p, 0)
                 s = old - sign * e
-                check_exponent(p, s)
+                if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
+                    check_exponent(p, s)
                 if s == 0:
                     del rest[p]
                 else:
@@ -94,13 +100,13 @@ def represent(r: FactoredRational) -> Representation:
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:
     """Check phi(m^2)/phi(n^2) = r by exact factored arithmetic."""
-    tm = totient_of_square(m)
-    tn = totient_of_square(n)
-    lhs = tm * tn.inverse()
-    holds = lhs == r
+    tm = _in_range(_totient_exponents(m, 2))
+    tn = _in_range(_totient_exponents(n, 2))
+    lhs = _canonical(FactoredRational, _merge(tm, [(p, -e) for p, e in tn.items()]))
+    holds = lhs.entries == r.entries
     common = None
-    if holds and tn.bit_size() <= EXPANSION_BIT_LIMIT:
-        q = r.denominator().value()
-        common, rem = divmod(tn.value(), q)
-        assert rem == 0  # q | phi(n^2) whenever the ratio holds exactly
+    if holds and sum(e * p.bit_length() for p, e in tn.items()) <= EXPANSION_BIT_LIMIT:
+        tn.update((p, tn.get(p, 0) + e) for p, e in r.entries if e < 0)
+        assert min(tn.values(), default=0) >= 0  # q | phi(n^2) whenever the ratio holds exactly
+        common = prod(p**e for p, e in tn.items())
     return VerificationReport(holds=holds, lhs=lhs, expected=r, common_value=common)

@@ -1,10 +1,13 @@
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phisq.factored
-from phisq.errors import ExponentOverflowError, ParseError, ZeroValueError
+from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
 from phisq.factored import (
     EXPONENT_LIMIT,
     FactoredInteger,
@@ -256,3 +259,108 @@ def test_factored_values_are_immutable_and_hashable():
     assert repr(rational_of({2: -1})) == "FactoredRational('2^-1')"
     with pytest.raises(AttributeError):
         a.entries = ()
+
+
+# --- the literal reader against a per-term reference -------------------------
+
+def reference_literal(text, cls):
+    """The literal grammar read term by term with split, partition, strip and int."""
+    acc = {}
+    for term in text.split("*"):
+        base_text, sep, exp_text = term.partition("^")
+        if not sep:
+            raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+        base, exp = base_text.strip(), exp_text.strip()
+        if not base.isdecimal():
+            raise ParseError(f"base {base!r} must be an unsigned integer")
+        digits = exp[1:] if exp[:1] in ("+", "-") else exp
+        if not digits.isdecimal():
+            raise ParseError(f"exponent {exp!r} must be a signed integer")
+        p = reference_int(base)
+        if p in acc:
+            raise ParseError(f"prime {p} appears more than once")
+        acc[p] = reference_int(exp)
+    return cls.from_factors(acc)
+
+
+def reference_int(numeral):
+    limit = sys.get_int_max_str_digits()
+    digits = len(numeral.lstrip("+-"))
+    if limit and digits > limit:
+        raise UnsupportedScaleError(
+            f"a numeral of {digits} digits exceeds the {limit}-digit limit for reading integers"
+        )
+    return int(numeral)
+
+
+def literal_outcome(read, text, cls):
+    try:
+        value = read(text, cls)
+    except (ParseError, UnsupportedScaleError, ExponentOverflowError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.entries
+
+
+@contextmanager
+def int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# ASCII and non-ASCII digits (Arabic-Indic three, fullwidth five), Unicode
+# whitespace that str.strip() removes, signs and the two operators.
+LITERAL_ALPHABET = "0123579٣５  \x1c \t+-^*x"
+SPACE = st.text("  \x1c \t", max_size=2)
+SMALL_NUMERAL = st.one_of(
+    st.sampled_from(("2", "3", "5", "7", "٣", "５", "1٣", "97")), st.text("0123579٣５", min_size=1, max_size=3)
+)
+
+
+@st.composite
+def near_literals(draw):
+    """Texts close to the grammar: terms of small numerals, some zero-padded to the digit limit."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = "0" * draw(st.sampled_from((0, 0, 638, 639))) + draw(SMALL_NUMERAL)
+        exp = draw(st.sampled_from(("", "+", "-"))) + "0" * draw(st.sampled_from((0, 0, 639))) + draw(SMALL_NUMERAL)
+        term = draw(SPACE) + base + draw(SPACE) + "^" + draw(SPACE) + exp + draw(SPACE)
+        terms.append(draw(st.sampled_from((term,) * 6 + (term.replace("^", ""), term + "^1", "x" + term))))
+    return "*".join(terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.text(LITERAL_ALPHABET, max_size=24), near_literals()),
+    st.sampled_from((FactoredRational, FactoredInteger)),
+    st.sampled_from((0, 640, 4300)),
+)
+def test_literal_reader_matches_per_term_reference(text, cls, limit):
+    with int_digit_limit(limit):
+        expected = literal_outcome(reference_literal, text, cls)
+        assert literal_outcome(phisq.factored._parse_literal, text, cls) == expected
+
+
+def test_duplicate_prime_is_refused_before_its_exponent_is_read():
+    with int_digit_limit(640):
+        for text in ("2^1 * 2^" + "1" * 641, "2^1 * 0002^-" + "1" * 700):
+            with pytest.raises(ParseError, match="prime 2 appears more than once"):
+                parse_rational(text)
+
+
+def test_literal_numerals_at_the_digit_limit():
+    padded = "0" * 4399 + "7"
+    with int_digit_limit(0):
+        assert parse_rational(f"2^{padded} * {padded}^-1") == rational_of({2: 7, 7: -1})
+    with int_digit_limit(4300):
+        with pytest.raises(UnsupportedScaleError, match="a numeral of 4400 digits exceeds the 4300-digit limit"):
+            parse_rational(f"2^{padded}")
+    with int_digit_limit(640):
+        for text in ("2^" + "0" * 640 + "1", "0" * 640 + "2^1", "3^1 * 2^-" + "0" * 640 + "1"):
+            with pytest.raises(UnsupportedScaleError) as info:
+                parse_rational(text)
+            assert str(info.value) == "a numeral of 641 digits exceeds the 640-digit limit for reading integers"
+        assert parse_rational("2^" + "0" * 639 + "1") == rational_of({2: 1})

@@ -325,3 +325,36 @@ def test_staged_matches_reference_on_the_truncated_last_block(rho_args):
     values = [p * P40 for p in block[::6] + [block[-1]]]
     values += [block[0] * block[-1] * P40, block[-1] ** 2 * P40]
     assert_matches_reference(values, rho_args)
+
+
+# --- each prime's exponent stripped by repeated squaring --------------------
+
+STRIP_EXPONENTS = (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000, 14000)
+
+
+@pytest.mark.parametrize("e", STRIP_EXPONENTS)
+def test_prime_powers_on_the_trial_division_path(e):
+    # The first stage's largest prime, a first-block prime, a later block's and
+    # the largest trial divisor; the last one only to e = 1000, as every block's
+    # gcd with a 280,000-bit power would take about a second.
+    for p in (2, 3, 1019, 1031, 10007, 999983):
+        if p < 10**5 or e <= 1000:
+            assert factorize(p**e) == {p: e}, (p, e)
+    assert factorize(2**e * 3**e * 1019**e * 10007**e) == {2: e, 3: e, 1019: e, 10007: e}
+    assert factorize(2**e * 3 * 1031**2 * 10007 ** (e + 1)) == {2: e, 3: 1, 1031: 2, 10007: e + 1}
+
+
+@pytest.mark.parametrize("e", STRIP_EXPONENTS)
+def test_prime_powers_beside_a_rho_cofactor(e, rho_args):
+    # Trial division strips the powers and leaves the semiprime to rho.
+    n = 2**e * 1019**e * 10007 * 1000003 * 1000033
+    assert factorize(n) == {2: e, 1019: e, 10007: 1, 1000003: 1, 1000033: 1}
+    assert rho_args == [1000003 * 1000033]
+
+
+def test_repeated_primes_past_the_trial_bound_match_reference(rho_args):
+    # Powers of primes above the trial bound are counted one piece at a time
+    # by rho, as full trial division would leave them.
+    values = [1000003**2, 1000003**3, 1000003**2 * 1000033, 2**65 * 1000003**2 * 1000033]
+    assert_matches_reference(values, rho_args)
+    assert factorize(2**65 * 1000003**2 * 1000033) == {2: 65, 1000003: 2, 1000033: 1}

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phisq import factored, primes
 from phisq.errors import ExponentOverflowError
 from phisq.factored import (
+    EXPANSION_BIT_LIMIT,
     EXPONENT_LIMIT,
     FactoredInteger,
     FactoredRational,
@@ -226,3 +228,70 @@ def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
     calls.clear()
     run()
     assert calls == []
+
+
+# --- the fused verify against the path through totient_of_square -------------
+
+def reference_verify(m, n, r):
+    """(lhs, holds, common_value) by totient_of_square, inverse, product and divmod."""
+    tn = totient_of_square(n)
+    lhs = totient_of_square(m) * tn.inverse()
+    holds = lhs == r
+    common = None
+    if holds and tn.bit_size() <= EXPANSION_BIT_LIMIT:
+        common, rem = divmod(tn.value(), r.denominator().value())
+        assert rem == 0
+    return lhs, holds, common
+
+
+def assert_verify_matches_reference(m, n, r):
+    report = verify(m, n, r)
+    assert (report.lhs, report.holds, report.common_value) == reference_verify(m, n, r)
+    assert report.expected is r
+    assert type(report.lhs) is FactoredRational
+
+
+PRIMES_TO_400 = primes_up_to(400)
+RATIONALS = st.dictionaries(
+    st.sampled_from(PRIMES_TO_400), st.integers(min_value=-9, max_value=9).filter(bool), max_size=12
+).map(FactoredRational.from_factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS)
+def test_fused_verify_matches_reference_on_true_and_false_claims(r):
+    rep = represent(r)
+    # A prime that divides none of r, m and n.
+    new = next(p for p in primes_up_to(800) if p not in r.factors | rep.m.factors | rep.n.factors)
+    for claim in (r, r * factor(2), r * factor(new), r.inverse()):
+        assert_verify_matches_reference(rep.m, rep.n, claim)
+    assert verify(rep.m, rep.n, r).holds
+    assert_verify_matches_reference(rep.n, rep.m, r.inverse())
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_fused_verify_matches_reference_on_unrelated_pairs(a, b):
+    m, n = a.numerator(), b.denominator()
+    assert_verify_matches_reference(m, n, a)
+    assert_verify_matches_reference(m, n, reference_verify(m, n, a)[0])
+
+
+def test_fused_verify_common_value_at_the_expansion_guard():
+    # phi((2^k)^2) = 2^(2k-1), and bit_size counts 2 bits per power of 2:
+    # k = 1,250,000 is the last k whose common value is expanded.
+    for k, common in ((1_250_000, 2**2_499_999), (1_250_001, None)):
+        f = FactoredInteger(((2, k),))
+        assert verify(f, f, FactoredRational()).common_value == common
+        assert_verify_matches_reference(f, f, FactoredRational())
+
+
+def test_verify_range_checks_each_side_even_when_they_cancel():
+    # phi(n^2) holds 3^(2^63 + 1): past the exponent range on its own, even
+    # where the two sides cancel. Each side's own check names the positive
+    # exponent; a check of the difference alone would name -(2^63 + 1), or
+    # nothing when the sides cancel.
+    f = FactoredInteger(((3, 2**62 + 1),))
+    for m, n in ((f, f), (factor(2), f), (f, factor(2))):
+        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63 + 1} for prime 3 exceeds"):
+            verify(m, n, FactoredRational())

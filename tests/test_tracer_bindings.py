@@ -43,3 +43,11 @@ def test_traced_run_sees_the_cli_commands():
     # The oracle calls sieve_totients through its module attribute, so the
     # wrapper sees the sieve that builds the shared table.
     assert report["metrics"]["oracle.sieve_s"]["value"] > 0
+
+
+def test_traced_run_sees_verify_on_wide_products():
+    # verify no longer goes through totient_of_square or FactoredInteger.value;
+    # its own span must still be bound and read above zero.
+    report = traced_run("wide_products")
+    assert report["correct"] is True
+    assert report["metrics"]["represent.verify_s"]["value"] > 0
