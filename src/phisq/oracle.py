@@ -4,18 +4,21 @@ Everything here works on plain integers with a totient sieve, deliberately
 avoiding the factored-arithmetic path it is meant to cross-check.
 
 The sequence, the search and the injectivity scan all read one table per
-process, v[k] = phi(k^2) = k * phi(k) for k = 0..L.  A request past L sieves
-to its own limit; the new table is kept only while L <= 1 << 16 (the bound
-of the primes caches), and a larger one serves its one request and is
-dropped.  Each request reads only v[1..limit] of its own limit, so a larger
-kept table never changes an answer.  The plain sequence text is rendered once
-per process in the same way: the decimal lines of v[1..K], K <= 1 << 16, are
-kept and grown by the values they lack, and a request slices them.
+process, v[k] = phi(k^2) = k * phi(k) for k = 0..L, kept beside phi(0..L).  A
+request past L extends both by the values phi(L+1..limit) alone, in place
+while limit <= 1 << 16 (the bound of the primes caches); a larger request
+extends copies, which serve that one request and are dropped.  Each request
+reads only v[1..limit] of its own limit, so a larger kept table never changes
+an answer.  The plain sequence text is rendered once per process in the same
+way: the decimal lines of v[1..K], K <= 1 << 16, are kept and grown by the
+values they lack, and a request slices them.
 """
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import isqrt
+from operator import mul
 from random import Random
 
 from .errors import ParseError, UnsupportedScaleError
@@ -24,41 +27,67 @@ from .primes import primes_up_to
 
 
 # Sieves past this many values are refused before anything is allocated: a
-# search or sequence costs ~140 bytes per value, so 10^7 already takes ~1.4 GB.
+# search or sequence peaks at ~125 bytes per value (tracemalloc, 10^6 values,
+# CPython 3.11), so 10^7 already takes ~1.3 GB.
 _SIEVE_CAP = 10**7
 
-# The largest L whose table v[0..L] outlives the request that built it.
+# The largest L whose table v[0..L] and phi(0..L) outlive the request that built them.
 _KEEP_LIMIT = 1 << 16
 _table: list[int] = [0]
+_phi: list[int] = [0]
 # The rendering "\n" + "\n".join(str(v[k]) for k = 1..K), and _digits[k], the digits in
 # its first k lines (summed in C by accumulate): line k ends at offset _digits[k] + k.
 _text = ""
 _digits = array("I", [0])
 
 
-def sieve_totients(limit: int) -> list[int]:
-    """phi(0..limit) by the classic in-place multiplicative sieve."""
+def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
+    """phi(0..limit), by extending phi = [phi(0), ..., phi(L)] in place (a fresh
+    list if phi is None) with phi(L+1..limit) alone; phi is returned as is if
+    L >= limit.
+
+    Each new j > 1 is either prime, phi(j) = j - 1, or j = m * p with p its
+    least prime factor, and then phi(j) = phi(m) * (p if p | m else p - 1),
+    where m < j is already known.  Least factors come from slice writes: every
+    d <= isqrt(limit) is written over its multiples in descending order, so
+    the last d to write j is its least prime factor, and a j no d writes is
+    prime.
+    """
     if limit > _SIEVE_CAP:
         raise UnsupportedScaleError(f"a totient sieve to {limit} exceeds the cap of {_SIEVE_CAP}")
-    phi = list(range(limit + 1))
-    for i in range(2, limit + 1):
-        if phi[i] == i:  # i is prime
-            for j in range(i, limit + 1, i):
-                phi[j] -= phi[j] // i
+    phi = [] if phi is None else phi
+    phi += range(len(phi), min(limit + 1, 2))  # phi(0) = 0, phi(1) = 1
+    lo = len(phi)
+    if lo > limit:
+        return phi
+    least = [0] * (limit + 1 - lo)  # least[j - lo]: j's least prime factor, 0 if j is prime
+    for d in range(isqrt(limit), 1, -1):
+        start = -lo % d
+        least[start::d] = [d] * len(range(start, len(least), d))
+    append = phi.append
+    for j, p in zip(range(lo, limit + 1), least):
+        if p:
+            m = j // p
+            append(phi[m] * (p - 1 if m % p else p))
+        else:
+            append(j - 1)
     return phi
 
 
 def _phi_squares(limit: int) -> list[int]:
     """The table v[0..L], L >= limit, with v[k] = phi(k^2) = k * phi(k); callers
-    must not mutate it.  Sieves only when limit is past the kept table."""
-    global _table
+    must not mutate it.  Sieves, from the kept phi on, only when limit is past
+    the kept table."""
+    global _phi
     if limit < len(_table):
         return _table
-    v = sieve_totients(limit)
-    for k in range(limit + 1):
-        v[k] *= k
     if limit <= _KEEP_LIMIT:
-        _table = v
+        phi = _phi = sieve_totients(limit, _phi)
+        v = _table
+    else:
+        phi = sieve_totients(limit, _phi[:])
+        v = _table[:]
+    v += map(mul, range(len(v), limit + 1), islice(phi, len(v), limit + 1))
     return v
 
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import random
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phisq import oracle
+from phisq import oracle, primes
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
-from phisq.errors import ParseError
+from phisq.errors import ParseError, UnsupportedScaleError
 from phisq.factored import parse_rational
 from phisq.oracle import (
     SearchResult,
@@ -25,10 +26,11 @@ from phisq.oracle import (
 
 @pytest.fixture(autouse=True)
 def fresh_table(monkeypatch):
-    """Each test starts from an empty phi(k^2) table and an empty rendering of
-    it, and a table or rendering built from a patched sieve_totients is gone
-    once the test ends."""
+    """Each test starts from an empty phi(k^2) table, an empty kept phi list and
+    an empty rendering of the table, and a table, phi list or rendering built
+    from a patched sieve_totients is gone once the test ends."""
     monkeypatch.setattr(oracle, "_table", [0])
+    monkeypatch.setattr(oracle, "_phi", [0])
     monkeypatch.setattr(oracle, "_text", "")
     monkeypatch.setattr(oracle, "_digits", array("I", [0]))
 
@@ -46,6 +48,25 @@ def euler_phi(n):
     if t > 1:
         out -= out // t
     return out
+
+
+def classic_totients(limit):
+    """phi(0..limit) by the classic in-place multiplicative sieve, which
+    sieve_totients used before it became a least-factor recurrence."""
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:  # i is prime
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+_REFERENCE_LIMIT = 70000
+
+
+@functools.cache
+def reference_totients():
+    return classic_totients(_REFERENCE_LIMIT)
 
 
 def test_sieve_matches_trial_division_phi():
@@ -99,7 +120,7 @@ def test_injectivity_scan_answers_the_same_on_a_warm_table():
 
 def test_injectivity_scan_reports_first_collision(monkeypatch):
     # A corrupted totient table must surface as a collision.
-    monkeypatch.setattr(oracle, "sieve_totients", lambda limit: [0, 1] + [0] * (limit - 1))
+    monkeypatch.setattr(oracle, "sieve_totients", lambda limit, phi=None: [0, 1] + [0] * (limit - 1))
     assert injectivity_scan(10) == (2, 3)
 
 
@@ -158,7 +179,7 @@ def test_mutating_a_sequence_leaves_the_next_answer():
 
 def test_table_is_sieved_only_when_it_grows(monkeypatch):
     sieved = []
-    monkeypatch.setattr(oracle, "sieve_totients", lambda limit: sieved.append(limit) or sieve_totients(limit))
+    monkeypatch.setattr(oracle, "sieve_totients", lambda limit, phi=None: sieved.append(limit) or sieve_totients(limit, phi))
     phi_square_sequence(100)
     phi_square_sequence(50)
     injectivity_scan(100)
@@ -172,10 +193,100 @@ def test_table_is_sieved_only_when_it_grows(monkeypatch):
     assert sieved == [100, 200, _KEPT + 1, _KEPT + 1]
 
 
+def test_sieve_equals_the_classic_sieve():
+    # Every small limit, either side of a square (a new d <= isqrt(limit)) and
+    # of the kept bound, and the largest reference limit.
+    phi = reference_totients()
+    for limit in [*range(-3, 300), 960, 961, 962, 65535, 65536, 65537, _REFERENCE_LIMIT]:
+        assert sieve_totients(limit) == phi[: max(limit + 1, 0)], limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, _REFERENCE_LIMIT), st.integers(0, _REFERENCE_LIMIT))
+@example(0, 1)
+@example(1, 2)
+@example(2, 4)
+@example(3, 9)
+@example(120, 121)
+@example(140, 20000)
+def test_an_extended_sieve_equals_a_fresh_one(a, b):
+    low, limit = sorted((a, b))
+    phi = sieve_totients(low)
+    assert sieve_totients(limit, phi) is phi
+    assert phi == sieve_totients(limit) == reference_totients()[: limit + 1], (low, limit)
+    # A list that already reaches the limit is returned as it is.
+    assert sieve_totients(low, phi) is phi and len(phi) == limit + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(1, 3000), st.sampled_from([_KEPT - 1, _KEPT, _KEPT + 1, _KEPT + 2, 20000])),
+    min_size=1, max_size=6,
+))
+def test_table_equals_the_classic_sieve_in_any_order(limits):
+    # Growing and shrinking across the kept bound, on the kept path and the
+    # dropped one, gives k * phi(k) of the classic sieve; the kept lists stay
+    # equal to it and never pass the bound.
+    oracle._table, oracle._phi = [0], [0]
+    phi = reference_totients()
+    for limit in limits:
+        assert oracle._phi_squares(limit)[: limit + 1] == [k * phi[k] for k in range(limit + 1)], limits
+        kept = len(oracle._table) - 1
+        assert kept <= _KEPT and len(oracle._phi) == kept + 1
+        assert oracle._phi == phi[: kept + 1]
+        assert oracle._table == [k * phi[k] for k in range(kept + 1)]
+
+
+def test_a_growth_computes_only_the_missing_values():
+    phi_square_sequence(100)
+    table, phi = oracle._table, oracle._phi
+    old_table, old_phi = table[:], phi[:]
+    phi_square_sequence(200)
+    # The same lists, grown by exactly phi(101..200) and v[101..200]; the
+    # values they held are the very same objects, not recomputed ones.
+    assert oracle._table is table and oracle._phi is phi
+    assert len(phi) - len(old_phi) == len(table) - len(old_table) == 100
+    assert all(a is b for a, b in zip(old_phi, phi)) and all(a is b for a, b in zip(old_table, table))
+    assert table == [k * euler_phi(k) for k in range(201)]
+
+
+def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
+    phi_square_sequence(3000)
+    table, kept = oracle._table, oracle._phi
+    old_table, old_kept = table[:], kept[:]
+    extended = []
+    monkeypatch.setattr(
+        oracle, "sieve_totients", lambda limit, phi=None: extended.append(phi) or sieve_totients(limit, phi)
+    )
+    assert phi_square_sequence(_KEPT + 1)[-1] == (_KEPT + 1) * euler_phi(_KEPT + 1)
+    with pytest.raises(UnsupportedScaleError):
+        phi_square_sequence(oracle._SIEVE_CAP + 1)
+    # The sieve extended a copy of the kept phi, and both kept lists are the
+    # same objects with the same contents.
+    assert extended[0] is not kept and len(extended[0]) == _KEPT + 2
+    assert oracle._table is table and oracle._phi is kept
+    assert table == old_table and kept == old_kept and len(table) == 3001
+
+
+def test_the_table_needs_nothing_from_the_factored_path(monkeypatch):
+    # The selftest checks the factored path against this table, which must not
+    # lean on the primes module it is checking.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called into the factored path")
+
+    monkeypatch.setattr(oracle, "primes_up_to", refuse)
+    monkeypatch.setattr(primes, "factorize", refuse)
+    monkeypatch.setattr(primes, "is_prime", refuse)
+    values = phi_square_sequence(20000)
+    for k in [1, 2, 97, 1024, 9973, 10000, 19997, 20000]:
+        assert values[k - 1] == k * euler_phi(k), k
+    assert injectivity_scan(20000) is None
+
+
 def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
     # A corrupted sieve makes phi(50^2) = phi(51^2) = 2550 in a table built
     # to 100; a request whose own limit stops below 50 never sees it.
-    def corrupted(limit):
+    def corrupted(limit, phi=None):
         phi = sieve_totients(limit)
         phi[50], phi[51] = 51, 50
         return phi
@@ -326,7 +437,7 @@ def test_search_matches_reference_on_attained_ratios():
 def test_search_refuses_a_colliding_index(monkeypatch, capsys):
     # A corrupted totient table makes phi(2^2) = phi(3^2): the value index
     # would be wrong, so the search must stop instead of answering.
-    monkeypatch.setattr(oracle, "sieve_totients", lambda limit: [0, 1] + [0] * (limit - 1))
+    monkeypatch.setattr(oracle, "sieve_totients", lambda limit, phi=None: [0, 1] + [0] * (limit - 1))
     with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
         brute_force_minimal(parse_rational("3"), 10)
     assert main(["search", "3", "--bound", "10", "--json"]) == EXIT_INVARIANT_VIOLATION
