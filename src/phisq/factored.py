@@ -59,7 +59,19 @@ def _merge(a, b) -> tuple[tuple[int, int], ...]:
             acc.pop(p, None)
         else:
             acc[p] = s
-    return tuple(sorted(acc.items()))
+    return _entries(acc)
+
+
+def _entries(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """acc's (prime, exponent) pairs in ascending order of prime.
+
+    Sorting the keys alone and looking each exponent up is faster on large maps
+    (~90 against ~190 us at 700 entries, CPython 3.11), sorting the pairs on
+    small ones (~0.6 against ~1.2 us at 3); they break even near 25 entries.
+    """
+    if len(acc) < 25:
+        return tuple(sorted(acc.items()))
+    return tuple([(p, acc[p]) for p in sorted(acc)])
 
 
 def _canonical(cls, entries: tuple[tuple[int, int], ...]):
@@ -79,7 +91,7 @@ def _in_range(acc: dict[int, int]) -> dict[int, int]:
 
 def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
     """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
-    return _canonical(FactoredInteger, tuple(sorted(_in_range(acc).items())))
+    return _canonical(FactoredInteger, _entries(_in_range(acc)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -350,3 +350,15 @@ def test_module_exponent_overflow_exits_2():
     assert proc.returncode == EXIT_UNSUPPORTED_SCALE
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["status"] == "unsupported_scale"
+
+
+def test_verify_answers_where_only_cancelling_factors_overflow(capsys):
+    # phi((3^(2^62) * 7)^2) holds 3^(2^63): past the range, but on both sides it cancels.
+    f = "3^4611686018427387904 * 7^1"
+    code, out, err = run(capsys, "verify", f, f, "1")
+    assert code == EXIT_OK
+    assert "holds: true" in out
+    assert "common value" not in out
+    code, body = run_json(capsys, "verify", f, "1", "1")
+    assert code == EXIT_UNSUPPORTED_SCALE
+    assert body["error"] == f"exponent {2**63} for prime 3 exceeds +/-{EXPONENT_LIMIT}"

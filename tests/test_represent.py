@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -293,5 +294,87 @@ def test_verify_range_checks_each_side_even_when_they_cancel():
     # nothing when the sides cancel.
     f = FactoredInteger(((3, 2**62 + 1),))
     for m, n in ((f, f), (factor(2), f), (f, factor(2))):
+        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63 + 1} for prime 3 exceeds"):
+            verify(m, n, FactoredRational())
+
+
+# --- verify looks up p - 1 only for primes on one side ------------------------
+
+EXPONENTS = st.integers(min_value=1, max_value=6)
+# Per prime of one shared set: equal exponents, or independent ones where 0
+# leaves the prime off that side.
+SIDES = st.one_of(
+    EXPONENTS.map(lambda a: (a, a)),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(PRIMES_TO_400), SIDES, min_size=1, max_size=12))
+def test_fused_verify_matches_reference_on_shared_primes(sides):
+    m = FactoredInteger.from_factors({p: a for p, (a, _) in sides.items() if a})
+    n = FactoredInteger.from_factors({p: b for p, (_, b) in sides.items() if b})
+    lhs = reference_verify(m, n, FactoredRational())[0]
+    for claim in (lhs, lhs * factor(2), lhs * factor(401), lhs.inverse(), FactoredRational()):
+        assert_verify_matches_reference(m, n, claim)
+        assert_verify_matches_reference(n, m, claim.inverse())
+
+
+def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
+    represent_module = importlib.import_module("phisq.represent")
+    totient_module = importlib.import_module("phisq.totient")
+    looked_up, expanded = [], []
+
+    def counting_lookup(p):
+        looked_up.append(p)
+        return primes._factor_p_minus_1(p)
+
+    def counting_totient(f, k):
+        expanded.append((f, k))
+        return totient_module._totient_exponents(f, k)
+
+    monkeypatch.setattr(represent_module, "_factor_p_minus_1", counting_lookup)
+    monkeypatch.setattr(represent_module, "_totient_exponents", counting_totient)
+
+    f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
+    assert verify(f, f, FactoredRational()).holds
+    assert looked_up == []
+    # Only the primes on one side are looked up, each once.
+    m, n = f * factor(2003 * 2011), f * factor(2017)
+    report = verify(m, n, parse_rational("1/3"))
+    assert sorted(looked_up) == [2003, 2011, 2017]
+    # 2002 = 2 * 7 * 11 * 13, 2010 = 2 * 3 * 5 * 67 and 2016 = 2^5 * 3^2 * 7.
+    assert report.lhs == parse_rational("2^-3 * 3^-1 * 5^1 * 11^1 * 13^1 * 67^1 * 2003^1 * 2011^1 * 2017^-1")
+
+    r = parse_rational("19/47")
+    rep = represent(r)
+    report = verify(rep.m, rep.n, r)
+    assert report.holds
+    assert expanded == []
+    assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
+    assert expanded == [(rep.n, 2)]
+    assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
+    assert expanded == [(rep.n, 2)]  # computed once, then kept
+
+
+def test_verify_answers_where_only_cancelling_factors_overflow():
+    # phi((3^(2^62) * 7)^2) holds 3^(2^63 - 1) from 3 and 3^1 from 7 - 1: past
+    # the range in all. On both sides the two cancel, and the ratio is 1.
+    f = FactoredInteger(((3, 2**62), (7, 1)))
+    report = verify(f, f, FactoredRational())
+    assert report.holds
+    assert report.lhs == FactoredRational()
+    assert report.common_value is None  # phi(n^2) is far past EXPANSION_BIT_LIMIT
+    # On one side the overflow stands, named by that side's positive exponent.
+    for m, n in ((f, FactoredInteger()), (FactoredInteger(), f)):
+        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63} for prime 3 exceeds"):
+            verify(m, n, FactoredRational())
+
+
+def test_verify_range_checks_a_side_the_other_sides_factors_bring_back():
+    # 7 - 1 and 13 - 1 put 3^2 on the other side, so the difference of the
+    # exponents of 3, 2^63 + 1 - 2, is in range; the side's own is not.
+    f = FactoredInteger(((3, 2**62 + 1),))
+    for m, n in ((f, factor(7 * 13)), (factor(7 * 13), f)):
         with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63 + 1} for prime 3 exceeds"):
             verify(m, n, FactoredRational())
