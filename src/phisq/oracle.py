@@ -117,12 +117,10 @@ def _index_phi_squares(limit: int) -> tuple[list[int], dict[int, int], tuple[int
     """The table v (see _phi_squares) and the index v[k] -> k for k <= limit,
     built up to the first collision v[j] = v[k], j < k, returned third as (j, k)."""
     v = _phi_squares(limit)
-    index = dict(zip(islice(v, 1, limit + 1), range(1, limit + 1)))
-    if len(index) < limit:  # a collision: the loop finds the first one
-        index = {}
-        for k in range(1, limit + 1):
-            if (j := index.setdefault(v[k], k)) != k:
-                return v, index, (j, k)
+    index: dict[int, int] = {}
+    for k in range(1, limit + 1):
+        if (j := index.setdefault(v[k], k)) != k:
+            return v, index, (j, k)
     return v, index, None
 
 

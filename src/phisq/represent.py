@@ -29,8 +29,9 @@ factors of p - 1; a prime on both sides, a in m and b in n, adds only
 2(a - b) to p, because its two p - 1 factors cancel and are never looked up.
 Each side's 2a - 1 and each exponent of the result are range-checked; a
 refusal names the side's own exponent, as phi(m^2) or phi(n^2) holds it. The
-report's common_value is expanded only when it is read, from phi(n^2)'s
-exponents less q's.
+report's common_value is expanded only when it is read, as
+prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no p - 1
+either.
 """
 
 from dataclasses import dataclass, field
@@ -77,12 +78,14 @@ class VerificationReport:
     def common_value(self) -> int | None:
         if not self.holds:
             return None
-        tn = _totient_exponents(self.n, 2)
-        if sum(e * p.bit_length() for p, e in tn.items()) > EXPANSION_BIT_LIMIT:
+        # phi(n^2) = prod p^(2b - 1) * (p - 1) has at most this many bits; no p - 1 is factored.
+        n = self.n.entries
+        if sum((2 * b - 1) * p.bit_length() + (p - 1).bit_length() for p, b in n) > EXPANSION_BIT_LIMIT:
             return None
-        tn.update((p, tn.get(p, 0) + e) for p, e in self.expected.entries if e < 0)
-        assert min(tn.values(), default=0) >= 0  # q | phi(n^2) whenever the ratio holds exactly
-        return prod(p**e for p, e in tn.items())
+        q = self.expected.denominator().value()
+        common, rem = divmod(prod(p ** (2 * b - 1) * (p - 1) for p, b in n), q)
+        assert rem == 0  # q | phi(n^2) whenever the ratio holds exactly
+        return common
 
 
 def represent(r: FactoredRational) -> Representation:
@@ -153,7 +156,5 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
         for f in (m, n):
             _in_range(_totient_exponents(f, 2))
         raise AssertionError("an exponent past the limit on neither side")
-    # tuple() sizes its result once from a list, but grows it step by step from
-    # an iterator; that raised small_ratios' peak RSS by ~0.7 MB.
-    lhs = _canonical(FactoredRational, tuple(list(compress(zip(keys, exps), exps))))
+    lhs = _canonical(FactoredRational, tuple(compress(zip(keys, exps), exps)))
     return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)

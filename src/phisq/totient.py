@@ -8,8 +8,8 @@ For n = p1^a1 * ... * pk^ak,
 One accumulator, _totient_exponents, builds phi(n^k) as a plain exponent map;
 each prime's (p - 1) is factored once per process (primes._factor_p_minus_1,
 an LRU cache bounded like is_prime's). totient and totient_of_square read it,
-and so do verify's common value and its refusals. Its primes come from f or from factorize, so they are not
-certified again; only the exponents, which grow, are range-checked.
+and so do verify's refusals. Its primes come from f or from factorize, so they
+are not certified again; only the exponents, which grow, are range-checked.
 """
 
 from .factored import FactoredInteger, _trusted_integer

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from phisq.cli import (
     EXIT_VERIFY_FALSE,
     main,
 )
+from phisq.errors import FactorizationFailure
 from phisq.factored import EXPONENT_LIMIT
 from phisq.primes import prime_pi, primes_up_to
 
@@ -362,3 +364,18 @@ def test_verify_answers_where_only_cancelling_factors_overflow(capsys):
     code, body = run_json(capsys, "verify", f, "1", "1")
     assert code == EXIT_UNSUPPORTED_SCALE
     assert body["error"] == f"exponent {2**63} for prime 3 exceeds +/-{EXPONENT_LIMIT}"
+
+
+def test_verify_never_factors_p_minus_1_of_a_prime_on_both_sides(capsys, monkeypatch):
+    # Were any p - 1 looked up, for the check or for the common value, the
+    # failure would exit 2.
+    def unfactorable(p):
+        raise FactorizationFailure(f"cannot factor {p - 1}")
+
+    for module in ("phisq.represent", "phisq.totient"):
+        monkeypatch.setattr(importlib.import_module(module), "_factor_p_minus_1", unfactorable)
+    f = "7^2 * 1000003^1"
+    code, body = run_json(capsys, "verify", f, f, "1")
+    assert code == EXIT_OK
+    assert body["holds"] is True
+    assert body["common_value"] == 7**3 * 6 * 1000003 * 1000002

@@ -337,7 +337,10 @@ def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
     monkeypatch.setattr(represent_module, "_totient_exponents", counting_totient)
 
     f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
-    assert verify(f, f, FactoredRational()).holds
+    report = verify(f, f, FactoredRational())
+    assert report.holds
+    # Nor does the common value factor a p - 1.
+    assert report.common_value == totient_of_square(f).value()
     assert looked_up == []
     # Only the primes on one side are looked up, each once.
     m, n = f * factor(2003 * 2011), f * factor(2017)
@@ -350,11 +353,10 @@ def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
     assert report.holds
+    assert "common_value" not in vars(report)  # not computed until it is read
+    assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
+    assert vars(report)["common_value"] == report.common_value  # then kept
     assert expanded == []
-    assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
-    assert expanded == [(rep.n, 2)]
-    assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
-    assert expanded == [(rep.n, 2)]  # computed once, then kept
 
 
 def test_verify_answers_where_only_cancelling_factors_overflow():
@@ -365,7 +367,14 @@ def test_verify_answers_where_only_cancelling_factors_overflow():
     assert report.holds
     assert report.lhs == FactoredRational()
     assert report.common_value is None  # phi(n^2) is far past EXPANSION_BIT_LIMIT
-    # On one side the overflow stands, named by that side's positive exponent.
+    # Against 13, 13 - 1 = 2^2 * 3 takes the 3^1 of 7 - 1 back: a prime on one
+    # side each, and the exponent of 3 in the ratio is 2^63 - 1, in range.
+    r = parse_rational(f"3^{2**63 - 1} * 7^1 * 13^-1")
+    report = verify(f, factor(13), r)
+    assert report.holds
+    assert report.lhs == r
+    assert report.common_value == 12  # phi(13^2) / 13
+    # On one side alone the overflow stands, named by that side's positive exponent.
     for m, n in ((f, FactoredInteger()), (FactoredInteger(), f)):
         with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63} for prime 3 exceeds"):
             verify(m, n, FactoredRational())
