@@ -17,7 +17,6 @@ Exit codes are a stable scripting contract:
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import sys
@@ -87,28 +86,28 @@ def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
     return body
 
 
-def cmd_represent(ratio: str, expanded: bool) -> Result:
-    r = parse_rational(ratio)
+def cmd_represent(args: argparse.Namespace) -> Result:
+    r = parse_rational(args.ratio)
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
     payload = {
-        "m": _integer_body(rep.m, expanded),
-        "n": _integer_body(rep.n, expanded),
+        "m": _integer_body(rep.m, args.expanded),
+        "n": _integer_body(rep.n, args.expanded),
         "verified": report.holds,
         "depth": rep.depth,
     }
-    lines = [f"input: {ratio}", f"m: {rep.m}", f"n: {rep.n}"]
-    if expanded:
+    lines = [f"input: {args.ratio}", f"m: {rep.m}", f"n: {rep.n}"]
+    if args.expanded:
         lines += [f"m value: {payload['m']['value']}", f"n value: {payload['n']['value']}"]
     lines += [f"depth: {rep.depth}", f"verified: {str(report.holds).lower()}"]
     # A failed check is unreachable unless the construction itself is broken.
     return payload, lines, EXIT_OK if report.holds else EXIT_INVARIANT_VIOLATION
 
 
-def cmd_verify(m: str, n: str, ratio: str) -> Result:
-    mf = parse_integer(m)
-    nf = parse_integer(n)
-    report = verify(mf, nf, parse_rational(ratio))
+def cmd_verify(args: argparse.Namespace) -> Result:
+    mf = parse_integer(args.m)
+    nf = parse_integer(args.n)
+    report = verify(mf, nf, parse_rational(args.ratio))
     common = report.common_value
     if common is not None and not _printable(common):
         common = None
@@ -121,7 +120,7 @@ def cmd_verify(m: str, n: str, ratio: str) -> Result:
         "common_value": common,
     }
     lines = [
-        f"input: m={m} n={n} r={ratio}",
+        f"input: m={args.m} n={args.n} r={args.ratio}",
         f"m: {mf}",
         f"n: {nf}",
         f"computed ratio: {report.lhs}",
@@ -133,31 +132,31 @@ def cmd_verify(m: str, n: str, ratio: str) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
-def cmd_factor(n: str) -> Result:
-    s = n.strip()
-    if not s.isdigit():
-        raise ParseError(f"factor takes a plain positive integer, got {n!r}")
+def cmd_factor(args: argparse.Namespace) -> Result:
+    s = args.n.strip()
+    if not s.isdecimal():
+        raise ParseError(f"factor takes a plain positive integer, got {args.n!r}")
     f = parse_integer(s)
     payload = {"factors": _factors_obj(f), "value": f.value()}
-    lines = [f"input: {n}", f"factors: {f}"]
+    lines = [f"input: {args.n}", f"factors: {f}"]
     return payload, lines, EXIT_OK
 
 
-def cmd_sequence(limit: int, json: bool) -> Result:
+def cmd_sequence(args: argparse.Namespace) -> Result:
     # Only the output main prints is built: the value list or the text.
-    if json:
-        return {"limit": limit, "values": phi_square_sequence(limit)}, [], EXIT_OK
-    return {}, [phi_square_text(limit)], EXIT_OK
+    if args.json:
+        return {"limit": args.limit, "values": phi_square_sequence(args.limit)}, [], EXIT_OK
+    return {}, [phi_square_text(args.limit)], EXIT_OK
 
 
-def cmd_search(ratio: str, bound: int) -> Result:
-    result = brute_force_minimal(parse_rational(ratio), bound)
-    payload = {"bound": bound, "found": result.found, "m": result.m, "n": result.n}
-    lines = [f"input: {ratio}", f"bound: {bound}", f"found: {str(result.found).lower()}"]
+def cmd_search(args: argparse.Namespace) -> Result:
+    result = brute_force_minimal(parse_rational(args.ratio), args.bound)
+    payload = {"bound": args.bound, "found": result.found, "m": result.m, "n": result.n}
+    lines = [f"input: {args.ratio}", f"bound: {args.bound}", f"found: {str(result.found).lower()}"]
     if result.found:
         lines += [f"m: {result.m}", f"n: {result.n}"]
     else:
-        lines.append(f"no pair with max(m, n) <= {bound}")
+        lines.append(f"no pair with max(m, n) <= {args.bound}")
     return payload, lines, EXIT_OK
 
 
@@ -199,7 +198,7 @@ def _check_round_trip() -> tuple[bool, str]:
     return True, "200 random ratios represented and verified"
 
 
-def cmd_selftest() -> Result:
+def cmd_selftest(args: argparse.Namespace) -> Result:
     checks = [
         ("known pair 39330/55836 for 19/47", lambda: _check_known_pair(39330, 55836, "19/47", 19673280)),
         ("known pair 14476/20010 for 47/58", lambda: _check_known_pair(14476, 20010, "47/58", 1700160)),
@@ -224,7 +223,7 @@ def cmd_selftest() -> Result:
 FLAGS = {"--json": "emit one JSON object", "--expanded": "also emit expanded decimal values"}
 
 # Each command: its help, the input its JSON record echoes, and its arguments
-# with their argparse options, named as the parameters of cmd_<command>.
+# with their argparse options; cmd_<command> reads them from the parsed namespace.
 COMMANDS = {
     "represent": (
         "find (m, n) with phi(m^2)/phi(n^2) = ratio", "{ratio}",
@@ -290,12 +289,6 @@ def _describe_unexpected(exc: Exception) -> str:
     return text
 
 
-@functools.cache
-def _parameters(run) -> tuple[str, ...]:
-    """The parameter names of a cmd_* function (through any @wraps wrapper), read once."""
-    return tuple(inspect.signature(run).parameters)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # Move the global flags in front of the command, where they are declared. Abbreviations
@@ -305,8 +298,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # Looked up per call, not bound in the parser: the traced benchmark rebinds cmd_*.
-        run = globals()[f"cmd_{args.command}"]
-        payload, lines, code = run(**{p: getattr(args, p) for p in _parameters(run)})
+        payload, lines, code = globals()[f"cmd_{args.command}"](args)
         # Rendered inside the try: formatting a large integer can raise too.
         print(_output(args, code, payload, lines))
         return code

@@ -12,7 +12,7 @@ factor(), which also reads the parsers' plain numerals, trusts factorize,
 which certifies every prime it returns.  Results computed inside the package
 from valid values (products, inverses, numerator and denominator, totients,
 the construction's m and n) are canonical by construction and skip it;
-exponents that grow still report overflow (_merge, _in_range).
+exponents that grow still report overflow (_merge, _trusted_integer).
 
 Values render as (and parse from) the literal grammar
 
@@ -49,7 +49,7 @@ def check_exponent(p: int, e: int) -> None:
 
 
 def _merge(a, b) -> tuple[tuple[int, int], ...]:
-    """Exponent-wise sum of a (entries, or a prime -> exponent map) and the pairs b, zeros removed."""
+    """Exponent-wise sum of the entries a and b, zeros removed."""
     acc = dict(a)
     for p, e in b:
         s = acc.get(p, 0) + e
@@ -77,17 +77,13 @@ def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     return obj
 
 
-def _in_range(acc: dict[int, int]) -> dict[int, int]:
-    """acc, a map of primes to exponents >= 1, range-checked: one max(), and a walk only past the limit."""
+def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
+    """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
+    # One max(), and a walk only past the limit, to name the prime.
     if acc and max(acc.values()) > EXPONENT_LIMIT:
         for p in sorted(acc):
             check_exponent(p, acc[p])
-    return acc
-
-
-def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
-    """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
-    return _canonical(FactoredInteger, _entries(_in_range(acc)))
+    return _canonical(FactoredInteger, _entries(acc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +109,9 @@ class FactoredRational:
             previous = p
 
     @classmethod
-    def from_factors(cls, factors) -> FactoredRational:
-        """Build from any iterable of (prime, exponent) pairs or a mapping."""
-        items = factors.items() if hasattr(factors, "items") else factors
-        return cls(tuple(sorted(items)))
+    def from_factors(cls, factors: dict[int, int]) -> FactoredRational:
+        """Build from a prime -> exponent mapping."""
+        return cls(tuple(sorted(factors.items())))
 
     @property
     def factors(self) -> dict[int, int]:
@@ -178,8 +173,9 @@ class FactoredInteger(FactoredRational):
 
 
 def factor(n: int) -> FactoredInteger:
-    """Factor a positive integer into canonical form; factorize certifies every prime."""
-    return _trusted_integer(factorize(n))
+    """Factor a positive integer into canonical form; factorize certifies every prime,
+    returns them ascending, and each exponent is below n.bit_length()."""
+    return _canonical(FactoredInteger, tuple(factorize(n).items()))
 
 
 _NAT_RE = re.compile(r"\d+")
@@ -187,14 +183,17 @@ _TERM_RE = re.compile(r"\s*(\d+)\s*\^\s*([+-]?\d+)\s*")
 
 
 def _decimal(text: str) -> int:
-    """int() of a matched numeral, refusing one past Python's int-string conversion limit."""
-    limit = sys.get_int_max_str_digits()
-    digits = len(text.lstrip("+-"))
-    if limit and digits > limit:
-        raise UnsupportedScaleError(
-            f"a numeral of {digits} digits exceeds the {limit}-digit limit for reading integers"
-        )
-    return int(text)
+    """int() of a numeral, refusing one past Python's int-string conversion limit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        digits = len(text.lstrip("+-"))
+        if limit and digits > limit:
+            raise UnsupportedScaleError(
+                f"a numeral of {digits} digits exceeds the {limit}-digit limit for reading integers"
+            ) from None
+        raise
 
 
 def _parse_nat(text: str, what: str) -> int:
@@ -220,16 +219,10 @@ def _parse_literal(text: str, cls):
                 raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
             raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
         base_s, exp_s = match.groups()
-        try:
-            p = int(base_s)
-        except ValueError:
-            p = _decimal(base_s)
+        p = _decimal(base_s)
         if p in acc:
             raise ParseError(f"prime {p} appears more than once")
-        try:
-            acc[p] = int(exp_s)
-        except ValueError:
-            acc[p] = _decimal(exp_s)
+        acc[p] = _decimal(exp_s)
     return cls.from_factors(acc)
 
 

@@ -154,11 +154,16 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     """
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
-    p = r.numerator().value()
-    q = r.denominator().value()
     v, index, collision = _index_phi_squares(bound)
     if collision is not None:
         raise RuntimeError(f"phi(k^2) collides at k = {collision[0]} and k = {collision[1]}")
+    # A hit has p | phi(m^2) <= bound^2 and q | phi(n^2) <= bound^2, and a prime's bit length
+    # is at most twice its log2: a side past 4 * bits(bound) bits misses, unexpanded.
+    num, den = r.numerator(), r.denominator()
+    if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length():
+        return SearchResult(found=False, m=None, n=None, bound=bound)
+    p = num.value()
+    q = den.value()
     # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].
     for top in range(1, bound + 1):
         w = v[top]

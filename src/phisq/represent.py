@@ -41,9 +41,9 @@ from itertools import compress
 from math import prod
 
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
-from .factored import _canonical, _in_range, _trusted_integer
+from .factored import _canonical
 from .primes import _factor_p_minus_1
-from .totient import _totient_exponents
+from .totient import totient_of_square
 
 # 2a - 1 stays within EXPONENT_LIMIT exactly when a <= _HALF_LIMIT.
 _HALF_LIMIT = (EXPONENT_LIMIT + 1) // 2
@@ -120,8 +120,10 @@ def represent(r: FactoredRational) -> Representation:
                     rest[p] = s
                     if old == 0:
                         heappush(heap, -p)
-    # Every prime came from r or from factorize: no need to certify them again.
-    return Representation(m=_trusted_integer(m), n=_trusted_integer(n), ratio=r, depth=depth)
+    # Canonical as built: every prime came from r or from factorize, each was popped once in
+    # descending order, and every exponent is at most 2^62, as r's are within EXPONENT_LIMIT.
+    m_f, n_f = (_canonical(FactoredInteger, tuple(reversed(side.items()))) for side in (m, n))
+    return Representation(m=m_f, n=n_f, ratio=r, depth=depth)
 
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:
@@ -154,7 +156,7 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
         # An exponent of the difference leaves the range only where one side's
         # own does; so one of these raises, naming that side's positive exponent.
         for f in (m, n):
-            _in_range(_totient_exponents(f, 2))
+            totient_of_square(f)
         raise AssertionError("an exponent past the limit on neither side")
     lhs = _canonical(FactoredRational, tuple(compress(zip(keys, exps), exps)))
     return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)

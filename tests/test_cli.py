@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -107,6 +108,14 @@ def test_factor_command(capsys):
     assert body["value"] == 55836
 
 
+def test_factor_refuses_non_ascii_digits_by_its_own_rule(capsys):
+    # "²" is a digit to str.isdigit but not to the numeral grammar.
+    for text in ("²", "1²"):
+        code, out, err = run(capsys, "factor", text)
+        assert code == EXIT_PARSE_ERROR
+        assert err == f"error: factor takes a plain positive integer, got {text!r}\n"
+
+
 def test_sequence_plain_streams_one_per_line(capsys):
     code, out, err = run(capsys, "sequence", "5")
     assert code == EXIT_OK
@@ -150,6 +159,24 @@ def test_search_none_under_bound_is_not_an_error(capsys):
     assert code == EXIT_OK
     assert body["found"] is False
     assert body["m"] is None and body["n"] is None
+
+
+def test_search_answers_a_miss_without_expanding_a_huge_ratio():
+    # 2^99999999999999 expanded would take ~12 TB; under a 1 GB address space the
+    # miss must still come back, and quickly.
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        "from phisq.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "search", "2^99999999999999", "--bound", "10", "--json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    body = json.loads(proc.stdout)
+    assert (body["status"], body["bound"], body["found"], body["m"], body["n"]) == ("ok", 10, False, None, None)
 
 
 def test_search_requires_bound(capsys):
@@ -379,3 +406,24 @@ def test_verify_never_factors_p_minus_1_of_a_prime_on_both_sides(capsys, monkeyp
     assert code == EXIT_OK
     assert body["holds"] is True
     assert body["common_value"] == 7**3 * 6 * 1000003 * 1000002
+
+
+def test_main_dispatches_through_the_module_attribute(capsys, monkeypatch):
+    # The traced benchmark rebinds cmd_* with *args, **kwargs wrappers; main must
+    # look the command up per call and hand it the parsed namespace.
+    argv = ["search", "3", "--bound", "10"]
+    plain = run(capsys, *argv)
+    as_json = run(capsys, *argv, "--json")
+    calls = []
+    inner = cli.cmd_search
+
+    @functools.wraps(inner)
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cmd_search", wrapper)
+    assert run(capsys, *argv) == plain
+    assert run(capsys, *argv, "--json") == as_json
+    assert len(calls) == 2
+    assert all(kwargs == {} and args[0].ratio == "3" and args[0].bound == 10 for args, kwargs in calls)

@@ -16,6 +16,14 @@ from phisq.factored import (
     parse_integer,
     parse_rational,
 )
+from phisq.primes import factorize, is_prime
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
 
 PRIMES_TO_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -98,6 +106,14 @@ def test_factor_trusts_factorize_and_literals_stay_validated(monkeypatch):
         parse_rational("4^2")
     with pytest.raises(ValueError, match="can only factor positive integers, got 0"):
         factor(0)
+
+
+@pytest.mark.parametrize("n", [1000003 * 1000033, next_prime(2**29) * next_prime(2**40)])
+def test_factor_keeps_the_ascending_order_factorize_returns(n):
+    # factor wraps factorize's entries unsorted; dict equality would not see the order.
+    f = factor(n)
+    assert f.entries == tuple(factorize(n).items())
+    assert [p for p, _ in f.entries] == sorted(f.factors) and len(f.entries) == 2
 
 
 def test_factor_expand_round_trip():

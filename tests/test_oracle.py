@@ -4,6 +4,7 @@ import json
 import random
 from array import array
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -410,6 +411,33 @@ def test_search_equals_a_naive_double_loop(p, q, bound):
         assert (result.m, result.n) == min(pairs, key=lambda mn: (max(mn), mn[0], mn[1]))
     else:
         assert not result.found
+
+
+def first_pairs(limit):
+    """Each ratio phi(m^2)/phi(n^2) with m, n <= limit -> its first (m, n) in (max(m, n), m, n) order."""
+    first = {}
+    for top in range(1, limit + 1):
+        for m, n in [(m, top) for m in range(1, top)] + [(top, n) for n in range(1, top + 1)]:
+            first.setdefault(Fraction(phi_sq(m), phi_sq(n)), (m, n))
+    return first
+
+
+def test_search_misses_unexpanded_only_where_no_pair_exists():
+    # A side of r far past bound^2 is a miss without expanding r; an exhaustive
+    # pair table decides every ratio 2^a * c, on both sides of that threshold.
+    first = first_pairs(64)
+    hits = 0
+    for c in (Fraction(1), Fraction(3), Fraction(1, 5), Fraction(7, 3)):
+        for a in range(-40, 41):
+            ratio = c * Fraction(2) ** a
+            r = parse_rational(str(ratio))
+            pair = first.get(ratio)
+            for bound in range(1, 65):
+                expected = pair if pair is not None and max(pair) <= bound else None
+                result = brute_force_minimal(r, bound)
+                assert ((result.m, result.n) if result.found else None) == expected, (ratio, bound)
+                hits += expected is not None
+    assert hits > 0
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7, 300])

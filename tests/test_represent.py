@@ -329,12 +329,12 @@ def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
         looked_up.append(p)
         return primes._factor_p_minus_1(p)
 
-    def counting_totient(f, k):
-        expanded.append((f, k))
-        return totient_module._totient_exponents(f, k)
+    def counting_totient(f):
+        expanded.append(f)
+        return totient_module.totient_of_square(f)
 
     monkeypatch.setattr(represent_module, "_factor_p_minus_1", counting_lookup)
-    monkeypatch.setattr(represent_module, "_totient_exponents", counting_totient)
+    monkeypatch.setattr(represent_module, "totient_of_square", counting_totient)
 
     f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
     report = verify(f, f, FactoredRational())

@@ -6,7 +6,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from phisq.factored import FactoredRational  # noqa: E402
+from phisq.factored import FactoredInteger, FactoredRational  # noqa: E402
 from phisq.primes import primes_up_to  # noqa: E402
 from phisq.represent import represent  # noqa: E402
 
@@ -25,3 +25,11 @@ def test_inversion_swaps_the_pair(r):
     rep = represent(r)
     inv = represent(r.inverse())
     assert (inv.m, inv.n, inv.depth) == (rep.n, rep.m, rep.depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS)
+def test_the_pair_is_canonical_as_built(r):
+    # represent wraps m and n unchecked; the validator must accept them as they are.
+    rep = represent(r)
+    assert (FactoredInteger(rep.m.entries), FactoredInteger(rep.n.entries)) == (rep.m, rep.n)
