@@ -4,7 +4,7 @@ A FactoredRational is a finite map prime -> nonzero exponent; the empty map
 is 1, and numerator and denominator are coprime by construction.  An integer
 is a rational with every exponent >= 1: FactoredInteger adds only that rule
 and an int-valued value(), and equals the rational with the same entries.
-Values are immutable, hashable, and keep their primes in ascending order.
+Values are slotted, immutable, hashable and picklable, with primes ascending.
 
 Each key is certified once.  Constructors, from_factors() and the literal
 parsers run the one validator (exact primality, order, exponent range, sign);
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
@@ -73,7 +71,7 @@ def _entries(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
 def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     """An instance of cls holding entries already known to be canonical, unchecked."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "entries", entries)
+    _set_entries(obj, entries)
     return obj
 
 
@@ -86,15 +84,17 @@ def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
     return _canonical(FactoredInteger, _entries(acc))
 
 
-@dataclass(frozen=True, eq=False)
 class FactoredRational:
     """A positive rational as an ascending tuple of (prime, nonzero exponent)."""
 
-    entries: tuple[tuple[int, int], ...] = ()
-
+    __slots__ = ("entries",)
     _integral = False  # whether every exponent must be >= 1
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()) -> None:
+        _set_entries(self, entries)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:  # the old name: bench/tracing.py wraps it to count objects
         previous = 1
         for p, e in self.entries:
             if not is_prime(p):
@@ -107,6 +107,13 @@ class FactoredRational:
             if e < 0 and self._integral:
                 raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
             previous = p
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @classmethod
     def from_factors(cls, factors: dict[int, int]) -> FactoredRational:
@@ -129,6 +136,7 @@ class FactoredRational:
 
     def value(self) -> Fraction:
         """Expand back to an exact fraction."""
+        from fractions import Fraction  # here, not at import: it loads decimal too
         return Fraction(self.numerator().value(), self.denominator().value())
 
     def bit_size(self) -> int:
@@ -160,9 +168,13 @@ class FactoredRational:
         return f"{type(self).__name__}({str(self)!r})"
 
 
+_set_entries = FactoredRational.entries.__set__
+
+
 class FactoredInteger(FactoredRational):
     """A positive integer: a FactoredRational whose exponents are all >= 1."""
 
+    __slots__ = ()
     _integral = True
 
     def value(self) -> int:

@@ -15,7 +15,7 @@ values they lack, and a request slices them.
 """
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, islice
 from math import isqrt
 from operator import mul
@@ -54,7 +54,8 @@ def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
     prime.
     """
     if limit > _SIEVE_CAP:
-        raise UnsupportedScaleError(f"a totient sieve to {limit} exceeds the cap of {_SIEVE_CAP}")
+        shown = f"a {len(str(limit))}-digit limit" if limit >= 10**49 else limit  # not echoed in full
+        raise UnsupportedScaleError(f"a totient sieve to {shown} exceeds the cap of {_SIEVE_CAP}")
     phi = [] if phi is None else phi
     phi += range(len(phi), min(limit + 1, 2))  # phi(0) = 0, phi(1) = 1
     lo = len(phi)
@@ -131,14 +132,10 @@ def injectivity_scan(limit: int) -> tuple[int, int] | None:
     return _index_phi_squares(limit)[2]
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Minimal verifying pair under a bound, or an explicit miss."""
+class SearchResult(namedtuple("SearchResult", "found m n bound")):
+    """Minimal verifying pair m, n under a bound, or an explicit miss with m = n = None."""
 
-    found: bool
-    m: int | None
-    n: int | None
-    bound: int
+    __slots__ = ()
 
 
 def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:

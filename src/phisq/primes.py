@@ -199,11 +199,10 @@ def factorize(n: int) -> dict[int, int]:
                 return dict(sorted(out.items()))
         stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
         product, candidates = _block_product(f), range(f, stop, 2)
-    if n == 1:
-        return dict(sorted(out.items()))
     if f * f > n:
-        # Trial division reached sqrt(n); the leftover is prime.
-        out[n] = 1
+        # Trial division reached sqrt(n); the leftover, unless it is 1, is prime.
+        if n > 1:
+            out[n] = 1
         return dict(sorted(out.items()))
     stack = [n]
     while stack:

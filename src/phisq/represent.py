@@ -28,13 +28,13 @@ A prime p on one side, with exponent a, adds +/-(2a - 1) to p and +/- the
 factors of p - 1; a prime on both sides, a in m and b in n, adds only
 2(a - b) to p, because its two p - 1 factors cancel and are never looked up.
 Each side's 2a - 1 and each exponent of the result are range-checked; a
-refusal names the side's own exponent, as phi(m^2) or phi(n^2) holds it. The
-report's common_value is expanded only when it is read, as
-prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no p - 1
-either.
+refusal names the side's own exponent, as phi(m^2) or phi(n^2) holds it. Both
+results are named tuples; the report's common_value is expanded when first read,
+as prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no
+p - 1 either.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -49,30 +49,22 @@ from .totient import totient_of_square
 _HALF_LIMIT = (EXPONENT_LIMIT + 1) // 2
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Result pair in factored form, with the input ratio echoed back."""
+class Representation(namedtuple("Representation", "m n ratio depth")):
+    """The pair m, n (FactoredIntegers) for ratio, the input echoed back, and the depth."""
 
-    m: FactoredInteger
-    n: FactoredInteger
-    ratio: FactoredRational
-    depth: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking phi(m^2)/phi(n^2) against an expected ratio.
+class VerificationReport(namedtuple("VerificationReport", "holds lhs expected n")):
+    """Outcome of checking phi(m^2)/phi(n^2), computed as lhs, against expected.
 
     When the check holds and r = p/q in lowest terms, common_value is the
     shared cofactor with phi(m^2) = p * common_value and
     phi(n^2) = q * common_value (None if its expansion would be enormous).
-    It is computed from n when first read, and kept.
+    It is computed from n when first read, and kept in the instance __dict__.
     """
 
-    holds: bool
-    lhs: FactoredRational
-    expected: FactoredRational
-    n: FactoredInteger = field(repr=False, compare=False)
+    __setattr__ = FactoredRational.__setattr__  # cached_property writes __dict__ itself
 
     @cached_property
     def common_value(self) -> int | None:

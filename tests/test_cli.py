@@ -286,14 +286,42 @@ def test_usage_errors_honour_json(capsys):
 
 
 def test_sieve_past_the_cap_exits_2(capsys):
-    # Refused before the sieve is allocated, so this costs nothing.
-    for argv in (["sequence", "10000001"], ["search", "3", "--bound", "10000001"]):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_UNSUPPORTED_SCALE
-        assert out == ""
-        assert err == "error: a totient sieve to 10000001 exceeds the cap of 10000000\n"
-        code, body = run_json(capsys, *argv)
-        assert body["status"] == "unsupported_scale"
+    # Refused before the sieve is allocated, so this costs nothing. A limit of 50
+    # or more digits is named by its digit count, not echoed in full.
+    cases = {
+        "10000001": "a totient sieve to 10000001 exceeds the cap of 10000000",
+        str(10**49 - 1): f"a totient sieve to {10**49 - 1} exceeds the cap of 10000000",
+        str(10**49): "a totient sieve to a 50-digit limit exceeds the cap of 10000000",
+        "1" * 4001: "a totient sieve to a 4001-digit limit exceeds the cap of 10000000",
+    }
+    for limit, message in cases.items():
+        for argv in (["sequence", limit], ["search", "3", "--bound", limit]):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_UNSUPPORTED_SCALE
+            assert out == ""
+            assert err == f"error: {message}\n"
+            assert len(err) < 200
+            code, body = run_json(capsys, *argv)
+            assert body["status"] == "unsupported_scale"
+            assert body["error"] == message
+
+
+def test_one_shot_commands_import_neither_dataclasses_nor_fractions():
+    # A deterministic guard on what a one-shot run imports, not a time gate. -S keeps
+    # site's own imports out, so the child's modules are phisq's and Python's core.
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from phisq.cli import main\n"
+        "argvs = (['represent', '2/3'], ['--json', 'verify', '13110', '18612', '19/47'],\n"
+        "         ['search', '3', '--bound', '10'], ['sequence', '10'], ['factor', '12'], ['selftest'])\n"
+        "codes = [main(argv) for argv in argvs]\n"
+        "heavy = sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules))\n"
+        "print(codes, heavy)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_selftest_passes(capsys):

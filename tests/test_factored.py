@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from contextlib import contextmanager
@@ -16,7 +18,9 @@ from phisq.factored import (
     parse_integer,
     parse_rational,
 )
+from phisq.oracle import brute_force_minimal
 from phisq.primes import factorize, is_prime
+from phisq.represent import represent, verify
 
 
 def next_prime(n):
@@ -273,8 +277,31 @@ def test_factored_values_are_immutable_and_hashable():
     assert isinstance(a, FactoredRational)
     assert repr(a) == "FactoredInteger('2^2 * 3^1')"
     assert repr(rational_of({2: -1})) == "FactoredRational('2^-1')"
+    # Every write raises, on either type: no entries change, none go, and no attribute is added.
+    for b in (a, rational_of({2: -1})):
+        with pytest.raises(AttributeError):
+            b.entries = ()
+        with pytest.raises(AttributeError):
+            del b.entries
+        with pytest.raises(AttributeError):
+            b.other = 1
+        assert not hasattr(b, "__dict__")  # slotted: no per-value dict
+
+
+def test_values_and_results_survive_copy_and_pickle_and_refuse_writes():
+    # A slotted class that refuses writes needs its own __reduce__ for all three.
+    r = parse_rational("19/47")
+    rep = represent(r)
+    report = verify(rep.m, rep.n, r)
+    report.common_value  # a cached value travels along
+    for value in (factor(12), r, rep, report, brute_force_minimal(r, 20000)):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value
+        with pytest.raises(AttributeError):
+            value.other = 1
     with pytest.raises(AttributeError):
-        a.entries = ()
+        report.common_value = 0  # the cache is written only by reading it
 
 
 # --- the literal reader against a per-term reference -------------------------

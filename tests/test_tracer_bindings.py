@@ -30,7 +30,12 @@ def traced_run(workload: str) -> dict:
 
 
 def test_traced_run_finds_every_entry_point():
-    assert traced_run("small_ratios")["correct"] is True
+    report = traced_run("small_ratios")
+    assert report["correct"] is True
+    # Objects are counted by wrapping __post_init__: a constructor that stopped
+    # calling it would read 0 here without listing anything as missing.
+    assert report["metrics"]["factored.objects_built"]["value"] > 0
+    assert report["metrics"]["factored.entries_built"]["value"] > 0
 
 
 def test_traced_run_sees_the_cli_commands():
