@@ -1,4 +1,12 @@
-"""Exceptions raised by phisq."""
+"""Exceptions raised by phisq, and how a refusal names a number."""
+
+
+def shown(n: int, noun: str) -> str:
+    """n as written below 10**49, else "a D-digit <noun>"; D is counted without str(), which refuses huge n."""
+    d = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # at most D, as log10(2) > 0.30102999
+    while n >= 10**d:
+        d += 1
+    return str(n) if d < 50 else f"a {d}-digit {noun}"
 
 
 class PhisqError(Exception):

@@ -11,8 +11,9 @@ parsers run the one validator (exact primality, order, exponent range, sign);
 factor(), which also reads the parsers' plain numerals, trusts factorize,
 which certifies every prime it returns.  Results computed inside the package
 from valid values (products, inverses, numerator and denominator, totients,
-the construction's m and n) are canonical by construction and skip it;
-exponents that grow still report overflow (_merge, _trusted_integer).
+the construction's m and n) are canonical by construction and skip it.  A
+computed prime -> exponent map (products, totients, verify's ratio) becomes a
+value through _checked alone, which sorts it, drops zeros and reports overflow.
 
 Values render as (and parse from) the literal grammar
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import compress
 from math import prod
 
 from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
@@ -46,28 +48,6 @@ def check_exponent(p: int, e: int) -> None:
         raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
 
 
-def _merge(a, b) -> tuple[tuple[int, int], ...]:
-    """Exponent-wise sum of the entries a and b, zeros removed."""
-    acc = dict(a)
-    for p, e in b:
-        s = acc.get(p, 0) + e
-        if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
-            check_exponent(p, s)
-        if s == 0:
-            acc.pop(p, None)
-        else:
-            acc[p] = s
-    return _entries(acc)
-
-
-def _entries(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """acc's (prime, exponent) pairs in ascending order of prime.
-
-    The keys are distinct, so sorting them alone gives the order of the pairs.
-    """
-    return tuple([(p, acc[p]) for p in sorted(acc)])
-
-
 def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     """An instance of cls holding entries already known to be canonical, unchecked."""
     obj = object.__new__(cls)
@@ -75,13 +55,14 @@ def _canonical(cls, entries: tuple[tuple[int, int], ...]):
     return obj
 
 
-def _trusted_integer(acc: dict[int, int]) -> FactoredInteger:
-    """A FactoredInteger of a map of known primes to exponents >= 1; checks only the range."""
-    # One max(), and a walk only past the limit, to name the prime.
-    if acc and max(acc.values()) > EXPONENT_LIMIT:
-        for p in sorted(acc):
-            check_exponent(p, acc[p])
-    return _canonical(FactoredInteger, _entries(acc))
+def _checked(cls, acc: dict[int, int]):
+    """A cls of a map of known primes to exponents, sorted, with zeros dropped and the range checked."""
+    keys = sorted(acc)
+    exps = list(map(acc.__getitem__, keys))
+    if exps and (max(exps) > EXPONENT_LIMIT or min(exps) < -EXPONENT_LIMIT):
+        for p, e in zip(keys, exps):  # ascending, so the least prime past the limit is named
+            check_exponent(p, e)
+    return _canonical(cls, tuple(compress(zip(keys, exps), exps)))
 
 
 class FactoredRational:
@@ -147,8 +128,10 @@ class FactoredRational:
         """The product; an integer when both factors are integers."""
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        cls = FactoredInteger if self._integral and other._integral else FactoredRational
-        return _canonical(cls, _merge(self.entries, other.entries))
+        acc = dict(self.entries)
+        for p, e in other.entries:
+            acc[p] = acc.get(p, 0) + e
+        return _checked(FactoredInteger if self._integral and other._integral else FactoredRational, acc)
 
     def inverse(self) -> FactoredRational:
         return _canonical(FactoredRational, tuple((p, -e) for p, e in self.entries))

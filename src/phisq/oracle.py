@@ -21,7 +21,7 @@ from math import isqrt
 from operator import mul
 from random import Random
 
-from .errors import ParseError, UnsupportedScaleError
+from .errors import ParseError, UnsupportedScaleError, shown
 from .factored import FactoredRational
 from .primes import primes_up_to
 
@@ -54,8 +54,7 @@ def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
     prime.
     """
     if limit > _SIEVE_CAP:
-        shown = f"a {len(str(limit))}-digit limit" if limit >= 10**49 else limit  # not echoed in full
-        raise UnsupportedScaleError(f"a totient sieve to {shown} exceeds the cap of {_SIEVE_CAP}")
+        raise UnsupportedScaleError(f"a totient sieve to {shown(limit, 'limit')} exceeds the cap of {_SIEVE_CAP}")
     phi = [] if phi is None else phi
     phi += range(len(phi), min(limit + 1, 2))  # phi(0) = 0, phi(1) = 1
     lo = len(phi)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from random import Random
 
-from .errors import FactorizationFailure, UnsupportedScaleError
+from .errors import FactorizationFailure, UnsupportedScaleError, shown
 
 # Largest n for which the base set below is a proven-exact Miller-Rabin test.
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
@@ -69,7 +69,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= PRIMALITY_BOUND:
         raise UnsupportedScaleError(
-            f"cannot certify primality of {n}: >= deterministic bound {PRIMALITY_BOUND}"
+            f"cannot certify primality of {shown(n, 'number')}: >= deterministic bound {PRIMALITY_BOUND}"
         )
     d = n - 1
     s = (d & -d).bit_length() - 1

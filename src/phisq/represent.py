@@ -27,7 +27,7 @@ verify builds the exponents of phi(m^2)/phi(n^2) in one pass over m and n.
 A prime p on one side, with exponent a, adds +/-(2a - 1) to p and +/- the
 factors of p - 1; a prime on both sides, a in m and b in n, adds only
 2(a - b) to p, because its two p - 1 factors cancel and are never looked up.
-Each side's 2a - 1 and each exponent of the result are range-checked; a
+Each side's 2a - 1 is range-checked, and the result is built by _checked; a
 refusal names the side's own exponent, as phi(m^2) or phi(n^2) holds it. Both
 results are named tuples; the report's common_value is expanded when first read,
 as prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no
@@ -37,11 +37,11 @@ p - 1 either.
 from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import prod
 
+from .errors import ExponentOverflowError
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
-from .factored import _canonical
+from .factored import _canonical, _checked
 from .primes import _factor_p_minus_1
 from .totient import totient_of_square
 
@@ -124,7 +124,7 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
     get = acc.get
     rest = dict(n.entries)
     pop = rest.pop
-    past = False  # whether some side's 2a - 1 leaves the exponent range
+    past = False  # whether some side's 2a - 1, or an exponent of the difference, leaves the range
     for p, a in m.entries:
         b = pop(p, 0)
         if a > _HALF_LIMIT or b > _HALF_LIMIT:
@@ -142,13 +142,14 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
         acc[p] = get(p, 0) - 2 * b + 1
         for q, c in _factor_p_minus_1(p):
             acc[q] = get(q, 0) - c
-    keys = sorted(acc)
-    exps = list(map(acc.__getitem__, keys))
-    if past or (exps and (max(exps) > EXPONENT_LIMIT or min(exps) < -EXPONENT_LIMIT)):
+    try:
+        lhs = _checked(FactoredRational, acc)
+    except ExponentOverflowError:
+        past = True  # the difference's exponent may be negative: a side names its own below
+    if past:
         # An exponent of the difference leaves the range only where one side's
         # own does; so one of these raises, naming that side's positive exponent.
         for f in (m, n):
             totient_of_square(f)
         raise AssertionError("an exponent past the limit on neither side")
-    lhs = _canonical(FactoredRational, tuple(compress(zip(keys, exps), exps)))
     return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)

@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,22 @@ def test_factor_command(capsys):
     code, body = run_json(capsys, "factor", "55836")
     assert body["factors"] == {"2": 2, "3": 3, "11": 1, "47": 1}
     assert body["value"] == 55836
+
+
+def test_factor_names_a_huge_cofactor_by_its_digit_count(capsys):
+    # 10^3000 + 1 leaves a cofactor of about 3000 digits past the primality bound.
+    message = r"cannot certify primality of a \d+-digit number: >= deterministic bound \d+"
+    code, out, err = run(capsys, "factor", str(10**3000 + 1))
+    assert code == EXIT_UNSUPPORTED_SCALE
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", err)
+    assert len(err) < 200
+    # The record's "input" echoes the argument as given; its "error" stays short.
+    code, body = run_json(capsys, "factor", str(10**3000 + 1))
+    assert code == EXIT_UNSUPPORTED_SCALE
+    assert body["status"] == "unsupported_scale"
+    assert re.fullmatch(message, body["error"])
+    assert len(body["error"]) < 200
 
 
 def test_factor_refuses_non_ascii_digits_by_its_own_rule(capsys):

@@ -19,7 +19,7 @@ from phisq.factored import (
     parse_rational,
 )
 from phisq.oracle import brute_force_minimal
-from phisq.primes import factorize, is_prime
+from phisq.primes import PRIMALITY_BOUND, factorize, is_prime
 from phisq.represent import represent, verify
 
 
@@ -198,6 +198,37 @@ def test_mul_exponent_overflow_is_reported():
     a = rational_of({2: EXPONENT_LIMIT})
     with pytest.raises(ExponentOverflowError):
         a * a
+    # Past the limit at two primes, the smaller is named, whichever factor brings it.
+    twice = rational_of({2: EXPONENT_LIMIT, 3: -EXPONENT_LIMIT})
+    for x, y in ((twice, twice), (twice, rational_of({2: 1, 3: -1})), (rational_of({2: 1, 3: -1}), twice)):
+        with pytest.raises(ExponentOverflowError) as info:
+            x * y
+        assert str(info.value) == f"exponent {x.factors[2] + y.factors[2]} for prime 2 exceeds +/-{EXPONENT_LIMIT}"
+    with pytest.raises(ExponentOverflowError) as info:
+        rational_of({3: -EXPONENT_LIMIT}) * rational_of({2: 1, 3: -1})
+    assert str(info.value) == f"exponent {-EXPONENT_LIMIT - 1} for prime 3 exceeds +/-{EXPONENT_LIMIT}"
+    # A smaller prime cancelling to zero leaves the refusal standing.
+    with pytest.raises(ExponentOverflowError) as info:
+        rational_of({2: 5, 3: EXPONENT_LIMIT}) * rational_of({2: -5, 3: 1})
+    assert str(info.value) == f"exponent {EXPONENT_LIMIT + 1} for prime 3 exceeds +/-{EXPONENT_LIMIT}"
+    # One below the limit on either side, the product answers, at the limit.
+    high = factor(2) * FactoredInteger(((2, EXPONENT_LIMIT - 1), (3, 1)))
+    assert type(high) is FactoredInteger and high == FactoredInteger(((2, EXPONENT_LIMIT), (3, 1)))
+    low = rational_of({2: 1 - EXPONENT_LIMIT, 3: 4}) * rational_of({2: -1, 3: -4})
+    assert low == rational_of({2: -EXPONENT_LIMIT})
+
+
+def test_scale_refusals_name_a_huge_number_by_its_digit_count():
+    # From 10**49 on, a number is named by its digit count, counted without
+    # str(), which raises ValueError past 4300 digits; below, it is echoed.
+    bound = f": >= deterministic bound {PRIMALITY_BOUND}"
+    with pytest.raises(UnsupportedScaleError) as info:
+        factor(2**127 - 1)
+    assert str(info.value) == f"cannot certify primality of {2**127 - 1}{bound}"
+    for n, digits in ((10**3000 + 1, 2983), (10**5000 + 1, 4989)):
+        with pytest.raises(UnsupportedScaleError) as info:
+            factor(n)
+        assert str(info.value) == f"cannot certify primality of a {digits}-digit number{bound}"
 
 
 # --- parsing ---

@@ -269,6 +269,14 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
     assert table == old_table and kept == old_kept and len(table) == 3001
 
 
+def test_the_sieve_names_a_huge_limit_by_its_digit_count():
+    # Counted without str(), which raises ValueError past 4300 digits.
+    for limit, shown in ((10**49 - 1, str(10**49 - 1)), (10**49, "a 50-digit limit"), (10**5000, "a 5001-digit limit")):
+        with pytest.raises(UnsupportedScaleError) as info:
+            sieve_totients(limit)
+        assert str(info.value) == f"a totient sieve to {shown} exceeds the cap of {oracle._SIEVE_CAP}"
+
+
 def test_the_table_needs_nothing_from_the_factored_path(monkeypatch):
     # The selftest checks the factored path against this table, which must not
     # lean on the primes module it is checking.

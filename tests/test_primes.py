@@ -52,6 +52,13 @@ def test_primality_beyond_bound_raises():
         is_prime(M127)
     with pytest.raises(UnsupportedScaleError):
         is_prime(PRIMALITY_BOUND)
+    # Echoed below 10**49, named by its digit count from there on.
+    below, above = 10**49 - 9, 10**49 + 9  # neither has a factor among the bases
+    bound = f">= deterministic bound {PRIMALITY_BOUND}"
+    for n, shown in ((below, str(below)), (above, "a 50-digit number"), (M127**200, "a 7647-digit number")):
+        with pytest.raises(UnsupportedScaleError) as info:
+            is_prime(n)
+        assert str(info.value) == f"cannot certify primality of {shown}: {bound}"
 
 
 def test_factorize_round_trip_exhaustive():

@@ -66,6 +66,15 @@ def test_exponent_overflow_is_reported():
     with pytest.raises(ExponentOverflowError):
         totient(FactoredInteger(((2, EXPONENT_LIMIT), (5, 1))))
     assert totient(FactoredInteger(((2, EXPONENT_LIMIT), (3, 1)))).factors == {2: EXPONENT_LIMIT}
+    # Past the limit at two primes, the smaller is named: 2 at 2^63 + 1 from
+    # itself and 3 - 1 = 2 on top, 3 at 2^63 + 1.
+    with pytest.raises(ExponentOverflowError) as info:
+        totient_of_square(FactoredInteger(((2, 2**62 + 1), (3, 2**62 + 1))))
+    assert str(info.value) == f"exponent {2**63 + 2} for prime 2 exceeds +/-{EXPONENT_LIMIT}"
+    # 5 - 1 = 2^2 and 19 - 1 = 2 * 3^2 push both 2 and 3 past it.
+    with pytest.raises(ExponentOverflowError) as info:
+        totient(FactoredInteger(((2, EXPONENT_LIMIT), (3, EXPONENT_LIMIT), (5, 1), (19, 1))))
+    assert str(info.value) == f"exponent {EXPONENT_LIMIT + 3} for prime 2 exceeds +/-{EXPONENT_LIMIT}"
 
 
 def test_phi_square_value_fixtures():
