@@ -30,7 +30,7 @@ import sys
 from itertools import compress
 from math import prod
 
-from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
+from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
 from .primes import factorize, is_prime
 
 # Exponents are kept inside the signed 64-bit range; arithmetic that would
@@ -79,7 +79,7 @@ class FactoredRational:
         previous = 1
         for p, e in self.entries:
             if not is_prime(p):
-                raise ParseError(f"base {p} is not prime")
+                raise ParseError(f"base {shown(p, 'number')} is not prime")
             if p <= previous:
                 raise ParseError(f"prime keys must be distinct and ascending, got {p} after {previous}")
             if e == 0:
@@ -216,7 +216,7 @@ def _parse_literal(text: str, cls):
         base_s, exp_s = match.groups()
         p = _decimal(base_s)
         if p in acc:
-            raise ParseError(f"prime {p} appears more than once")
+            raise ParseError(f"prime {shown(p, 'number')} appears more than once")
         acc[p] = _decimal(exp_s)
     return cls.from_factors(acc)
 

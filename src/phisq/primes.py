@@ -1,10 +1,13 @@
 """Exact primality testing and integer factorization at desk scale.
 
-Primality is decided by Miller-Rabin with the first 13 primes as bases, a
-combination verified to be a complete test for every n below
-3,317,044,064,679,887,385,961,981 (about 3.3e24).  Nothing probabilistic is
-ever accepted: numbers at or above that bound raise UnsupportedScaleError
-instead of getting a "probably prime" answer.
+Primality is decided by Miller-Rabin with the first k primes as bases, k
+chosen from n by OEIS A014233, whose k-th entry is the least odd composite
+that is a strong pseudoprime to the first k prime bases (Jaeschke, Math.
+Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).  Below that
+entry the first k bases are a complete test, so a 40-bit n needs 5 bases,
+and every n below 3,317,044,064,679,887,385,961,981 (about 3.3e24) at most
+13.  Nothing probabilistic is ever accepted: numbers at or above that bound
+raise UnsupportedScaleError instead of getting a "probably prime" answer.
 
 Factorization finds the primes below TRIAL_DIVISION_BOUND that full trial
 division by 2, 3 and the candidates 6k +- 1 would find, one stage at a time:
@@ -28,16 +31,33 @@ meet.  _factor_p_minus_1 factors each prime's p - 1 once per process, in an
 LRU cache bounded like is_prime's; a refusal is raised again, not cached.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from random import Random
 
 from .errors import FactorizationFailure, UnsupportedScaleError, shown
 
-# Largest n for which the base set below is a proven-exact Miller-Rabin test.
+# psi_13 of OEIS A014233: the 13 bases below are a proven-exact test below it.
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_1 .. psi_12 of OEIS A014233: psi_k is the least odd composite that passes
+# the first k bases, so any n below it needs only those; psi_13 is the bound.
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 TRIAL_DIVISION_BOUND = 10**6
 # Full trial division tries f and f + 2 for f = 5, 11, 17, ... up to the
@@ -74,7 +94,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -110,7 +130,7 @@ def _rho_split(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -120,7 +140,7 @@ def _rho_split(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if 1 < g < n:
             return g
     raise FactorizationFailure(

@@ -125,6 +125,21 @@ def test_factor_names_a_huge_cofactor_by_its_digit_count(capsys):
     assert len(body["error"]) < 200
 
 
+def test_literal_refusals_name_a_huge_base_by_its_digit_count(capsys):
+    ones = "1" * 4000  # divisible by 11, so refused as not prime
+    for literal, message in (
+        (f"{ones}^1", "base a 4000-digit number is not prime"),
+        (f"{ones}^1 * {ones}^2", "prime a 4000-digit number appears more than once"),
+    ):
+        code, out, err = run(capsys, "represent", literal)
+        assert (code, out, err) == (EXIT_PARSE_ERROR, "", f"error: {message}\n")
+        assert len(err) < 200
+        # The record's "input" echoes the argument as given; its "error" stays short.
+        code, body = run_json(capsys, "represent", literal)
+        assert code == EXIT_PARSE_ERROR
+        assert (body["status"], body["error"]) == ("parse_error", message)
+
+
 def test_factor_refuses_non_ascii_digits_by_its_own_rule(capsys):
     # "²" is a digit to str.isdigit but not to the numeral grammar.
     for text in ("²", "1²"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phisq.factored
-from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError
+from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
 from phisq.factored import (
     EXPONENT_LIMIT,
     FactoredInteger,
@@ -352,7 +352,7 @@ def reference_literal(text, cls):
             raise ParseError(f"exponent {exp!r} must be a signed integer")
         p = reference_int(base)
         if p in acc:
-            raise ParseError(f"prime {p} appears more than once")
+            raise ParseError(f"prime {shown(p, 'number')} appears more than once")
         acc[p] = reference_int(exp)
     return cls.from_factors(acc)
 

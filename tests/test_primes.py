@@ -38,7 +38,87 @@ def test_carmichael_and_strong_pseudoprimes_rejected():
     assert not is_prime(561)
     assert not is_prime(41041)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
-    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..31
+
+
+# --- Miller-Rabin bases chosen by n's size ------------------------------------
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least prime factor of each psi_k of OEIS A014233, psi_13 included.
+PSI_FACTOR = {
+    2047: 23,
+    1373653: 829,
+    25326001: 2251,
+    3215031751: 151,
+    2152302898747: 6763,
+    3474749660383: 1303,
+    341550071728321: 10670053,
+    3825123056546413051: 149491,
+    318665857834031151167461: 399165290221,
+    3317044064679887385961981: 1287836182261,
+}
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > a passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def all_bases_is_prime(n):
+    """Primality by all 13 bases, whatever n's size: the test is_prime must agree with."""
+    if n < 2:
+        return False
+    for p in BASES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in BASES)
+
+
+def test_psi_table_is_consistent():
+    psi = primes._MR_PSI + (PRIMALITY_BOUND,)
+    assert primes._MR_BASES == BASES
+    assert len(psi) == len(BASES)
+    assert list(psi) == sorted(psi)
+    for n in psi:
+        f = PSI_FACTOR[n]
+        assert 1 < f < n and n % f == 0
+        # psi_k passes the first k bases and fails the next; a value listed
+        # j times passes j more.
+        passed = 0
+        while passed < len(BASES) and strong_probable_prime(n, BASES[passed]):
+            passed += 1
+        assert passed == psi.count(n) + psi.index(n), n
+
+
+def test_each_psi_is_refused_and_its_neighbours_match_all_bases():
+    for psi in primes._MR_PSI:
+        assert not is_prime(psi), psi
+        for d in (-4, -2, 2, 4):
+            assert is_prime(psi + d) == all_bases_is_prime(psi + d), psi + d
+    for d in (-4, -2):
+        assert is_prime(PRIMALITY_BOUND + d) == all_bases_is_prime(PRIMALITY_BOUND + d)
+
+
+def test_strong_pseudoprimes_to_base_2_below_2e5_are_refused():
+    limit = 2 * 10**5
+    sieve = bytearray([1]) * limit
+    for p in range(2, 448):
+        sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    pseudoprimes = [n for n in range(3, limit, 2) if not sieve[n] and strong_probable_prime(n, 2)]
+    assert pseudoprimes[0] == primes._MR_PSI[0] == 2047
+    assert len(pseudoprimes) == 19  # OEIS A001262 below 2 * 10**5
+    for n in pseudoprimes:
+        assert not is_prime(n), n
 
 
 def test_large_primes_below_bound():
@@ -124,6 +204,27 @@ def test_factorize_reports_exhausted_budget(monkeypatch):
     monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
     with pytest.raises(FactorizationFailure):
         factorize(1000003 * 1000033)
+
+
+# Products of two primes and the factor _rho_split returns for each; the last
+# two end their walk with g == n and backtrack.
+RHO_SPLITS = [
+    (1048583 * 2097169, 1048583),
+    (33554467 * 33554501, 33554467),
+    (268435459 * 2147483659, 268435459),
+    (845102747 * 7541879063, 845102747),
+    (2788373123 * 8347702141, 2788373123),
+    (8165354051 * 9077199101, 9077199101),
+    (13944972719 * 27785488559, 27785488559),
+    (18660026393 * 31589644859, 31589644859),
+    (756097 * 1048123, 1048123),
+    (572179 * 1015601, 1015601),
+]
+
+
+@pytest.mark.parametrize("n, factor", RHO_SPLITS)
+def test_rho_split_returns_the_recorded_factor(n, factor):
+    assert primes._rho_split(n) == factor
 
 
 def test_factorize_beyond_primality_bound_raises():

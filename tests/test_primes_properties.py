@@ -10,13 +10,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from phisq.primes import (  # noqa: E402
+    PRIMALITY_BOUND,
     TRIAL_DIVISION_BOUND,
     _factor_p_minus_1,
     factorize,
     is_prime,
     primes_up_to,
 )
-from test_primes import reference_factorize  # noqa: E402
+from test_primes import all_bases_is_prime, reference_factorize  # noqa: E402
 
 
 def _next_prime(n: int) -> int:
@@ -27,6 +28,20 @@ def _next_prime(n: int) -> int:
 
 def _primes(lo: int, hi: int):
     return st.integers(min_value=lo, max_value=hi).map(_next_prime)
+
+
+# n log-uniform below the bound: a bit length first, then n of that length.
+BELOW_BOUND = st.integers(1, PRIMALITY_BOUND.bit_length()).flatmap(
+    lambda b: st.integers(1 << (b - 1), min(1 << b, PRIMALITY_BOUND) - 1)
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(BELOW_BOUND)
+@example(2**61 - 1)
+@example(PRIMALITY_BOUND - 2)
+def test_is_prime_agrees_with_all_13_bases(n):
+    assert is_prime(n) == all_bases_is_prime(n)
 
 
 # Primes below the trial-division bound with multiplicities, and at most two
