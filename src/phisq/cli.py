@@ -132,10 +132,15 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
+def _cut(text: str) -> str:
+    """text, or past 100 characters its first 50 and its length."""
+    return text if len(text) <= 100 else f"{text[:50]}... ({len(text)} characters)"
+
+
 def cmd_factor(args: argparse.Namespace) -> Result:
     s = args.n.strip()
     if not s.isdecimal():
-        raise ParseError(f"factor takes a plain positive integer, got {args.n!r}")
+        raise ParseError(f"factor takes a plain positive integer, got {_cut(args.n)!r}")
     f = parse_integer(s)
     payload = {"factors": _factors_obj(f), "value": f.value()}
     lines = [f"input: {args.n}", f"factors: {f}"]
@@ -270,10 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output(args: argparse.Namespace, code: int, payload: dict, lines: list[str]) -> str:
-    """The plain lines, or under --json one record: command, input, status, then the payload."""
+    """The plain lines, or under --json one record: command, input (_cut in a refusal), status, payload."""
     if not args.json:
         return "\n".join(lines)
     echo = args.echo.format_map(vars(args))
+    if "error" in payload:
+        echo = _cut(echo)
     return json.dumps({"command": args.command, "input": echo, "status": STATUS[code], **payload})
 
 

@@ -19,13 +19,12 @@ Values render as (and parse from) the literal grammar
 
     term ("*" term)*        term = <nat> "^" <signed int>
 
-so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  One regex match
-reads each term; only a term it refuses is taken apart to name the wrong part.
+so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  Each term is
+read once, by partition, strip and isdecimal; a refusal names its first wrong part.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from itertools import compress
 from math import prod
@@ -164,17 +163,11 @@ class FactoredInteger(FactoredRational):
         """Expand back to the ordinary integer."""
         return prod(p**e for p, e in self.entries)
 
-    __int__ = value
-
 
 def factor(n: int) -> FactoredInteger:
     """Factor a positive integer into canonical form; factorize certifies every prime,
     returns them ascending, and each exponent is below n.bit_length()."""
     return _canonical(FactoredInteger, tuple(factorize(n).items()))
-
-
-_NAT_RE = re.compile(r"\d+")
-_TERM_RE = re.compile(r"\s*(\d+)\s*\^\s*([+-]?\d+)\s*")
 
 
 def _decimal(text: str) -> int:
@@ -193,7 +186,7 @@ def _decimal(text: str) -> int:
 
 def _parse_nat(text: str, what: str) -> int:
     s = text.strip()
-    if not _NAT_RE.fullmatch(s):
+    if not s.isdecimal():
         raise ParseError(f"{what} must be an unsigned integer, got {text!r}")
     n = _decimal(s)
     if n == 0:
@@ -205,20 +198,34 @@ def _parse_literal(text: str, cls):
     """A factored literal as a cls; the grammar is checked here, the values by cls."""
     acc: dict[int, int] = {}
     for term in text.split("*"):
-        match = _TERM_RE.fullmatch(term)
-        if match is None:
-            base_text, sep, exp_text = term.partition("^")
-            if not sep:
-                raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
-            if not _NAT_RE.fullmatch(base_text.strip()):
-                raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
-            raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
-        base_s, exp_s = match.groups()
-        p = _decimal(base_s)
+        base_text, sep, exp_text = term.partition("^")
+        if not sep:
+            raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+        base, exp = base_text.strip(), exp_text.strip()
+        if not base.isdecimal():
+            raise ParseError(f"base {base!r} must be an unsigned integer")
+        if not (exp[1:] if exp[:1] in ("+", "-") else exp).isdecimal():
+            raise ParseError(f"exponent {exp!r} must be a signed integer")
+        p = _decimal(base)
         if p in acc:
             raise ParseError(f"prime {shown(p, 'number')} appears more than once")
-        acc[p] = _decimal(exp_s)
+        acc[p] = _decimal(exp)
     return cls.from_factors(acc)
+
+
+def _parse(text: str, cls):
+    """A numeral, a factored literal or, when cls takes negative exponents, a fraction, as a cls."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty input")
+    if "^" in s:
+        return _parse_literal(s, cls)
+    if "/" in s and not cls._integral:
+        num_text, _, den_text = s.partition("/")
+        num = factor(_parse_nat(num_text, "numerator"))
+        den = factor(_parse_nat(den_text, "denominator"))
+        return num * den.inverse()
+    return factor(_parse_nat(s, "value"))
 
 
 def parse_rational(text: str) -> FactoredRational:
@@ -227,24 +234,9 @@ def parse_rational(text: str) -> FactoredRational:
     Fractions need not be in lowest terms; canonical form comes out of the
     exponent arithmetic.
     """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty input")
-    if "^" in s:
-        return _parse_literal(s, FactoredRational)
-    if "/" in s:
-        num_text, _, den_text = s.partition("/")
-        num = factor(_parse_nat(num_text, "numerator"))
-        den = factor(_parse_nat(den_text, "denominator"))
-        return num * den.inverse()
-    return factor(_parse_nat(s, "value"))
+    return _parse(text, FactoredRational)
 
 
 def parse_integer(text: str) -> FactoredInteger:
     """Parse "<nat>" or a factored literal with all exponents >= 1."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty input")
-    if "^" in s:
-        return _parse_literal(s, FactoredInteger)
-    return factor(_parse_nat(s, "value"))
+    return _parse(text, FactoredInteger)

@@ -146,18 +146,19 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     m < top, then n = v^-1(v[top] * q / p) with n <= top. The index is only
     exact if k -> phi(k^2) is injective below the bound (it is: OEIS
     A002618), and that is checked, not assumed: a collision raises
-    RuntimeError naming both k.
+    RuntimeError naming both k.  It guards only the answers that read the index.
     """
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
+    # A hit has p | phi(m^2) <= bound^2 and q | phi(n^2) <= bound^2, and a prime's bit length
+    # is at most twice its log2: a side past 4 * bits(bound) bits misses, unexpanded and
+    # unsieved.  A bound past the sieve cap is refused all the same, by the sieve.
+    num, den = r.numerator(), r.denominator()
+    if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length() and bound <= _SIEVE_CAP:
+        return SearchResult(found=False, m=None, n=None, bound=bound)
     v, index, collision = _index_phi_squares(bound)
     if collision is not None:
         raise RuntimeError(f"phi(k^2) collides at k = {collision[0]} and k = {collision[1]}")
-    # A hit has p | phi(m^2) <= bound^2 and q | phi(n^2) <= bound^2, and a prime's bit length
-    # is at most twice its log2: a side past 4 * bits(bound) bits misses, unexpanded.
-    num, den = r.numerator(), r.denominator()
-    if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length():
-        return SearchResult(found=False, m=None, n=None, bound=bound)
     p = num.value()
     q = den.value()
     # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].

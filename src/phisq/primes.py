@@ -16,15 +16,16 @@ takes one gcd g of the cofactor with the product of its primes.  g is small
 and squarefree, so it is split by the stage's candidates until c * c > g
 leaves a prime, and the cofactor is divided only by the primes found.  Before
 each block, a cofactor that changed and lies below the primality bound is
-tested with is_prime and, if prime, ends the factorization; trial division
-also ends once the next stage starts past the cofactor's square root.  No
-stage passes the last divisor full trial division would try, so the cofactor
-left over is exactly the one full trial division leaves.  That cofactor is
-then split with Brent's variant of Pollard's rho, certifying every piece
-prime before it is emitted.  The rho stage is seeded from the cofactor itself,
-so factorization is deterministic, and every result and every refusal
-(UnsupportedScaleError, FactorizationFailure, with their messages) is that of
-full trial division.
+tested with is_prime; a prime cofactor ends trial division, and so does the
+next stage starting past the cofactor's square root.  No stage passes the
+last divisor full trial division would try, so the cofactor left over is
+exactly the one full trial division leaves.  It, and every piece Brent's
+variant of Pollard's rho splits off it, has no prime factor below the first
+divisor f not tried, so one loop certifies each piece: below f * f it is
+prime, else is_prime decides and a composite is split again.  Rho is seeded
+from the cofactor, so factorization is deterministic, and every result and
+refusal (UnsupportedScaleError, FactorizationFailure, with their messages) is
+that of full trial division.
 
 The totients and the construction need p - 1 factored for each prime p they
 meet.  _factor_p_minus_1 factors each prime's p - 1 once per process, in an
@@ -215,24 +216,20 @@ def factorize(n: int) -> dict[int, int]:
         if n != tested and n < PRIMALITY_BOUND:
             tested = n
             if is_prime(n):
-                out[n] = 1
-                return dict(sorted(out.items()))
+                f = n  # n < f * f: certified below, not tested again
+                break
         stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
         product, candidates = _block_product(f), range(f, stop, 2)
-    if f * f > n:
-        # Trial division reached sqrt(n); the leftover, unless it is 1, is prime.
-        if n > 1:
-            out[n] = 1
-        return dict(sorted(out.items()))
-    stack = [n]
+    # n is 1, a prime, or a cofactor with no prime factor below f, and so is
+    # every piece rho splits off it: a piece below f * f is prime.
+    stack = [n] if n > 1 else []
     while stack:
         c = stack.pop()
-        if is_prime(c):
+        if c < f * f or is_prime(c):
             out[c] = out.get(c, 0) + 1
             continue
         d = _rho_split(c)
-        stack.append(d)
-        stack.append(c // d)
+        stack += d, c // d
     return dict(sorted(out.items()))
 
 

@@ -117,12 +117,15 @@ def test_factor_names_a_huge_cofactor_by_its_digit_count(capsys):
     assert out == ""
     assert re.fullmatch(f"error: {message}\n", err)
     assert len(err) < 200
-    # The record's "input" echoes the argument as given; its "error" stays short.
-    code, body = run_json(capsys, "factor", str(10**3000 + 1))
+    # The record's "error" stays short, and its "input", past 100 characters, is cut
+    # to its first 50 and the argument's length, so the whole line does too.
+    code, out, err = run(capsys, "factor", str(10**3000 + 1), "--json")
     assert code == EXIT_UNSUPPORTED_SCALE
+    assert out == "" and len(err) < 500
+    body = json.loads(err)
     assert body["status"] == "unsupported_scale"
     assert re.fullmatch(message, body["error"])
-    assert len(body["error"]) < 200
+    assert body["input"] == f"{'1' + '0' * 49}... (3001 characters)"
 
 
 def test_literal_refusals_name_a_huge_base_by_its_digit_count(capsys):
@@ -134,10 +137,11 @@ def test_literal_refusals_name_a_huge_base_by_its_digit_count(capsys):
         code, out, err = run(capsys, "represent", literal)
         assert (code, out, err) == (EXIT_PARSE_ERROR, "", f"error: {message}\n")
         assert len(err) < 200
-        # The record's "input" echoes the argument as given; its "error" stays short.
+        # The record's "error" is as short, and its "input" is cut to a head and the length.
         code, body = run_json(capsys, "represent", literal)
         assert code == EXIT_PARSE_ERROR
         assert (body["status"], body["error"]) == ("parse_error", message)
+        assert body["input"] == f"{ones[:50]}... ({len(literal)} characters)"
 
 
 def test_factor_refuses_non_ascii_digits_by_its_own_rule(capsys):
@@ -194,21 +198,22 @@ def test_search_none_under_bound_is_not_an_error(capsys):
 
 
 def test_search_answers_a_miss_without_expanding_a_huge_ratio():
-    # 2^99999999999999 expanded would take ~12 TB; under a 1 GB address space the
-    # miss must still come back, and quickly.
+    # 2^99999999999999 expanded would take ~12 TB, and the index to 10^7 ~1.1 GB; under
+    # a 1 GB address space the miss must still come back, and quickly.
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
         "from phisq.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "search", "2^99999999999999", "--bound", "10", "--json"],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    body = json.loads(proc.stdout)
-    assert (body["status"], body["bound"], body["found"], body["m"], body["n"]) == ("ok", 10, False, None, None)
+    for bound in (10, 10000000):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "search", "2^99999999999999", "--bound", str(bound), "--json"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        body = json.loads(proc.stdout)
+        assert (body["status"], body["bound"], body["found"], body["m"], body["n"]) == ("ok", bound, False, None, None)
 
 
 def test_search_requires_bound(capsys):
@@ -318,8 +323,9 @@ def test_usage_errors_honour_json(capsys):
 
 
 def test_sieve_past_the_cap_exits_2(capsys):
-    # Refused before the sieve is allocated, so this costs nothing. A limit of 50
-    # or more digits is named by its digit count, not echoed in full.
+    # Refused before the sieve is allocated, so this costs nothing, also for a ratio
+    # whose size alone proves a miss. A limit of 50 or more digits is named by its
+    # digit count, not echoed in full.
     cases = {
         "10000001": "a totient sieve to 10000001 exceeds the cap of 10000000",
         str(10**49 - 1): f"a totient sieve to {10**49 - 1} exceeds the cap of 10000000",
@@ -327,7 +333,7 @@ def test_sieve_past_the_cap_exits_2(capsys):
         "1" * 4001: "a totient sieve to a 4001-digit limit exceeds the cap of 10000000",
     }
     for limit, message in cases.items():
-        for argv in (["sequence", limit], ["search", "3", "--bound", limit]):
+        for argv in (["sequence", limit], ["search", "3", "--bound", limit], ["search", "2^99999", "--bound", limit]):
             code, out, err = run(capsys, *argv)
             assert code == EXIT_UNSUPPORTED_SCALE
             assert out == ""

@@ -1,9 +1,12 @@
 import copy
 import pickle
 import random
+import re
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,8 @@ def next_prime(n):
         n += 1
     return n
 
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PRIMES_TO_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -335,26 +340,54 @@ def test_values_and_results_survive_copy_and_pickle_and_refuse_writes():
         report.common_value = 0  # the cache is written only by reading it
 
 
-# --- the literal reader against a per-term reference -------------------------
+# --- the parsers against the regexes that once read the grammar ------------
+
+# A term is matched whole by TERM_RE; a term it refuses is taken apart to name
+# the wrong part, with NAT_RE for the base.
+NAT_RE = re.compile(r"\d+")
+TERM_RE = re.compile(r"\s*(\d+)\s*\^\s*([+-]?\d+)\s*")
+
 
 def reference_literal(text, cls):
-    """The literal grammar read term by term with split, partition, strip and int."""
+    """The literal grammar read term by term with the regexes."""
     acc = {}
     for term in text.split("*"):
-        base_text, sep, exp_text = term.partition("^")
-        if not sep:
-            raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
-        base, exp = base_text.strip(), exp_text.strip()
-        if not base.isdecimal():
-            raise ParseError(f"base {base!r} must be an unsigned integer")
-        digits = exp[1:] if exp[:1] in ("+", "-") else exp
-        if not digits.isdecimal():
-            raise ParseError(f"exponent {exp!r} must be a signed integer")
-        p = reference_int(base)
+        match = TERM_RE.fullmatch(term)
+        if match is None:
+            base_text, sep, exp_text = term.partition("^")
+            if not sep:
+                raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+            if not NAT_RE.fullmatch(base_text.strip()):
+                raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
+            raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
+        p = reference_int(match[1])
         if p in acc:
             raise ParseError(f"prime {shown(p, 'number')} appears more than once")
-        acc[p] = reference_int(exp)
+        acc[p] = reference_int(match[2])
     return cls.from_factors(acc)
+
+
+def reference_nat(text, what):
+    s = text.strip()
+    if not NAT_RE.fullmatch(s):
+        raise ParseError(f"{what} must be an unsigned integer, got {text!r}")
+    n = reference_int(s)
+    if n == 0:
+        raise ZeroValueError(f"{what} must be positive, got 0")
+    return n
+
+
+def reference_parse(text, cls):
+    """parse_rational (cls FactoredRational) or parse_integer (FactoredInteger), with the regexes."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty input")
+    if "^" in s:
+        return reference_literal(s, cls)
+    if "/" in s and cls is FactoredRational:
+        num_text, _, den_text = s.partition("/")
+        return factor(reference_nat(num_text, "numerator")) * factor(reference_nat(den_text, "denominator")).inverse()
+    return factor(reference_nat(s, "value"))
 
 
 def reference_int(numeral):
@@ -386,11 +419,13 @@ def int_digit_limit(limit):
 
 
 # ASCII and non-ASCII digits (Arabic-Indic three, fullwidth five), Unicode
-# whitespace that str.strip() removes, signs and the two operators.
-LITERAL_ALPHABET = "0123579٣５  \x1c \t+-^*x"
+# whitespace that str.strip() removes, signs, the three operators, "_", which
+# int() would read as a digit separator, and "²", a digit to str.isdigit only.
+PARSE_ALPHABET = "²0123579٣５  \x1c \t+-^*/_x"
 SPACE = st.text("  \x1c \t", max_size=2)
 SMALL_NUMERAL = st.one_of(
-    st.sampled_from(("2", "3", "5", "7", "٣", "５", "1٣", "97")), st.text("0123579٣５", min_size=1, max_size=3)
+    st.sampled_from(("2", "3", "5", "7", "٣", "５", "1٣", "97", "²", "1_3")),
+    st.text("0123579٣５", min_size=1, max_size=3),
 )
 
 
@@ -400,22 +435,41 @@ def near_literals(draw):
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         base = "0" * draw(st.sampled_from((0, 0, 638, 639))) + draw(SMALL_NUMERAL)
-        exp = draw(st.sampled_from(("", "+", "-"))) + "0" * draw(st.sampled_from((0, 0, 639))) + draw(SMALL_NUMERAL)
+        sign = draw(st.sampled_from(("", "", "+", "-", "--", "+-")))
+        exp = sign + "0" * draw(st.sampled_from((0, 0, 639))) + draw(SMALL_NUMERAL)
         term = draw(SPACE) + base + draw(SPACE) + "^" + draw(SPACE) + exp + draw(SPACE)
         terms.append(draw(st.sampled_from((term,) * 6 + (term.replace("^", ""), term + "^1", "x" + term))))
     return "*".join(terms)
 
 
-@settings(max_examples=400, deadline=None)
+# Plain numerals and fractions of them, as near_literals builds terms.
+NEAR_NUMERALS = st.tuples(SPACE, SMALL_NUMERAL, st.sampled_from(("", "/", "/ ")), SMALL_NUMERAL).map(
+    lambda parts: parts[0] + parts[1] + (parts[2] + parts[3] if parts[2] else "")
+)
+
+
+PARSERS = {FactoredRational: parse_rational, FactoredInteger: parse_integer}
+
+
+@settings(max_examples=500, deadline=None)
 @given(
-    st.one_of(st.text(LITERAL_ALPHABET, max_size=24), near_literals()),
+    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS),
     st.sampled_from((FactoredRational, FactoredInteger)),
     st.sampled_from((0, 640, 4300)),
 )
-def test_literal_reader_matches_per_term_reference(text, cls, limit):
+def test_parsers_match_the_regex_reference(text, cls, limit):
+    # parse_rational or parse_integer (by cls): the same value and class, or the same
+    # exception type and message, as the regexes give.
     with int_digit_limit(limit):
-        expected = literal_outcome(reference_literal, text, cls)
-        assert literal_outcome(phisq.factored._parse_literal, text, cls) == expected
+        expected = literal_outcome(reference_parse, text, cls)
+        assert literal_outcome(lambda t, c: PARSERS[c](t), text, cls) == expected
+
+
+def test_importing_phisq_loads_no_re():
+    # -S keeps site's own imports out, so the modules left are phisq's and Python's core.
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import phisq; print('re' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_duplicate_prime_is_refused_before_its_exponent_is_read():

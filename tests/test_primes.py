@@ -466,3 +466,49 @@ def test_repeated_primes_past_the_trial_bound_match_reference(rho_args):
     values = [1000003**2, 1000003**3, 1000003**2 * 1000033, 2**65 * 1000003**2 * 1000033]
     assert_matches_reference(values, rho_args)
     assert factorize(2**65 * 1000003**2 * 1000033) == {2: 65, 1000003: 2, 1000033: 1}
+
+
+# --- one certify-or-split loop after trial division --------------------------
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """The arguments of every is_prime call factorize makes, in order."""
+    calls = []
+    check = primes.is_prime
+
+    def recording(n):
+        calls.append(n)
+        return check(n)
+
+    monkeypatch.setattr(primes, "is_prime", recording)
+    return calls
+
+
+def test_rho_pieces_below_the_square_of_the_trial_end_are_not_tested(tested, rho_args):
+    # Every piece rho splits off has no prime factor below _TRIAL_END, so one
+    # below its square (just above 10^12) is prime without a test; only the
+    # composite cofactors are tested, and factors and rho arguments stay those
+    # of full trial division.
+    values = [
+        1000003 * 1000033,
+        2**5 * 1019 * 1000037 * 1000039,
+        1000003 * 999999999989,
+        1000003**2 * 1000033,
+        1000003 * 1000033 * 1000037,
+    ]
+    for n in values:
+        tested.clear()
+        result = outcome(factorize, n, rho_args)
+        calls = list(tested)
+        assert result == outcome(reference_factorize, n, rho_args), n
+        assert all(p < 10**12 for p in result[0])
+        assert calls and all(c >= primes._TRIAL_END**2 and not is_prime(c) for c in calls), (n, calls)
+
+
+def test_the_prime_that_ends_trial_division_is_tested_once(tested):
+    for n in (10**9 + 7, 2**5 * 1019 * (10**9 + 7), 3 * P40):
+        tested.clear()
+        factors = factorize(n)
+        assert tested == [max(factors)], n
+        assert factors == reference_factorize(n)
