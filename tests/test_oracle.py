@@ -1,4 +1,5 @@
 import functools
+import importlib
 import io
 import json
 import random
@@ -23,6 +24,10 @@ from phisq.oracle import (
     random_rational,
     sieve_totients,
 )
+from phisq.represent import represent
+
+# The module, not the function the package exports under the same name.
+represent_module = importlib.import_module("phisq.represent")
 
 
 @pytest.fixture(autouse=True)
@@ -283,13 +288,17 @@ def test_the_table_needs_nothing_from_the_factored_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called into the factored path")
 
+    r = parse_rational("19/47")
     monkeypatch.setattr(oracle, "primes_up_to", refuse)
     monkeypatch.setattr(primes, "factorize", refuse)
     monkeypatch.setattr(primes, "is_prime", refuse)
+    # The search is the construction's check, so it must not ask the construction either.
+    monkeypatch.setattr(represent_module, "represent", refuse)
     values = phi_square_sequence(20000)
     for k in [1, 2, 97, 1024, 9973, 10000, 19997, 20000]:
         assert values[k - 1] == k * euler_phi(k), k
     assert injectivity_scan(20000) is None
+    assert brute_force_minimal(r, 20000) == SearchResult(True, 13110, 18612, 20000)
 
 
 def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
@@ -490,6 +499,76 @@ def test_search_at_a_large_bound():
     # The minimal pair for 19/47 is the construction's own (13110, 18612).
     assert brute_force_minimal(parse_rational("19/47"), 100000) == SearchResult(True, 13110, 18612, 100000)
     assert not brute_force_minimal(parse_rational("19/47"), 18611).found
+
+
+def one_sided(m0, n0):
+    """The product of the primes that divide exactly one of m0 and n0 (each to some power)."""
+    g, a, b = gcd(m0, n0), m0, n0
+    while (d := gcd(a, g)) > 1:
+        a //= d
+    while (d := gcd(b, g)) > 1:
+        b //= d
+    return a * b
+
+
+def constructed(p, q):
+    """The construction's pair (m0, n0) for p/q, as integers."""
+    rep = represent(parse_rational(f"{p}/{q}"))
+    return rep.m.value(), rep.n.value()
+
+
+@functools.cache
+def pairs_to_200():
+    """Each reduced ratio p/q = phi(m^2)/phi(n^2) with m, n <= 200 -> the construction's
+    pair for it and every such (m, n), in the search's (max(m, n), m, n) order."""
+    v = [k * e for k, e in enumerate(classic_totients(200))]
+    pairs = {}
+    for top in range(1, 201):
+        for m, n in [(m, top) for m in range(1, top)] + [(top, n) for n in range(1, top + 1)]:
+            g = gcd(v[m], v[n])
+            pairs.setdefault((v[m] // g, v[n] // g), []).append((m, n))
+    return {pq: (constructed(*pq), found) for pq, found in pairs.items()}
+
+
+def test_the_search_finds_the_constructions_pair_first():
+    # Every ratio of pairs m, n <= 200: the construction's pair is the first the
+    # search meets, at a bound of its own top, and nothing lies below that top.
+    table = pairs_to_200()
+    assert len(table) == 30743
+    for (p, q), ((m0, n0), pairs) in table.items():
+        r = parse_rational(f"{p}/{q}")
+        top = max(m0, n0)
+        assert pairs[0] == (m0, n0), (p, q)
+        assert brute_force_minimal(r, top) == SearchResult(True, m0, n0, top), (p, q)
+        if top > 1:
+            assert brute_force_minimal(r, top - 1) == SearchResult(False, None, None, top - 1), (p, q)
+
+
+def test_every_pair_is_a_multiple_of_the_constructions_pair():
+    # The pairs of a ratio are exactly (k * m0, k * n0), k coprime to the primes
+    # that divide exactly one of m0, n0: none is missing and none is extra.
+    for (m0, n0), pairs in pairs_to_200().values():
+        allowed = one_sided(m0, n0)
+        multiples = [(k * m0, k * n0) for k in range(1, 200 // max(m0, n0) + 1) if gcd(k, allowed) == 1]
+        assert pairs == multiples, (m0, n0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 10**5), st.integers(1, 10**5))
+@example(39330, 55836)  # the selftest's pair for 19/47: 3 * (13110, 18612)
+@example(14476, 20010)
+@example(1, 1)
+def test_a_pair_up_to_1e5_is_a_multiple_of_the_least(m, n):
+    g = gcd(phi_sq(m), phi_sq(n))
+    p, q = phi_sq(m) // g, phi_sq(n) // g
+    m0, n0 = constructed(p, q)
+    k, rest = divmod(m, m0)
+    assert rest == 0 and n == k * n0 and gcd(k, one_sided(m0, n0)) == 1, (m0, n0)
+    r = parse_rational(f"{p}/{q}")
+    top = max(m0, n0)
+    assert brute_force_minimal(r, top) == SearchResult(True, m0, n0, top)
+    if top > 1:
+        assert not brute_force_minimal(r, top - 1).found
 
 
 def test_oracles_agree_with_sympy_totient():
