@@ -9,9 +9,11 @@ request past L extends both by the values phi(L+1..limit) alone, in place
 while limit <= 1 << 16 (the bound of the primes caches); a larger request
 extends copies, which serve that one request and are dropped.  Each request
 reads only v[1..limit] of its own limit, so a larger kept table never changes
-an answer.  The plain sequence text is rendered once per process in the same
-way: the decimal lines of v[1..K], K <= 1 << 16, are kept and grown by the
-values they lack, and a request slices them.
+an answer.  The search and the scan index v by value per call, in the loop
+that reads the index, so the search's index stops at the top of its answer.
+The plain sequence text is rendered once per process in the same way: the
+decimal lines of v[1..K], K <= 1 << 16, are kept and grown by the values they
+lack, and a request slices them.
 """
 
 from array import array
@@ -113,22 +115,16 @@ def phi_square_text(limit: int) -> str:
     return "\n".join([_text[1 : _digits[stop] + stop], *[str(x) for x in v[stop + 1 : limit + 1]]])
 
 
-def _index_phi_squares(limit: int) -> tuple[list[int], dict[int, int], tuple[int, int] | None]:
-    """The table v (see _phi_squares) and the index v[k] -> k for k <= limit,
-    built up to the first collision v[j] = v[k], j < k, returned third as (j, k)."""
-    v = _phi_squares(limit)
-    index: dict[int, int] = {}
-    for k in range(1, limit + 1):
-        if (j := index.setdefault(v[k], k)) != k:
-            return v, index, (j, k)
-    return v, index, None
-
-
 def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
         raise ParseError(f"limit must be >= 2, got {limit}")
-    return _index_phi_squares(limit)[2]
+    v = _phi_squares(limit)
+    index: dict[int, int] = {}
+    for k in range(1, limit + 1):
+        if (j := index.setdefault(v[k], k)) != k:
+            return j, k
+    return None
 
 
 class SearchResult(namedtuple("SearchResult", "found m n bound")):
@@ -138,15 +134,19 @@ class SearchResult(namedtuple("SearchResult", "found m n bound")):
 
 
 def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
-    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q, in O(bound) steps.
+    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q.
 
+    The sieve runs to the bound; the scan and its index stop at the hit's
+    top = max(m, n), so they take O(top) steps, and O(bound) for a miss.
     Pairs are taken in increasing (max(m, n), m, n) order, so the first hit
-    is the minimal one. Once v[k] = phi(k^2) is indexed by value, each
-    top = max(m, n) costs two exact lookups: m = v^-1(v[top] * p / q) with
-    m < top, then n = v^-1(v[top] * q / p) with n <= top. The index is only
-    exact if k -> phi(k^2) is injective below the bound (it is: OEIS
-    A002618), and that is checked, not assumed: a collision raises
-    RuntimeError naming both k.  It guards only the answers that read the index.
+    is the minimal one. One loop over top indexes v[top] = phi(top^2) by value
+    and then makes two exact lookups: m = v^-1(v[top] * p / q) with m < top,
+    then n = v^-1(v[top] * q / p) with n <= top. Every k a lookup can return
+    is already indexed, so the index never holds more than the answer reads.
+    It is only exact if k -> phi(k^2) is injective (it is: OEIS A002618), and
+    that is checked, not assumed: a collision at or below the answer's top
+    raises RuntimeError naming both k.  One past it is never read and never
+    seen; injectivity_scan checks its whole limit.
     """
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
@@ -156,14 +156,15 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     num, den = r.numerator(), r.denominator()
     if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length() and bound <= _SIEVE_CAP:
         return SearchResult(found=False, m=None, n=None, bound=bound)
-    v, index, collision = _index_phi_squares(bound)
-    if collision is not None:
-        raise RuntimeError(f"phi(k^2) collides at k = {collision[0]} and k = {collision[1]}")
+    v = _phi_squares(bound)
     p = num.value()
     q = den.value()
+    index: dict[int, int] = {}
     # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].
     for top in range(1, bound + 1):
         w = v[top]
+        if (j := index.setdefault(w, top)) != top:
+            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {top}")
         if not w % q and (m := index.get(w // q * p, top)) < top:  # the pair (m, top)
             return SearchResult(found=True, m=m, n=top, bound=bound)
         if not w % p and (n := index.get(w // p * q, top + 1)) <= top:  # the pair (top, n)

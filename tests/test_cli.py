@@ -197,23 +197,35 @@ def test_search_none_under_bound_is_not_an_error(capsys):
     assert body["m"] is None and body["n"] is None
 
 
-def test_search_answers_a_miss_without_expanding_a_huge_ratio():
-    # 2^99999999999999 expanded would take ~12 TB, and the index to 10^7 ~1.1 GB; under
-    # a 1 GB address space the miss must still come back, and quickly.
+def search_in_1_gb(ratio, bound, timeout):
+    """The --json record of `phisq search ratio --bound bound` in a child limited to a
+    1 GB address space, after asserting it exited 0; the timeout only guards a hang."""
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
         "from phisq.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "search", ratio, "--bound", str(bound), "--json"],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    body = json.loads(proc.stdout)
+    return body["status"], body["bound"], body["found"], body["m"], body["n"]
+
+
+def test_search_answers_a_miss_without_expanding_a_huge_ratio():
+    # 2^99999999999999 expanded would take ~12 TB, and the sieve to 10^7 ~0.8 GB; under
+    # a 1 GB address space the miss must still come back, and quickly.
     for bound in (10, 10000000):
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "search", "2^99999999999999", "--bound", str(bound), "--json"],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        body = json.loads(proc.stdout)
-        assert (body["status"], body["bound"], body["found"], body["m"], body["n"]) == ("ok", bound, False, None, None)
+        assert search_in_1_gb("2^99999999999999", bound, 30) == ("ok", bound, False, None, None)
+
+
+def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
+    # The sieve to 10^7 takes ~0.8 GB; the value index stops at the hit's top, 2,
+    # where an index of the whole bound would need another ~0.5 GB.
+    assert search_in_1_gb("1/2", 10000000, 600) == ("ok", 10000000, True, 1, 2)
 
 
 def test_search_requires_bound(capsys):

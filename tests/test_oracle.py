@@ -303,7 +303,9 @@ def test_the_table_needs_nothing_from_the_factored_path(monkeypatch):
 
 def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
     # A corrupted sieve makes phi(50^2) = phi(51^2) = 2550 in a table built
-    # to 100; a request whose own limit stops below 50 never sees it.
+    # to 100.  The scan sees it exactly when its limit reaches 51; the search
+    # sees it exactly when its own scan reaches k = 51, and so never on a hit
+    # at a lower top, which reads no k past that top.
     def corrupted(limit, phi=None):
         phi = sieve_totients(limit)
         phi[50], phi[51] = 51, 50
@@ -312,10 +314,14 @@ def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
     monkeypatch.setattr(oracle, "sieve_totients", corrupted)
     assert phi_square_sequence(100)[49:51] == [2550, 2550]
     assert injectivity_scan(60) == (50, 51)
-    assert injectivity_scan(10) is None
+    assert injectivity_scan(50) is None
     assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
-    with pytest.raises(RuntimeError, match="k = 50 and k = 51"):
-        brute_force_minimal(parse_rational("3"), 60)
+    assert brute_force_minimal(parse_rational("3"), 60) == SearchResult(True, 3, 2, 60)
+    assert brute_force_minimal(parse_rational("19/47"), 50) == SearchResult(False, None, None, 50)
+    # A miss, and the hit (1, 60) for 1/960 = phi(1)/phi(60^2), both pass k = 51.
+    for text in ("19/47", "1/960"):
+        with pytest.raises(RuntimeError, match="k = 50 and k = 51"):
+            brute_force_minimal(parse_rational(text), 60)
 
 
 def test_brute_force_fixtures():
@@ -480,9 +486,15 @@ def test_search_matches_reference_on_attained_ratios():
 
 
 def test_search_refuses_a_colliding_index(monkeypatch, capsys):
-    # A corrupted totient table makes phi(2^2) = phi(3^2): the value index
-    # would be wrong, so the search must stop instead of answering.
-    monkeypatch.setattr(oracle, "sieve_totients", lambda limit, phi=None: [0, 1] + [0] * (limit - 1))
+    # A corrupted sieve gives phi(2) = 3, so phi(2^2) = phi(3^2) = 6, at the top
+    # of the true pair (3, 2) for 3: the value index would be wrong there, so
+    # the search must stop instead of answering.
+    def corrupted(limit, phi=None):
+        phi = sieve_totients(limit)
+        phi[2] = 3
+        return phi
+
+    monkeypatch.setattr(oracle, "sieve_totients", corrupted)
     with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
         brute_force_minimal(parse_rational("3"), 10)
     assert main(["search", "3", "--bound", "10", "--json"]) == EXIT_INVARIANT_VIOLATION
