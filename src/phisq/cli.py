@@ -22,7 +22,7 @@ import os
 import sys
 from random import Random
 
-from .errors import ExponentOverflowError, FactorizationFailure, ParseError, UnsupportedScaleError
+from .errors import ExponentOverflowError, FactorizationFailure, ParseError, UnsupportedScaleError, cut
 from .factored import (
     EXPANSION_BIT_LIMIT,
     FactoredInteger,
@@ -132,15 +132,10 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
-def _cut(text: str) -> str:
-    """text, or past 100 characters its first 50 and its length."""
-    return text if len(text) <= 100 else f"{text[:50]}... ({len(text)} characters)"
-
-
 def cmd_factor(args: argparse.Namespace) -> Result:
     s = args.n.strip()
     if not s.isdecimal():
-        raise ParseError(f"factor takes a plain positive integer, got {_cut(args.n)!r}")
+        raise ParseError(f"factor takes a plain positive integer, got {cut(args.n, repr)}")
     f = parse_integer(s)
     payload = {"factors": _factors_obj(f), "value": f.value()}
     lines = [f"input: {args.n}", f"factors: {f}"]
@@ -246,7 +241,7 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ParseError (exit code 1)."""
+    """argparse that reports usage problems as ParseError (exit code 1), cut at 200: its command list takes ~100."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -254,7 +249,7 @@ class _Parser(argparse.ArgumentParser):
         self.register("type", int, _decimal)
 
     def error(self, message):
-        raise ParseError(message)
+        raise ParseError(cut(message, limit=200))
 
 
 @functools.cache
@@ -275,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output(args: argparse.Namespace, code: int, payload: dict, lines: list[str]) -> str:
-    """The plain lines, or under --json one record: command, input (_cut in a refusal), status, payload."""
+    """The plain lines, or under --json one record: command, input (cut in a refusal), status, payload."""
     if not args.json:
         return "\n".join(lines)
     echo = args.echo.format_map(vars(args))
     if "error" in payload:
-        echo = _cut(echo)
+        echo = cut(echo)
     return json.dumps({"command": args.command, "input": echo, "status": STATUS[code], **payload})
 
 

@@ -1,4 +1,4 @@
-"""Exceptions raised by phisq, and how a refusal names a number."""
+"""Exceptions raised by phisq, and how a refusal names a number or quotes outside text."""
 
 
 def shown(n: int, noun: str) -> str:
@@ -7,6 +7,18 @@ def shown(n: int, noun: str) -> str:
     while n >= 10**d:
         d += 1
     return str(n) if d < 50 else f"a {d}-digit {noun}"
+
+
+def cut(text: str, form=str, limit: int = 100) -> str:
+    """form(text), str or repr, for a refusal; past limit characters once JSON-escaped (as a
+    --json record escapes it), form() of text's longest prefix within limit // 2, and len(text)."""
+    from json import dumps  # here, not at import: json loads re, which importing phisq does not
+    if len(dumps(form(text))) - 2 <= limit:
+        return form(text)
+    k = limit // 2
+    while len(dumps(form(text[:k]))) - 2 > limit // 2:
+        k -= 1
+    return f"{form(text[:k])}... ({len(text)} characters)"
 
 
 class PhisqError(Exception):

@@ -29,7 +29,7 @@ import sys
 from itertools import compress
 from math import prod
 
-from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
+from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
 from .primes import factorize, is_prime
 
 # Exponents are kept inside the signed 64-bit range; arithmetic that would
@@ -187,7 +187,7 @@ def _decimal(text: str) -> int:
 def _parse_nat(text: str, what: str) -> int:
     s = text.strip()
     if not s.isdecimal():
-        raise ParseError(f"{what} must be an unsigned integer, got {text!r}")
+        raise ParseError(f"{what} must be an unsigned integer, got {cut(text, repr)}")
     n = _decimal(s)
     if n == 0:
         raise ZeroValueError(f"{what} must be positive, got 0")
@@ -200,12 +200,12 @@ def _parse_literal(text: str, cls):
     for term in text.split("*"):
         base_text, sep, exp_text = term.partition("^")
         if not sep:
-            raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+            raise ParseError(f"term {cut(term.strip(), repr)} is missing an exponent (expected p^e)")
         base, exp = base_text.strip(), exp_text.strip()
         if not base.isdecimal():
-            raise ParseError(f"base {base!r} must be an unsigned integer")
+            raise ParseError(f"base {cut(base, repr)} must be an unsigned integer")
         if not (exp[1:] if exp[:1] in ("+", "-") else exp).isdecimal():
-            raise ParseError(f"exponent {exp!r} must be a signed integer")
+            raise ParseError(f"exponent {cut(exp, repr)} must be a signed integer")
         p = _decimal(base)
         if p in acc:
             raise ParseError(f"prime {shown(p, 'number')} appears more than once")

@@ -5,15 +5,13 @@ avoiding the factored-arithmetic path it is meant to cross-check.
 
 The sequence, the search and the injectivity scan all read one table per
 process, v[k] = phi(k^2) = k * phi(k) for k = 0..L, kept beside phi(0..L).  A
-request past L extends both by the values phi(L+1..limit) alone, in place
-while limit <= 1 << 16 (the bound of the primes caches); a larger request
-extends copies, which serve that one request and are dropped.  Each request
-reads only v[1..limit] of its own limit, so a larger kept table never changes
-an answer.  The search and the scan index v by value per call, in the loop
-that reads the index, so the search's index stops at the top of its answer.
-The plain sequence text is rendered once per process in the same way: the
-decimal lines of v[1..K], K <= 1 << 16, are kept and grown by the values they
-lack, and a request slices them.
+request past L extends both by the values phi(L+1..limit) alone, in place while
+limit <= 1 << 16 (the bound of the primes caches); a larger request extends
+copies, which serve that one request and are dropped.  Each request reads only
+v[1..limit] of its own limit (the search's index stops at its answer's top), so
+a larger kept table never changes an answer.  The plain sequence text is
+rendered once per process in the same way: the decimal lines of v[1..K],
+K <= 1 << 16, are kept, grown by the values they lack, and sliced per request.
 """
 
 from array import array
@@ -77,10 +75,12 @@ def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
 
 
 def _phi_squares(limit: int) -> list[int]:
-    """The table v[0..L], L >= limit, with v[k] = phi(k^2) = k * phi(k); callers
-    must not mutate it.  Sieves, from the kept phi on, only when limit is past
-    the kept table."""
+    """The table v[0..L], L >= limit >= 1, with v[k] = phi(k^2) = k * phi(k);
+    callers must not mutate it.  Sieves, from the kept phi on, only when limit
+    is past the kept table."""
     global _phi
+    if limit < 1:
+        raise ParseError(f"limit must be >= 1, got {limit}")
     if limit < len(_table):
         return _table
     if limit <= _KEEP_LIMIT:
@@ -95,8 +95,6 @@ def _phi_squares(limit: int) -> list[int]:
 
 def phi_square_sequence(limit: int) -> list[int]:
     """[phi(1^2), phi(2^2), ..., phi(limit^2)], i.e. k * phi(k) for k = 1..limit."""
-    if limit < 1:
-        raise ParseError(f"limit must be >= 1, got {limit}")
     return _phi_squares(limit)[1 : limit + 1]
 
 
@@ -104,8 +102,6 @@ def phi_square_text(limit: int) -> str:
     """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of
     the rendering kept up to _KEEP_LIMIT, then the values past it, if any."""
     global _text
-    if limit < 1:
-        raise ParseError(f"limit must be >= 1, got {limit}")
     v = _phi_squares(limit)
     stop = min(limit, _KEEP_LIMIT)
     if len(_digits) <= stop:
@@ -134,19 +130,15 @@ class SearchResult(namedtuple("SearchResult", "found m n bound")):
 
 
 def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
-    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q.
+    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q, in O(max(m, n)) steps.
 
-    The sieve runs to the bound; the scan and its index stop at the hit's
-    top = max(m, n), so they take O(top) steps, and O(bound) for a miss.
     Pairs are taken in increasing (max(m, n), m, n) order, so the first hit
-    is the minimal one. One loop over top indexes v[top] = phi(top^2) by value
-    and then makes two exact lookups: m = v^-1(v[top] * p / q) with m < top,
-    then n = v^-1(v[top] * q / p) with n <= top. Every k a lookup can return
-    is already indexed, so the index never holds more than the answer reads.
-    It is only exact if k -> phi(k^2) is injective (it is: OEIS A002618), and
-    that is checked, not assumed: a collision at or below the answer's top
-    raises RuntimeError naming both k.  One past it is never read and never
-    seen; injectivity_scan checks its whole limit.
+    is the minimal one.  One loop over top indexes v[top] = phi(top^2) by
+    value, then looks up m = v^-1(v[top] * p / q) with m < top and
+    n = v^-1(v[top] * q / p) with n <= top; a miss takes the bound's steps,
+    as the sieve always does.  The index is exact only if k -> phi(k^2) is
+    injective (it is: OEIS A002618), checked as each k is indexed: a collision
+    at or below the answer's top raises RuntimeError naming both k.
     """
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {bound}")
@@ -157,8 +149,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length() and bound <= _SIEVE_CAP:
         return SearchResult(found=False, m=None, n=None, bound=bound)
     v = _phi_squares(bound)
-    p = num.value()
-    q = den.value()
+    p, q = num.value(), den.value()
     index: dict[int, int] = {}
     # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].
     for top in range(1, bound + 1):

@@ -144,6 +144,23 @@ def test_literal_refusals_name_a_huge_base_by_its_digit_count(capsys):
         assert body["input"] == f"{ones[:50]}... ({len(literal)} characters)"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "0/" + "7" * 4400, "1", "1"], ["represent", "\\" * 600], ["search", "3", "--bound", "y" * 3000], ["x" * 3000]],
+    ids=["numeral", "backslashes", "bound", "command"],
+)
+def test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length(capsys, argv):
+    # Bounded as shown, after repr and JSON escaping: a backslash takes 2 characters in
+    # repr and 4 in a record.  argparse's own messages are bounded whole.
+    for line in (argv, [*argv, "--json"]):
+        code, out, err = run(capsys, *line)
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert len(err) <= 500 and re.search(r"\.\.\. \(\d+ characters\)", err), err
+    code, body = run_json(capsys, "verify", "0/" + "7" * 4400, "1", "1")
+    assert body["error"] == f"value must be an unsigned integer, got '0/{'7' * 46}'... (4402 characters)"
+    assert body["input"] == f"m=0/{'7' * 46}... (4412 characters)"
+
+
 def test_factor_refuses_non_ascii_digits_by_its_own_rule(capsys):
     # "²" is a digit to str.isdigit but not to the numeral grammar.
     for text in ("²", "1²"):

@@ -1,14 +1,15 @@
 """The CLI contract under fuzzed command lines (skipped without hypothesis).
 
-Every command line ends in a documented exit code, and a refusal stays short.
-The shapes drawn are those that finish fast: there is no per-request work
-budget yet, so numerals stay below 10^12 (or past the 4300-digit reading
-limit), literal bases come from a fixed pool, and bounds and limits stay at
-most 2000 (or past the sieve cap).  selftest takes no input and is left out.
+Every command line ends in a documented exit code, and a refusal stays short,
+plain and --json, whatever text it quotes.  The shapes drawn are those that
+finish fast: there is no per-request work budget yet, so numerals stay below
+10^12 (or past the 4300-digit reading limit), literal bases come from a fixed
+pool, and bounds and limits stay at most 2000 (or past the sieve cap).  Other
+text is arbitrary: control characters, quotes, backslashes and non-ASCII, up
+to a few thousand characters.  selftest takes no input and is left out.
 """
 
 import io
-import string
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -37,12 +38,18 @@ FRACTION = st.one_of(
     NUMERAL.map(lambda n: f"{n}/0"),
     st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
 )
-# No digits, so other text never reads as a numeral, and no character that repr or
-# JSON escape: either would make a refusal that quotes it several times its length.
-OTHER = st.text(string.ascii_letters + " ^*/+-_.,:;!?()[]{}<>=#%&@~|`$'", max_size=200)
+# Characters that repr or JSON escape, some several times over, besides any at all.
+ESCAPED = st.sampled_from("\"'\\\x00\x1b\n\t\x7f\x85\xa0\u2028é€\U0001f600\U000e0001 ^*/")
+CHARACTER = st.one_of(st.characters(), ESCAPED)
+OTHER = st.one_of(
+    st.text(CHARACTER, max_size=300),
+    st.tuples(st.text(CHARACTER, min_size=1, max_size=3), st.integers(1, 1500)).map(lambda tn: tn[0] * tn[1]),
+)
 VALUE = st.one_of(NUMERAL, LITERAL, FRACTION, OTHER)
 # Never between 2000 and the sieve cap: a sieve to 10^6 takes seconds and ~125 MB.
-LIMIT = st.one_of(st.integers(-2, 2000).map(str), st.integers(10**7 + 1, 10**12).map(str), PAST_THE_DIGIT_LIMIT)
+LIMIT = st.one_of(
+    st.integers(-2, 2000).map(str), st.integers(10**7 + 1, 10**12).map(str), PAST_THE_DIGIT_LIMIT, OTHER
+)
 
 OPERANDS = {
     "represent": st.tuples(VALUE),
@@ -67,13 +74,14 @@ def command_lines(draw):
 @settings(max_examples=300, deadline=None)
 @given(command_lines())
 def test_every_command_line_ends_in_a_documented_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    # Exit 3 is a library fault, never the input's.
-    assert code in (0, 1, 2, 4), (argv, err.getvalue())
-    assert bool(err.getvalue()) == (code in (1, 2)), argv
-    # A refusal may quote other text whole, so the bound holds when each argument is
-    # a numeral, a literal (the only drawn text past 200 characters with a "^"), or short.
-    if all(a.isdecimal() or "^" in a or len(a) <= 200 for a in argv):
-        assert len(err.getvalue()) <= 500, (argv, err.getvalue())
+    # Each line plain and under --json, which keeps its drawn place when it has one.
+    plain = [a for a in argv if a != "--json"]
+    for line in (plain, argv if "--json" in argv else [*plain, "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(line)
+        # Exit 3 is a library fault, never the input's.
+        assert code in (0, 1, 2, 4), (line, err.getvalue())
+        assert bool(err.getvalue()) == (code in (1, 2)), line
+        # A refusal quotes outside text only after bounding it, as repr and JSON escape it.
+        assert len(err.getvalue()) <= 500, (line, err.getvalue())

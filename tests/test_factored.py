@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phisq.factored
-from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
+from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
 from phisq.factored import (
     EXPONENT_LIMIT,
     FactoredInteger,
@@ -356,10 +356,10 @@ def reference_literal(text, cls):
         if match is None:
             base_text, sep, exp_text = term.partition("^")
             if not sep:
-                raise ParseError(f"term {term.strip()!r} is missing an exponent (expected p^e)")
+                raise ParseError(f"term {cut(term.strip(), repr)} is missing an exponent (expected p^e)")
             if not NAT_RE.fullmatch(base_text.strip()):
-                raise ParseError(f"base {base_text.strip()!r} must be an unsigned integer")
-            raise ParseError(f"exponent {exp_text.strip()!r} must be a signed integer")
+                raise ParseError(f"base {cut(base_text.strip(), repr)} must be an unsigned integer")
+            raise ParseError(f"exponent {cut(exp_text.strip(), repr)} must be a signed integer")
         p = reference_int(match[1])
         if p in acc:
             raise ParseError(f"prime {shown(p, 'number')} appears more than once")
@@ -370,7 +370,7 @@ def reference_literal(text, cls):
 def reference_nat(text, what):
     s = text.strip()
     if not NAT_RE.fullmatch(s):
-        raise ParseError(f"{what} must be an unsigned integer, got {text!r}")
+        raise ParseError(f"{what} must be an unsigned integer, got {cut(text, repr)}")
     n = reference_int(s)
     if n == 0:
         raise ZeroValueError(f"{what} must be positive, got 0")
