@@ -241,7 +241,7 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ParseError (exit code 1), cut at 200: its command list takes ~100."""
+    """argparse whose usage errors are ParseErrors (exit 1), cut at 200 characters: the command list takes ~100."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -144,18 +144,31 @@ def test_literal_refusals_name_a_huge_base_by_its_digit_count(capsys):
         assert body["input"] == f"{ones[:50]}... ({len(literal)} characters)"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "0/" + "7" * 4400, "1", "1"], ["represent", "\\" * 600], ["search", "3", "--bound", "y" * 3000], ["x" * 3000]],
-    ids=["numeral", "backslashes", "bound", "command"],
-)
+LONG_TEXT_REFUSALS = {
+    "numeral": ["verify", "0/" + "7" * 4400, "1", "1"],
+    # Short, but a backslash takes 2 characters in repr and 4 in a record ...
+    "escaped-short": ["represent", "\\" * 90],
+    # ... and an escape character 4 in repr and 5 in a record, or 6 in a record's echo.
+    "escaped-prefix": ["represent", "\x1b" * 200],
+    "term": ["represent", "2^1 * " + "x" * 3000],
+    "base": ["represent", "x" * 3000 + "^1"],
+    "exponent": ["represent", "2^" + "x" * 3000],
+    "factor": ["factor", "1" * 4000 + "^0"],
+    "bound": ["search", "3", "--bound", "y" * 3000],
+    "command": ["x" * 3000],
+}
+
+
+@pytest.mark.parametrize("argv", LONG_TEXT_REFUSALS.values(), ids=LONG_TEXT_REFUSALS)
 def test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length(capsys, argv):
-    # Bounded as shown, after repr and JSON escaping: a backslash takes 2 characters in
-    # repr and 4 in a record.  argparse's own messages are bounded whole.
+    # Bounded as shown, after repr and JSON escaping; argparse's own messages are bounded whole.
     for line in (argv, [*argv, "--json"]):
         code, out, err = run(capsys, *line)
         assert (code, out) == (EXIT_PARSE_ERROR, "")
         assert len(err) <= 500 and re.search(r"\.\.\. \(\d+ characters\)", err), err
+
+
+def test_a_long_quote_is_the_repr_of_a_prefix_and_the_length(capsys):
     code, body = run_json(capsys, "verify", "0/" + "7" * 4400, "1", "1")
     assert body["error"] == f"value must be an unsigned integer, got '0/{'7' * 46}'... (4402 characters)"
     assert body["input"] == f"m=0/{'7' * 46}... (4412 characters)"

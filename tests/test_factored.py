@@ -252,6 +252,7 @@ def test_parse_factored_literal():
     assert parse_rational("2^3 * 5^-1") == rational_of({2: 3, 5: -1})
     assert parse_rational("47^+2") == rational_of({47: 2})
     assert parse_rational("  19 ^ 1*47^-1 ") == rational_of({19: 1, 47: -1})
+    assert parse_rational("2^\t3 *\n5 ^-1") == rational_of({2: 3, 5: -1})  # any whitespace
 
 
 def test_literal_round_trips_through_str():
@@ -264,7 +265,8 @@ def test_literal_round_trips_through_str():
 
 
 def test_parse_rejects_malformed_input():
-    for bad in ["", "abc", "1/2/3", "2^", "^3", "2**3", "2^1 * x^2", "-3", "1.5"]:
+    # "²" is a digit to str.isdigit, but int() refuses it.
+    for bad in ["", "abc", "1/2/3", "2^", "^3", "2**3", "2^1 * x^2", "-3", "1.5", "²", "2^²", "2^-²", "²^1", "2^--3", "2^+-3"]:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
