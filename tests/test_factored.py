@@ -297,6 +297,8 @@ def test_parse_integer():
         parse_integer("2^-1")
     with pytest.raises(ZeroValueError):
         parse_integer("0")
+    with pytest.raises(ParseError, match="value must be an unsigned integer, got '4/2'"):
+        parse_integer("4/2")  # the fraction form is for rationals, even a whole one
 
 
 def test_numerator_denominator_split():
