@@ -2,11 +2,11 @@
 
 
 def shown(n: int, noun: str) -> str:
-    """n as written below 10**49, else "a D-digit <noun>"; D is counted without str(), which refuses huge n."""
+    """str(n) if |n| < 10**49, else "a D-digit [negative ]<noun>"; D is counted without str(), which refuses huge n."""
     d = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # at most D, as log10(2) > 0.30102999
-    while n >= 10**d:
+    while abs(n) >= 10**d:
         d += 1
-    return str(n) if d < 50 else f"a {d}-digit {noun}"
+    return str(n) if d < 50 else f"a {d}-digit {'negative ' * (n < 0)}{noun}"
 
 
 def cut(text: str, form=str, limit: int = 100) -> str:

@@ -44,7 +44,7 @@ EXPANSION_BIT_LIMIT = 5_000_000
 def check_exponent(p: int, e: int) -> None:
     """Raise ExponentOverflowError if e, the exponent of p, leaves +/-EXPONENT_LIMIT."""
     if abs(e) > EXPONENT_LIMIT:
-        raise ExponentOverflowError(f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+        raise ExponentOverflowError(f"exponent {shown(e, 'number')} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
 
 
 def _canonical(cls, entries: tuple[tuple[int, int], ...]):

@@ -80,7 +80,7 @@ def _phi_squares(limit: int) -> list[int]:
     is past the kept table."""
     global _phi
     if limit < 1:
-        raise ParseError(f"limit must be >= 1, got {limit}")
+        raise ParseError(f"limit must be >= 1, got {shown(limit, 'number')}")
     if limit < len(_table):
         return _table
     if limit <= _KEEP_LIMIT:
@@ -114,7 +114,7 @@ def phi_square_text(limit: int) -> str:
 def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
-        raise ParseError(f"limit must be >= 2, got {limit}")
+        raise ParseError(f"limit must be >= 2, got {shown(limit, 'number')}")
     v = _phi_squares(limit)
     index: dict[int, int] = {}
     for k in range(1, limit + 1):
@@ -130,7 +130,7 @@ class SearchResult(namedtuple("SearchResult", "found m n bound")):
 
 
 def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
-    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q, in O(max(m, n)) steps.
+    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q: an O(bound) sieve, then O(max(m, n)) steps.
 
     Pairs are taken in increasing (max(m, n), m, n) order, so the first hit
     is the minimal one.  One loop over top indexes v[top] = phi(top^2) by
@@ -141,7 +141,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     at or below the answer's top raises RuntimeError naming both k.
     """
     if bound < 1:
-        raise ParseError(f"bound must be >= 1, got {bound}")
+        raise ParseError(f"bound must be >= 1, got {shown(bound, 'number')}")
     # A hit has p | phi(m^2) <= bound^2 and q | phi(n^2) <= bound^2, and a prime's bit length
     # is at most twice its log2: a side past 4 * bits(bound) bits misses, unexpanded and
     # unsieved.  A bound past the sieve cap is refused all the same, by the sieve.

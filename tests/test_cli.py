@@ -168,6 +168,25 @@ def test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length(capsys, a
         assert len(err) <= 500 and re.search(r"\.\.\. \(\d+ characters\)", err), err
 
 
+HUGE_NUMBER_REFUSALS = {
+    # argparse reads a negative numeral as a positional or an option's value.
+    "limit": (["sequence", "-" + "1" * 4000], "limit must be >= 1, got a 4000-digit negative number"),
+    "bound": (["search", "3", "--bound", "-" + "1" * 4000], "bound must be >= 1, got a 4000-digit negative number"),
+    "exponent": (
+        ["represent", "2^-" + "9" * 4000],
+        f"exponent a 4000-digit negative number for prime 2 exceeds +/-{EXPONENT_LIMIT}",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", HUGE_NUMBER_REFUSALS.values(), ids=HUGE_NUMBER_REFUSALS)
+def test_a_refusal_names_a_huge_number_by_its_digit_count(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert out == "" and message in err and len(err) <= 500, err
+    code, body = run_json(capsys, *argv)
+    assert body["error"] == message and len(json.dumps(body)) <= 500, body
+
+
 def test_a_long_quote_is_the_repr_of_a_prefix_and_the_length(capsys):
     code, body = run_json(capsys, "verify", "0/" + "7" * 4400, "1", "1")
     assert body["error"] == f"value must be an unsigned integer, got '0/{'7' * 46}'... (4402 characters)"
@@ -254,7 +273,10 @@ def test_search_answers_a_miss_without_expanding_a_huge_ratio():
 
 def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
     # The sieve to 10^7 takes ~0.8 GB; the value index stops at the hit's top, 2,
-    # where an index of the whole bound would need another ~0.5 GB.
+    # where an index of the whole bound would need another ~0.5 GB.  On CPython 3.11.7
+    # the child peaks at 833 MiB of address space (VmPeak; 803 MiB resident), so the
+    # margin under the limit is ~190 MiB.  Other versions were not measured; the table
+    # is lists of small ints, whose sizes are the same on 64-bit CPython 3.10-3.13.
     assert search_in_1_gb("1/2", 10000000, 600) == ("ok", 10000000, True, 1, 2)
 
 

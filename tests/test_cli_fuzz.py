@@ -24,8 +24,11 @@ from phisq.primes import primes_up_to  # noqa: E402
 PAST_THE_DIGIT_LIMIT = st.integers(4301, 4400).map(lambda digits: "7" * digits)
 NUMERAL = st.one_of(st.integers(0, 10**12 - 1).map(str), PAST_THE_DIGIT_LIMIT)
 BASE = st.one_of(st.sampled_from(primes_up_to(10**6)), st.sampled_from((0, 1, 4, int("1" * 4000))))
+# Numerals of 50 to 4200 digits, within Python's int-string limit: a refusal names them by their length.
+HUGE = st.integers(50, 4200).map(lambda digits: 10**digits - 1)
 EXPONENT = st.one_of(
     st.integers(-3, 3),
+    HUGE.flatmap(lambda e: st.sampled_from((e, -e))),
     st.sampled_from((2**62, 2**63 - 1)).flatmap(lambda e: st.integers(e - 2, e + 2)).flatmap(
         lambda e: st.sampled_from((e, -e))
     ),
@@ -48,7 +51,11 @@ OTHER = st.one_of(
 VALUE = st.one_of(NUMERAL, LITERAL, FRACTION, OTHER)
 # Never between 2000 and the sieve cap: a sieve to 10^6 takes seconds and ~125 MB.
 LIMIT = st.one_of(
-    st.integers(-2, 2000).map(str), st.integers(10**7 + 1, 10**12).map(str), PAST_THE_DIGIT_LIMIT, OTHER
+    st.integers(-2, 2000).map(str),
+    st.integers(10**7 + 1, 10**12).map(str),
+    HUGE.map(lambda n: str(-n)),
+    PAST_THE_DIGIT_LIMIT,
+    OTHER,
 )
 
 OPERANDS = {

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phisq.factored
-from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
+from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
 from phisq.factored import (
     EXPONENT_LIMIT,
     FactoredInteger,
@@ -352,6 +353,21 @@ NAT_RE = re.compile(r"\d+")
 TERM_RE = re.compile(r"\s*(\d+)\s*\^\s*([+-]?\d+)\s*")
 
 
+def reference_quote(text):
+    """repr(text) while its JSON escaping takes at most 100 characters, else the repr of the longest
+    prefix whose escaping takes at most 50, then "... (N characters)": the documented rule, apart from errors.cut."""
+
+    def width(s):
+        return len(json.dumps(repr(s))) - 2
+
+    if width(text) <= 100:
+        return repr(text)
+    k = 0
+    while width(text[: k + 1]) <= 50:
+        k += 1
+    return f"{text[:k]!r}... ({len(text)} characters)"
+
+
 def reference_literal(text, cls):
     """The literal grammar read term by term with the regexes."""
     acc = {}
@@ -360,10 +376,10 @@ def reference_literal(text, cls):
         if match is None:
             base_text, sep, exp_text = term.partition("^")
             if not sep:
-                raise ParseError(f"term {cut(term.strip(), repr)} is missing an exponent (expected p^e)")
+                raise ParseError(f"term {reference_quote(term.strip())} is missing an exponent (expected p^e)")
             if not NAT_RE.fullmatch(base_text.strip()):
-                raise ParseError(f"base {cut(base_text.strip(), repr)} must be an unsigned integer")
-            raise ParseError(f"exponent {cut(exp_text.strip(), repr)} must be a signed integer")
+                raise ParseError(f"base {reference_quote(base_text.strip())} must be an unsigned integer")
+            raise ParseError(f"exponent {reference_quote(exp_text.strip())} must be a signed integer")
         p = reference_int(match[1])
         if p in acc:
             raise ParseError(f"prime {shown(p, 'number')} appears more than once")
@@ -374,7 +390,7 @@ def reference_literal(text, cls):
 def reference_nat(text, what):
     s = text.strip()
     if not NAT_RE.fullmatch(s):
-        raise ParseError(f"{what} must be an unsigned integer, got {cut(text, repr)}")
+        raise ParseError(f"{what} must be an unsigned integer, got {reference_quote(text)}")
     n = reference_int(s)
     if n == 0:
         raise ZeroValueError(f"{what} must be positive, got 0")

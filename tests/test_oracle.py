@@ -103,8 +103,12 @@ def test_text_refuses_a_limit_below_one_even_on_a_warm_table():
         (lambda: phi_square_sequence(0), "limit must be >= 1, got 0"),
         (lambda: brute_force_minimal(parse_rational("3"), 0), "bound must be >= 1, got 0"),
         (lambda: injectivity_scan(1), "limit must be >= 2, got 1"),
+        # Past 49 digits a number is named by its length, sign and all.
+        (lambda: phi_square_sequence(-(10**49) + 1), f"limit must be >= 1, got {-(10**49) + 1}"),
+        (lambda: brute_force_minimal(parse_rational("3"), -(10**49)), "bound must be >= 1, got a 50-digit negative number"),
+        (lambda: injectivity_scan(-(10**4999)), "limit must be >= 2, got a 5000-digit negative number"),
     ],
-    ids=["sequence", "search", "injectivity"],
+    ids=["sequence", "search", "injectivity", "sequence-49-digits", "search-50-digits", "injectivity-5000-digits"],
 )
 def test_oracles_own_their_range_checks(call, message):
     # ParseError, which main maps to exit 1, and still a ValueError for library callers.

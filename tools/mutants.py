@@ -1,8 +1,7 @@
 """Apply each recorded mutation of phisq in a scratch copy and run the tests that should kill it.
 
     python tools/mutants.py              # every mutation
-    python tools/mutants.py NAME ...     # only these
-    python tools/mutants.py --list       # names, files and tests, without running
+    python tools/mutants.py NAME ...     # only these, to check a mutation one by one
 
 A mutation names a file, an exact snippet of it, the snippet's replacement and
 the test ids expected to fail once it is made.  For each, src/, tests/ and
@@ -56,6 +55,8 @@ T_CLI = "tests/test_cli.py::"
 T_PRIMES = "tests/test_primes.py::"
 T_FACTORED = "tests/test_factored.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
+NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
+RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
 
 SEARCH_CHECK = (
     "        if (j := index.setdefault(w, top)) != top:\n"
@@ -130,6 +131,16 @@ MUTATIONS = [
     Mutation("term-quote-uncut", FACTORED, "term {cut(term.strip(), repr)}", "term {term.strip()!r}", [QUOTES + "[term]"]),
     Mutation("base-quote-uncut", FACTORED, "base {cut(base, repr)}", "base {base!r}", [QUOTES + "[base]"]),
     Mutation("exponent-quote-uncut", FACTORED, "exponent {cut(exp, repr)}", "exponent {exp!r}", [QUOTES + "[exponent]"]),
+    # Refusals name a number past 49 digits by its length and sign.
+    Mutation("shown-counts-digits-with-sign", ERRORS, "    while abs(n) >= 10**d:\n", "    while n >= 10**d:\n",
+             [RANGES + "[search-50-digits]"]),
+    Mutation("shown-drops-the-sign", ERRORS, "{'negative ' * (n < 0)}", "", [NUMBERS + "[limit]"]),
+    Mutation("limit-refusal-unshown", ORACLE, "must be >= 1, got {shown(limit, 'number')}", "must be >= 1, got {limit}",
+             [NUMBERS + "[limit]"]),
+    Mutation("scan-limit-refusal-unshown", ORACLE, "must be >= 2, got {shown(limit, 'number')}", "must be >= 2, got {limit}",
+             [RANGES + "[injectivity-5000-digits]"]),
+    Mutation("bound-refusal-unshown", ORACLE, "got {shown(bound, 'number')}", "got {bound}", [NUMBERS + "[bound]"]),
+    Mutation("exponent-refusal-unshown", FACTORED, "exponent {shown(e, 'number')}", "exponent {e}", [NUMBERS + "[exponent]"]),
     # Miller-Rabin bases chosen by n's size.
     Mutation(
         "mr-bases-one-short", PRIMES, "_MR_BASES[: bisect_right(_MR_PSI, n) + 1]", "_MR_BASES[: bisect_right(_MR_PSI, n)]",
@@ -262,16 +273,11 @@ def run_one(m, work: Path) -> tuple[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutations (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutations and their tests, run nothing")
     args = parser.parse_args(argv)
     chosen = [m for m in MUTATIONS + EQUIVALENT if not args.names or m.name in args.names]
     unknown = set(args.names) - {m.name for m in chosen}
     if unknown:
         parser.error(f"no mutation named {', '.join(sorted(unknown))}")
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}  {m.path}  {' '.join(m.tests)}")
-        return 0
     failures = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="phisq-mutants-") as tmp:
