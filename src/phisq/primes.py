@@ -34,6 +34,7 @@ LRU cache bounded like is_prime's; a refusal is raised again, not cached.
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 from random import Random
 
@@ -43,6 +44,7 @@ from .errors import FactorizationFailure, UnsupportedScaleError, shown
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PRODUCT = prod(_MR_BASES)
 # psi_1 .. psi_12 of OEIS A014233: psi_k is the least odd composite that passes
 # the first k bases, so any n below it needs only those; psi_13 is the bound.
 _MR_PSI = (
@@ -81,13 +83,10 @@ def is_prime(n: int) -> bool:
     Raises UnsupportedScaleError for n >= PRIMALITY_BOUND, where no proven
     deterministic base set is available.
     """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES  # every prime up to the last base is a base
+    if gcd(n, _MR_PRODUCT) > 1:
+        return False  # before the bound: a huge n with a small factor is refused as composite
     if n >= PRIMALITY_BOUND:
         raise UnsupportedScaleError(
             f"cannot certify primality of {shown(n, 'number')}: >= deterministic bound {PRIMALITY_BOUND}"
@@ -155,8 +154,8 @@ def _block_product(start: int) -> int:
 
     When factorize reaches the block, its cofactor has no prime factor below
     start, so its gcd with this product is the product of the block's primes
-    that divide it, which factorize then splits.  The primes come from sieving
-    the block's range by _SMALL_PRIMES.
+    that divide it, which factorize then splits.  Sieving the block's range by
+    _SMALL_PRIMES, 2 and 3 included, leaves exactly its primes.
     """
     stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
     size = stop - start
@@ -166,7 +165,7 @@ def _block_product(start: int) -> int:
             break
         first = max(p * p, -(-start // p) * p) - start
         sieve[first::p] = bytes(len(range(first, size, p)))
-    return prod(start + i for r in (0, 2) for i in range(r, size, 6) if sieve[i])
+    return prod(compress(range(start, stop, 2), sieve[::2]))  # start is odd: the block's odd numbers
 
 
 def _split(g: int, candidates) -> list[int]:

@@ -17,21 +17,25 @@ q = 2 needs no rule of its own, because q - 1 = 1; r = 1 gives (1, 1).
 
 The steps run as one loop over a mutable prime -> exponent map, popping primes
 in descending order from a max-heap; the primes a step pulls in from q - 1 are
-all below q, so the heap order is never violated. m and n grow as plain maps
-and become FactoredIntegers once, at the end. depth counts the peeling steps.
-Each step eliminates the current largest prime, so depth is at most the number
-of primes up to the largest prime of r, and all primes of m*n stay at or below
-it. Each new exponent is compared with EXPONENT_LIMIT in the loop itself.
+all below q, so the heap order is never violated. A prime is pushed once, when
+it enters the map; one whose exponent cancels to zero stays there until it is
+popped, and is skipped. m and n grow as plain maps and become FactoredIntegers
+once, at the end. depth counts the peeling steps. Each step eliminates the
+current largest prime, so depth is at most the number of primes up to the
+largest prime of r, and all primes of m*n stay at or below it. Each new
+exponent is compared with EXPONENT_LIMIT in the loop itself.
 
 verify builds the exponents of phi(m^2)/phi(n^2) in one pass over m and n.
 A prime p on one side, with exponent a, adds +/-(2a - 1) to p and +/- the
 factors of p - 1; a prime on both sides, a in m and b in n, adds only
 2(a - b) to p, because its two p - 1 factors cancel and are never looked up.
-Each side's 2a - 1 is range-checked, and the result is built by _checked; a
-refusal names the side's own exponent, as phi(m^2) or phi(n^2) holds it. Both
-results are named tuples; the report's common_value is expanded when first read,
-as prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no
-p - 1 either.
+Only the ratio is range-checked, by _checked, so a pair whose totients alone
+leave the exponent range is answered whenever the ratio stays in it, and a
+refusal names the least prime whose exponent in the ratio leaves the range,
+with that exponent (negative when phi(n^2) holds more of that prime). Both
+results are named tuples; the report's common_value is expanded when first
+read, as prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it
+factors no p - 1 either.
 """
 
 from collections import namedtuple
@@ -39,14 +43,9 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import prod
 
-from .errors import ExponentOverflowError
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
 from .factored import _canonical, _checked
 from .primes import _factor_p_minus_1
-from .totient import totient_of_square
-
-# 2a - 1 stays within EXPONENT_LIMIT exactly when a <= _HALF_LIMIT.
-_HALF_LIMIT = (EXPONENT_LIMIT + 1) // 2
 
 
 class Representation(namedtuple("Representation", "m n ratio depth")):
@@ -90,9 +89,9 @@ def represent(r: FactoredRational) -> Representation:
     depth = 0
     while heap:
         q = -heappop(heap)
-        a = rest.pop(q, 0)
+        a = rest.pop(q)
         if a == 0:
-            continue  # stale heap entry: the exponent of q cancelled to zero
+            continue  # the exponent of q cancelled to zero
         depth += 1
         if a % 2 == 0:
             half = a // 2
@@ -102,16 +101,12 @@ def represent(r: FactoredRational) -> Representation:
             side, sign = (m, 1) if a > 0 else (n, -1)
             side[q] = (a * sign + 1) // 2
             for p, e in _factor_p_minus_1(q):
-                old = rest.get(p, 0)
-                s = old - sign * e
+                if p not in rest:
+                    heappush(heap, -p)  # once: p stays in rest, even at 0, until it is popped
+                s = rest.get(p, 0) - sign * e
                 if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
                     check_exponent(p, s)
-                if s == 0:
-                    del rest[p]
-                else:
-                    rest[p] = s
-                    if old == 0:
-                        heappush(heap, -p)
+                rest[p] = s
     # Canonical as built: every prime came from r or from factorize, each was popped once in
     # descending order, and every exponent is at most 2^62, as r's are within EXPONENT_LIMIT.
     m_f, n_f = (_canonical(FactoredInteger, tuple(reversed(side.items()))) for side in (m, n))
@@ -124,11 +119,8 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
     get = acc.get
     rest = dict(n.entries)
     pop = rest.pop
-    past = False  # whether some side's 2a - 1, or an exponent of the difference, leaves the range
     for p, a in m.entries:
         b = pop(p, 0)
-        if a > _HALF_LIMIT or b > _HALF_LIMIT:
-            past = True
         # m ascends and each p - 1 adds only primes below p, so p is new to acc.
         if b:
             acc[p] = 2 * (a - b)
@@ -137,19 +129,8 @@ def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> Verif
             for q, c in _factor_p_minus_1(p):
                 acc[q] = get(q, 0) + c
     for p, b in rest.items():
-        if b > _HALF_LIMIT:
-            past = True
         acc[p] = get(p, 0) - 2 * b + 1
         for q, c in _factor_p_minus_1(p):
             acc[q] = get(q, 0) - c
-    try:
-        lhs = _checked(FactoredRational, acc)
-    except ExponentOverflowError:
-        past = True  # the difference's exponent may be negative: a side names its own below
-    if past:
-        # An exponent of the difference leaves the range only where one side's
-        # own does; so one of these raises, naming that side's positive exponent.
-        for f in (m, n):
-            totient_of_square(f)
-        raise AssertionError("an exponent past the limit on neither side")
+    lhs = _checked(FactoredRational, acc)
     return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)

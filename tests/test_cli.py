@@ -273,10 +273,11 @@ def test_search_answers_a_miss_without_expanding_a_huge_ratio():
 
 def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
     # The sieve to 10^7 takes ~0.8 GB; the value index stops at the hit's top, 2,
-    # where an index of the whole bound would need another ~0.5 GB.  On CPython 3.11.7
-    # the child peaks at 833 MiB of address space (VmPeak; 803 MiB resident), so the
-    # margin under the limit is ~190 MiB.  Other versions were not measured; the table
-    # is lists of small ints, whose sizes are the same on 64-bit CPython 3.10-3.13.
+    # where an index of the whole bound would need another ~0.5 GB.  The child's peak
+    # address space (VmPeak) and resident size (VmHWM), on x86-64 Linux:
+    #   CPython 3.10.13: 836 MiB, 806 MiB;    CPython 3.11.7: 841 MiB, 809 MiB;
+    #   CPython 3.12.1:  830 MiB, 805 MiB;    CPython 3.13.0: 831 MiB, 801 MiB;
+    # so the margin under the limit is at least ~180 MiB on each.
     assert search_in_1_gb("1/2", 10000000, 600) == ("ok", 10000000, True, 1, 2)
 
 
@@ -518,9 +519,16 @@ def test_verify_answers_where_only_cancelling_factors_overflow(capsys):
     assert code == EXIT_OK
     assert "holds: true" in out
     assert "common value" not in out
-    code, body = run_json(capsys, "verify", f, "1", "1")
-    assert code == EXIT_UNSUPPORTED_SCALE
-    assert body["error"] == f"exponent {2**63} for prime 3 exceeds +/-{EXPONENT_LIMIT}"
+    # Only the ratio is range-checked: 3^(2^63 + 1) on both sides cancels too ...
+    g = "3^4611686018427387905"
+    code, out, err = run(capsys, "verify", g, g, "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert "holds: true" in out
+    # ... and a refusal names the ratio's exponent, negative where it comes from n.
+    for m, n, e in ((f, "1", 2**63), ("1", f, -(2**63))):
+        code, body = run_json(capsys, "verify", m, n, "1")
+        assert code == EXIT_UNSUPPORTED_SCALE
+        assert body["error"] == f"exponent {e} for prime 3 exceeds +/-{EXPONENT_LIMIT}"
 
 
 def test_verify_never_factors_p_minus_1_of_a_prime_on_both_sides(capsys, monkeypatch):

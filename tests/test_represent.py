@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phisq import factored, primes
 from phisq.errors import ExponentOverflowError
@@ -287,14 +287,19 @@ def test_fused_verify_common_value_at_the_expansion_guard():
         assert_verify_matches_reference(f, f, FactoredRational())
 
 
-def test_verify_range_checks_each_side_even_when_they_cancel():
-    # phi(n^2) holds 3^(2^63 + 1): past the exponent range on its own, even
-    # where the two sides cancel. Each side's own check names the positive
-    # exponent; a check of the difference alone would name -(2^63 + 1), or
-    # nothing when the sides cancel.
-    f = FactoredInteger(((3, 2**62 + 1),))
-    for m, n in ((f, f), (factor(2), f), (f, factor(2))):
-        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63 + 1} for prime 3 exceeds"):
+# phi(F^2) holds 3^(2^63 + 1): past the exponent range on its own.
+F = FactoredInteger(((3, 2**62 + 1),))
+
+
+def test_verify_range_checks_the_ratio_not_each_side():
+    # Only the ratio is range-checked. Where the sides cancel it holds; else the
+    # refusal names the ratio's exponent, negative where phi(n^2) holds more.
+    report = verify(F, F, FactoredRational())
+    assert report.holds
+    assert report.lhs == FactoredRational()
+    assert report.common_value is None  # phi(n^2) is far past EXPANSION_BIT_LIMIT
+    for m, n, e in ((factor(2), F, -(2**63 + 1)), (F, factor(2), 2**63 + 1)):
+        with pytest.raises(ExponentOverflowError, match=rf"^exponent {e} for prime 3 exceeds"):
             verify(m, n, FactoredRational())
 
 
@@ -322,19 +327,13 @@ def test_fused_verify_matches_reference_on_shared_primes(sides):
 
 def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
     represent_module = importlib.import_module("phisq.represent")
-    totient_module = importlib.import_module("phisq.totient")
-    looked_up, expanded = [], []
+    looked_up = []
 
     def counting_lookup(p):
         looked_up.append(p)
         return primes._factor_p_minus_1(p)
 
-    def counting_totient(f):
-        expanded.append(f)
-        return totient_module.totient_of_square(f)
-
     monkeypatch.setattr(represent_module, "_factor_p_minus_1", counting_lookup)
-    monkeypatch.setattr(represent_module, "totient_of_square", counting_totient)
 
     f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
     report = verify(f, f, FactoredRational())
@@ -356,7 +355,6 @@ def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
     assert "common_value" not in vars(report)  # not computed until it is read
     assert report.common_value == reference_verify(rep.m, rep.n, r)[2]
     assert vars(report)["common_value"] == report.common_value  # then kept
-    assert expanded == []
 
 
 def test_verify_answers_where_only_cancelling_factors_overflow():
@@ -374,16 +372,87 @@ def test_verify_answers_where_only_cancelling_factors_overflow():
     assert report.holds
     assert report.lhs == r
     assert report.common_value == 12  # phi(13^2) / 13
-    # On one side alone the overflow stands, named by that side's positive exponent.
-    for m, n in ((f, FactoredInteger()), (FactoredInteger(), f)):
-        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63} for prime 3 exceeds"):
+    # On one side alone the overflow stands, named by the ratio's exponent: negative from n.
+    for m, n, e in ((f, FactoredInteger(), 2**63), (FactoredInteger(), f, -(2**63))):
+        with pytest.raises(ExponentOverflowError, match=rf"^exponent {e} for prime 3 exceeds"):
             verify(m, n, FactoredRational())
 
 
-def test_verify_range_checks_a_side_the_other_sides_factors_bring_back():
-    # 7 - 1 and 13 - 1 put 3^2 on the other side, so the difference of the
-    # exponents of 3, 2^63 + 1 - 2, is in range; the side's own is not.
-    f = FactoredInteger(((3, 2**62 + 1),))
-    for m, n in ((f, factor(7 * 13)), (factor(7 * 13), f)):
-        with pytest.raises(ExponentOverflowError, match=rf"^exponent {2**63 + 1} for prime 3 exceeds"):
-            verify(m, n, FactoredRational())
+def test_verify_answers_a_side_the_other_sides_factors_bring_back():
+    # 7 - 1 and 13 - 1 put 3^2 on the other side, so the exponent of 3 in the
+    # ratio, 2^63 + 1 - 2, is in range though F's own is not: the pair answers.
+    r = parse_rational(f"2^-2 * 3^{2**63 - 1} * 7^-1 * 13^-1")
+    for m, n, claim, common in ((F, factor(7 * 13), r, 18), (factor(7 * 13), F, r.inverse(), None)):
+        report = verify(m, n, claim)
+        assert report.holds
+        assert report.lhs == claim
+        # phi(91^2) = 6552 = 364 * 18; phi(F^2) is far past EXPANSION_BIT_LIMIT.
+        assert report.common_value == common
+
+
+# --- verify never builds a side's totient -------------------------------------
+
+G = FactoredInteger(((3, 2**62), (7, 1)))
+# Pairs whose totients leave the exponent range on their own, from the tests above.
+PAST_ON_A_SIDE = [
+    (F, F), (factor(2), F), (F, factor(2)), (F, factor(7 * 13)), (factor(7 * 13), F),
+    (G, G), (G, factor(13)), (G, FactoredInteger()), (FactoredInteger(), G),
+]
+
+
+def verify_outcome(m, n, r):
+    """(holds, lhs) of verify, or the type and message of its refusal."""
+    try:
+        report = verify(m, n, r)
+    except ExponentOverflowError as exc:
+        return type(exc), str(exc)
+    return report.holds, report.lhs
+
+
+def test_verify_answers_and_refuses_without_a_sides_totient(monkeypatch):
+    before = [verify_outcome(m, n, FactoredRational()) for m, n in PAST_ON_A_SIDE]
+
+    def no_totient(f, k):
+        raise AssertionError(f"a side's totient was built for {f}")
+
+    monkeypatch.setattr(importlib.import_module("phisq.totient"), "_totient_exponents", no_totient)
+    assert [verify_outcome(m, n, FactoredRational()) for m, n in PAST_ON_A_SIDE] == before
+    # Both answers and refusals are among them.
+    assert True in (b[0] for b in before) and ExponentOverflowError in (b[0] for b in before)
+
+
+def reference_ratio_outcome(m, n, r):
+    """verify_outcome by a plain dict over factorize(p - 1) that range-checks only the ratio."""
+    acc = {}
+    for f, sign in ((m, 1), (n, -1)):
+        for p, a in f.factors.items():
+            acc[p] = acc.get(p, 0) + sign * (2 * a - 1)
+            for q, c in factorize(p - 1).items():
+                acc[q] = acc.get(q, 0) + sign * c
+    ratio = {p: e for p, e in sorted(acc.items()) if e}
+    for p, e in ratio.items():
+        if abs(e) > EXPONENT_LIMIT:
+            return ExponentOverflowError, f"exponent {e} for prime {p} exceeds +/-{EXPONENT_LIMIT}"
+    lhs = FactoredRational(tuple(ratio.items()))
+    return lhs == r, lhs
+
+
+# Exponents of m and n: small, or near 2^62, where 2a - 1 reaches the range's edge.
+NEAR_THE_EDGE = st.one_of(st.integers(1, 4), st.integers(2**62 - 2, 2**62 + 2))
+SIDE = st.dictionaries(st.sampled_from(primes_up_to(50)), NEAR_THE_EDGE, max_size=5).map(
+    FactoredInteger.from_factors
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIDE, SIDE, st.sampled_from(["one", "ratio", "ratio * 53"]))
+@example(F, F, "one")
+@example(F, factor(7 * 13), "ratio")
+@example(factor(2), F, "one")
+def test_verify_matches_a_reference_that_range_checks_only_the_ratio(m, n, claim):
+    # The claim is 1, the ratio, or a false one: 53 divides no phi(k^2) with primes <= 50.
+    found = reference_ratio_outcome(m, n, FactoredRational())
+    r = FactoredRational()
+    if claim != "one" and found[0] is not ExponentOverflowError:
+        r = found[1] * factor(53) if claim == "ratio * 53" else found[1]
+    assert verify_outcome(m, n, r) == reference_ratio_outcome(m, n, r)

@@ -54,6 +54,7 @@ T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_PRIMES = "tests/test_primes.py::"
 T_FACTORED = "tests/test_factored.py::"
+T_REPRESENT = "tests/test_represent.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
@@ -71,6 +72,16 @@ SEARCH_LOOKUPS_N = (
     "            return SearchResult(found=True, m=top, n=n, bound=bound)\n"
 )
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
+BASE_SCREEN = (
+    "    if gcd(n, _MR_PRODUCT) > 1:\n"
+    "        return False  # before the bound: a huge n with a small factor is refused as composite\n"
+)
+BOUND_CHECK = (
+    "    if n >= PRIMALITY_BOUND:\n"
+    "        raise UnsupportedScaleError(\n"
+    "            f\"cannot certify primality of {shown(n, 'number')}: >= deterministic bound {PRIMALITY_BOUND}\"\n"
+    "        )\n"
+)
 
 MUTATIONS = [
     # The search's value index, built in its scan loop.
@@ -113,6 +124,30 @@ MUTATIONS = [
     Mutation(
         "represent-even-exponent-not-least", REPRESENT, "c = 1 if half >= 0 else 1 - half", "c = 2 if half >= 0 else 2 - half",
         [T_ORACLE + "test_the_search_finds_the_constructions_pair_first"],
+    ),
+    # verify range-checks the ratio it returns; the construction pushes each prime once.
+    Mutation(
+        "verify-ratio-unchecked", REPRESENT, "    lhs = _checked(FactoredRational, acc)\n",
+        "    lhs = _canonical(FactoredRational, tuple((p, e) for p, e in sorted(acc.items()) if e))\n",
+        [T_REPRESENT + "test_verify_range_checks_the_ratio_not_each_side"],
+    ),
+    Mutation(
+        "construct-pushes-every-time", REPRESENT, "                if p not in rest:\n                    heappush(",
+        "                if True:\n                    heappush(", [T_REPRESENT + "test_represent_19_47_canonical_output"],
+    ),
+    # is_prime's screen by the bases, and the block products, each one C call.
+    Mutation(
+        "base-screen-after-the-bound", PRIMES, BASE_SCREEN + BOUND_CHECK, BOUND_CHECK + BASE_SCREEN,
+        [T_CLI + "test_literal_refusals_name_a_huge_base_by_its_digit_count"],
+    ),
+    Mutation(
+        "base-screen-drops-2", PRIMES, "return n in _MR_BASES  #", "return n in _MR_BASES[1:]  #",
+        [T_PRIMES + "test_known_fixtures"],
+    ),
+    Mutation(
+        "block-product-6k-plus-5-only", PRIMES, "prod(compress(range(start, stop, 2), sieve[::2]))",
+        "prod(compress(range(start, stop, 6), sieve[::6]))",
+        [T_PRIMES + "test_staged_matches_reference_on_products_within_one_block"],
     ),
     # Refusals quote outside text through errors.cut.
     Mutation(
