@@ -135,18 +135,22 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     Pairs are taken in increasing (max(m, n), m, n) order, so the first hit
     is the minimal one.  One loop over top indexes v[top] = phi(top^2) by
     value, then looks up m = v^-1(v[top] * p / q) with m < top and
-    n = v^-1(v[top] * q / p) with n <= top; a miss takes the bound's steps,
-    as the sieve always does.  The index is exact only if k -> phi(k^2) is
-    injective (it is: OEIS A002618), checked as each k is indexed: a collision
-    at or below the answer's top raises RuntimeError naming both k.
+    n = v^-1(v[top] * q / p) with n <= top; a sieved miss takes the bound's
+    steps.  The index is exact only if k -> phi(k^2) is injective (it is:
+    OEIS A002618), checked as each k is indexed: a collision at or below the
+    answer's top raises RuntimeError naming both k.
+
+    A hit has p | phi(m^2) and q | phi(n^2), both at most bound^2, and every
+    prime of phi(k^2) = k * phi(k) is at most k.  So r misses, unexpanded and
+    unsieved, if a prime of r exceeds the bound or a side passes 4 * bits(bound)
+    bits (a prime's bit length is at most twice its log2); neither rule implies
+    the other.  A bound past the cap is refused by the sieve all the same.
     """
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {shown(bound, 'number')}")
-    # A hit has p | phi(m^2) <= bound^2 and q | phi(n^2) <= bound^2, and a prime's bit length
-    # is at most twice its log2: a side past 4 * bits(bound) bits misses, unexpanded and
-    # unsieved.  A bound past the sieve cap is refused all the same, by the sieve.
     num, den = r.numerator(), r.denominator()
-    if max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length() and bound <= _SIEVE_CAP:
+    wide = max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length()
+    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):
         return SearchResult(found=False, m=None, n=None, bound=bound)
     v = _phi_squares(bound)
     p, q = num.value(), den.value()

@@ -25,17 +25,13 @@ current largest prime, so depth is at most the number of primes up to the
 largest prime of r, and all primes of m*n stay at or below it. Each new
 exponent is compared with EXPONENT_LIMIT in the loop itself.
 
-verify builds the exponents of phi(m^2)/phi(n^2) in one pass over m and n.
-A prime p on one side, with exponent a, adds +/-(2a - 1) to p and +/- the
-factors of p - 1; a prime on both sides, a in m and b in n, adds only
-2(a - b) to p, because its two p - 1 factors cancel and are never looked up.
-Only the ratio is range-checked, by _checked, so a pair whose totients alone
-leave the exponent range is answered whenever the ratio stays in it, and a
-refusal names the least prime whose exponent in the ratio leaves the range,
-with that exponent (negative when phi(n^2) holds more of that prime). Both
-results are named tuples; the report's common_value is expanded when first
-read, as prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it
-factors no p - 1 either.
+verify reads phi(m^2)/phi(n^2) from totient._phi_ratio and range-checks only
+that ratio, by _checked: a pair whose totients alone leave the exponent range
+is answered whenever the ratio stays in it, and a refusal names the least
+prime whose exponent in the ratio leaves the range, with that exponent
+(negative when phi(n^2) holds more of that prime). Both results are named
+tuples; the report's common_value is expanded when first read, as
+prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no p - 1.
 """
 
 from collections import namedtuple
@@ -46,6 +42,7 @@ from math import prod
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
 from .factored import _canonical, _checked
 from .primes import _factor_p_minus_1
+from .totient import _phi_ratio
 
 
 class Representation(namedtuple("Representation", "m n ratio depth")):
@@ -115,22 +112,5 @@ def represent(r: FactoredRational) -> Representation:
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:
     """Check phi(m^2)/phi(n^2) = r by exact factored arithmetic."""
-    acc: dict[int, int] = {}
-    get = acc.get
-    rest = dict(n.entries)
-    pop = rest.pop
-    for p, a in m.entries:
-        b = pop(p, 0)
-        # m ascends and each p - 1 adds only primes below p, so p is new to acc.
-        if b:
-            acc[p] = 2 * (a - b)
-        else:
-            acc[p] = 2 * a - 1
-            for q, c in _factor_p_minus_1(p):
-                acc[q] = get(q, 0) + c
-    for p, b in rest.items():
-        acc[p] = get(p, 0) - 2 * b + 1
-        for q, c in _factor_p_minus_1(p):
-            acc[q] = get(q, 0) - c
-    lhs = _checked(FactoredRational, acc)
+    lhs = _checked(FactoredRational, _phi_ratio(m.entries, n.entries))
     return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)

@@ -269,6 +269,8 @@ def test_search_answers_a_miss_without_expanding_a_huge_ratio():
     # a 1 GB address space the miss must still come back, and quickly.
     for bound in (10, 10000000):
         assert search_in_1_gb("2^99999999999999", bound, 30) == ("ok", bound, False, None, None)
+    # Nor a ratio whose prime lies above the bound: no k <= bound has it in k * phi(k).
+    assert search_in_1_gb("10000019/2", 10000000, 30) == ("ok", 10000000, False, None, None)
 
 
 def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
@@ -389,7 +391,7 @@ def test_usage_errors_honour_json(capsys):
 
 def test_sieve_past_the_cap_exits_2(capsys):
     # Refused before the sieve is allocated, so this costs nothing, also for a ratio
-    # whose size alone proves a miss. A limit of 50 or more digits is named by its
+    # whose size or prime alone proves a miss. A limit of 50 or more digits is named by its
     # digit count, not echoed in full.
     cases = {
         "10000001": "a totient sieve to 10000001 exceeds the cap of 10000000",
@@ -398,7 +400,8 @@ def test_sieve_past_the_cap_exits_2(capsys):
         "1" * 4001: "a totient sieve to a 4001-digit limit exceeds the cap of 10000000",
     }
     for limit, message in cases.items():
-        for argv in (["sequence", limit], ["search", "3", "--bound", limit], ["search", "2^99999", "--bound", limit]):
+        searches = (["search", r, "--bound", limit] for r in ("3", "2^99999", "10000019/2"))
+        for argv in (["sequence", limit], *searches):
             code, out, err = run(capsys, *argv)
             assert code == EXIT_UNSUPPORTED_SCALE
             assert out == ""

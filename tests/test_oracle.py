@@ -4,6 +4,7 @@ import io
 import json
 import random
 from array import array
+from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from phisq import oracle, primes
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
 from phisq.errors import ParseError, UnsupportedScaleError
-from phisq.factored import parse_rational
+from phisq.factored import FactoredRational, parse_rational
 from phisq.oracle import (
     SearchResult,
     brute_force_minimal,
@@ -24,6 +25,7 @@ from phisq.oracle import (
     random_rational,
     sieve_totients,
 )
+from phisq.primes import primes_up_to
 from phisq.represent import represent
 
 # The module, not the function the package exports under the same name.
@@ -332,6 +334,9 @@ def test_brute_force_fixtures():
     assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
     assert brute_force_minimal(parse_rational("1"), 10) == SearchResult(True, 1, 1, 10)
     assert brute_force_minimal(parse_rational("2"), 10) == SearchResult(True, 2, 1, 10)
+    # 20 = phi(5^2)/phi(1^2): a prime of r at the bound still hits; past it, r misses.
+    assert brute_force_minimal(parse_rational("20"), 5) == SearchResult(True, 5, 1, 5)
+    assert brute_force_minimal(parse_rational("20"), 4) == SearchResult(False, None, None, 4)
 
 
 def test_brute_force_none_under_bound():
@@ -465,6 +470,33 @@ def test_search_misses_unexpanded_only_where_no_pair_exists():
                 assert ((result.m, result.n) if result.found else None) == expected, (ratio, bound)
                 hits += expected is not None
     assert hits > 0
+
+
+PRIMES_TO_700 = primes_up_to(700)
+
+
+def no_table(limit):
+    raise AssertionError(f"a table to {limit} was read")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(0, 20),
+    st.integers(-3, 3).filter(bool),
+    st.dictionaries(st.sampled_from(PRIMES_TO_700[:25]), st.integers(-3, 3).filter(bool), max_size=3),
+)
+@example(1, 0, 1, {})
+@example(300, 0, -1, {2: 3})
+def test_search_answers_a_prime_above_the_bound_without_a_table(bound, above, e, rest):
+    # Every prime of k * phi(k) is at most k, so r with a prime past the bound
+    # misses; the search must say so as the full scan does, without reading a table.
+    big = PRIMES_TO_700[bisect_right(PRIMES_TO_700, bound) + above]
+    r = FactoredRational.from_factors({**rest, big: e})
+    expected = reference_minimal(r, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_phi_squares", no_table)
+        assert brute_force_minimal(r, bound) == expected
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7, 300])

@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phisq import factored, primes
 from phisq.errors import ExponentOverflowError
@@ -326,20 +326,21 @@ def test_fused_verify_matches_reference_on_shared_primes(sides):
 
 
 def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
-    represent_module = importlib.import_module("phisq.represent")
+    # verify's one accumulator is totient._phi_ratio: its lookups are the ones counted.
     looked_up = []
 
     def counting_lookup(p):
         looked_up.append(p)
         return primes._factor_p_minus_1(p)
 
-    monkeypatch.setattr(represent_module, "_factor_p_minus_1", counting_lookup)
-
     f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
+    phi_f_squared = totient_of_square(f).value()
+    monkeypatch.setattr(importlib.import_module("phisq.totient"), "_factor_p_minus_1", counting_lookup)
+
     report = verify(f, f, FactoredRational())
     assert report.holds
     # Nor does the common value factor a p - 1.
-    assert report.common_value == totient_of_square(f).value()
+    assert report.common_value == phi_f_squared
     assert looked_up == []
     # Only the primes on one side are looked up, each once.
     m, n = f * factor(2003 * 2011), f * factor(2017)
@@ -412,10 +413,13 @@ def verify_outcome(m, n, r):
 def test_verify_answers_and_refuses_without_a_sides_totient(monkeypatch):
     before = [verify_outcome(m, n, FactoredRational()) for m, n in PAST_ON_A_SIDE]
 
-    def no_totient(f, k):
+    def no_totient(f):
         raise AssertionError(f"a side's totient was built for {f}")
 
-    monkeypatch.setattr(importlib.import_module("phisq.totient"), "_totient_exponents", no_totient)
+    # Bound in either module: a verify that imported them would meet the stubs too.
+    for module in ("phisq.totient", "phisq.represent"):
+        for name in ("totient", "totient_of_square"):
+            monkeypatch.setattr(importlib.import_module(module), name, no_totient, raising=False)
     assert [verify_outcome(m, n, FactoredRational()) for m, n in PAST_ON_A_SIDE] == before
     # Both answers and refusals are among them.
     assert True in (b[0] for b in before) and ExponentOverflowError in (b[0] for b in before)
@@ -456,3 +460,15 @@ def test_verify_matches_a_reference_that_range_checks_only_the_ratio(m, n, claim
     if claim != "one" and found[0] is not ExponentOverflowError:
         r = found[1] * factor(53) if claim == "ratio * 53" else found[1]
     assert verify_outcome(m, n, r) == reference_ratio_outcome(m, n, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDE, SIDE)
+@example(factor(7 * 13), factor(3 * 5))
+def test_verify_ratio_is_the_ratio_of_the_sides_totients(m, n):
+    # Where both totients are in range, so is their ratio, and verify must read it.
+    try:
+        expected = totient_of_square(m) * totient_of_square(n).inverse()
+    except ExponentOverflowError:
+        assume(False)
+    assert verify(m, n, expected).lhs == expected

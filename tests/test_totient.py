@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phisq import primes
 from phisq.errors import ExponentOverflowError, FactorizationFailure
@@ -66,6 +67,9 @@ def test_exponent_overflow_is_reported():
     with pytest.raises(ExponentOverflowError):
         totient(FactoredInteger(((2, EXPONENT_LIMIT), (5, 1))))
     assert totient(FactoredInteger(((2, EXPONENT_LIMIT), (3, 1)))).factors == {2: EXPONENT_LIMIT}
+    # totient subtracts f's exponents from phi(n^2)'s, 2a - 1 = 2^64 - 3 here: only the result is checked.
+    assert totient(FactoredInteger(((2, EXPONENT_LIMIT),))).factors == {2: EXPONENT_LIMIT - 1}
+    assert totient(FactoredInteger(((3, EXPONENT_LIMIT),))).factors == {2: 1, 3: EXPONENT_LIMIT - 1}
     # Past the limit at two primes, the smaller is named: 2 at 2^63 + 1 from
     # itself and 3 - 1 = 2 on top, 3 at 2^63 + 1.
     with pytest.raises(ExponentOverflowError) as info:
@@ -100,3 +104,25 @@ def test_refusal_is_not_cached(monkeypatch):
     )
     monkeypatch.undo()
     assert totient_of_square(f).factors == {2: 3, 3: 1, 1000003: 1, 1000033: 1, p: 1}
+
+
+def outcome(thunk):
+    """thunk's result, or the message of its ExponentOverflowError."""
+    try:
+        return thunk()
+    except ExponentOverflowError as exc:
+        return str(exc)
+
+
+# Exponents small, or where 2a - 1 reaches the edge of the range.
+SIDE = st.dictionaries(
+    st.sampled_from(PRIMES_TO_100), st.one_of(st.integers(1, 4), st.integers(2**62 - 2, 2**62 + 2)), max_size=6
+).map(FactoredInteger.from_factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIDE)
+@example(FactoredInteger(((2, 2**62 + 1), (3, 2**62 + 1))))
+def test_totient_times_n_is_totient_of_square(f):
+    # phi(n) * n = phi(n^2), refusals included: both name the same least prime and exponent.
+    assert outcome(lambda: totient(f) * f) == outcome(lambda: totient_of_square(f))

@@ -49,12 +49,14 @@ CLI = "src/phisq/cli.py"
 FACTORED = "src/phisq/factored.py"
 PRIMES = "src/phisq/primes.py"
 REPRESENT = "src/phisq/represent.py"
+TOTIENT = "src/phisq/totient.py"
 
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_PRIMES = "tests/test_primes.py::"
 T_FACTORED = "tests/test_factored.py::"
 T_REPRESENT = "tests/test_represent.py::"
+T_TOTIENT = "tests/test_totient.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
@@ -71,6 +73,7 @@ SEARCH_LOOKUPS_N = (
     "        if not w % p and (n := index.get(w // p * q, top + 1)) <= top:  # the pair (top, n)\n"
     "            return SearchResult(found=True, m=top, n=n, bound=bound)\n"
 )
+PRIME_AND_SIZE_RULES = "    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):\n"
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
 BASE_SCREEN = (
     "    if gcd(n, _MR_PRODUCT) > 1:\n"
@@ -127,10 +130,18 @@ MUTATIONS = [
     ),
     # verify range-checks the ratio it returns; the construction pushes each prime once.
     Mutation(
-        "verify-ratio-unchecked", REPRESENT, "    lhs = _checked(FactoredRational, acc)\n",
+        "verify-ratio-unchecked", REPRESENT, "    lhs = _checked(FactoredRational, _phi_ratio(m.entries, n.entries))\n",
+        "    acc = _phi_ratio(m.entries, n.entries)\n"
         "    lhs = _canonical(FactoredRational, tuple((p, e) for p, e in sorted(acc.items()) if e))\n",
         [T_REPRESENT + "test_verify_range_checks_the_ratio_not_each_side"],
     ),
+    # One accumulator for phi(m^2)/phi(n^2): a prime on both sides looks up no p - 1.
+    Mutation(
+        "phi-ratio-looks-up-shared-primes", TOTIENT, "        b = pop(p, 0)\n", "        b = 0\n",
+        [T_REPRESENT + "test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read"],
+    ),
+    Mutation("totient-subtracts-a-minus-1", TOTIENT, "        acc[p] -= a\n", "        acc[p] -= a - 1\n",
+             [T_TOTIENT + "test_totient_fixtures"]),
     Mutation(
         "construct-pushes-every-time", REPRESENT, "                if p not in rest:\n                    heappush(",
         "                if True:\n                    heappush(", [T_REPRESENT + "test_represent_19_47_canonical_output"],
@@ -249,10 +260,19 @@ MUTATIONS = [
         "fraction-read-as-integer", FACTORED, 'if "/" in s and not cls._integral:', 'if "/" in s:',
         [T_FACTORED + "test_parse_integer"],
     ),
+    # The search's misses that need no sieve, each answered only within the cap.
     Mutation(
-        "size-guard-past-the-cap", ORACLE, "> 4 * bound.bit_length() and bound <= _SIEVE_CAP:", "> 4 * bound.bit_length():",
+        "size-guard-past-the-cap", ORACLE, PRIME_AND_SIZE_RULES,
+        "    if wide or bound <= _SIEVE_CAP and r.entries and r.entries[-1][0] > bound:\n",
         [T_CLI + "test_sieve_past_the_cap_exits_2"],
     ),
+    Mutation(
+        "prime-rule-past-the-cap", ORACLE, PRIME_AND_SIZE_RULES,
+        "    if r.entries and r.entries[-1][0] > bound or bound <= _SIEVE_CAP and wide:\n",
+        [T_CLI + "test_sieve_past_the_cap_exits_2"],
+    ),
+    Mutation("prime-rule-at-the-bound", ORACLE, "r.entries[-1][0] > bound", "r.entries[-1][0] >= bound",
+             [T_ORACLE + "test_brute_force_fixtures"]),
 ]
 
 EQUIVALENT = [
