@@ -7,9 +7,11 @@ The sequence, the search and the injectivity scan all read one table per
 process, v[k] = phi(k^2) = k * phi(k) for k = 0..L, kept beside phi(0..L).  A
 request past L extends both by the values phi(L+1..limit) alone, in place while
 limit <= 1 << 16 (the bound of the primes caches); a larger request extends
-copies, which serve that one request and are dropped.  Each request reads only
-v[1..limit] of its own limit (the search's index stops at its answer's top), so
-a larger kept table never changes an answer.  The plain sequence text is
+copies, which serve that one request and are dropped.  The search's value
+index v[k] -> k is kept beside the kept table, grown to the largest stage a
+search has reached and never past its first collision.  Each request reads
+only v[1..limit] of its own limit, and the index only up to its stage, so a
+larger kept table or index never changes an answer.  The plain sequence text is
 rendered once per process in the same way: the decimal lines of v[1..K],
 K <= 1 << 16, are kept, grown by the values they lack, and sliced per request.
 """
@@ -115,12 +117,9 @@ def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
         raise ParseError(f"limit must be >= 2, got {shown(limit, 'number')}")
-    v = _phi_squares(limit)
-    index: dict[int, int] = {}
-    for k in range(1, limit + 1):
-        if (j := index.setdefault(v[k], k)) != k:
-            return j, k
-    return None
+    index = _Index(_phi_squares(limit))
+    index.grow(limit)
+    return index.collision
 
 
 class SearchResult(namedtuple("SearchResult", "found m n bound")):
@@ -129,16 +128,65 @@ class SearchResult(namedtuple("SearchResult", "found m n bound")):
     __slots__ = ()
 
 
-def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
-    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q: an O(bound) sieve, then O(max(m, n)) steps.
+class _Index(dict):
+    """The value index v[k] -> k of the table v for k = 1..len(self), grown in C.
+    It stops before the first k whose value an earlier j holds, and keeps that
+    pair as collision = (j, k)."""
 
-    Pairs are taken in increasing (max(m, n), m, n) order, so the first hit
-    is the minimal one.  One loop over top indexes v[top] = phi(top^2) by
-    value, then looks up m = v^-1(v[top] * p / q) with m < top and
-    n = v^-1(v[top] * q / p) with n <= top; a sieved miss takes the bound's
-    steps.  The index is exact only if k -> phi(k^2) is injective (it is:
-    OEIS A002618), checked as each k is indexed: a collision at or below the
-    answer's top raises RuntimeError naming both k.
+    collision: tuple[int, int] | None = None
+
+    def __init__(self, v: list[int]):
+        self.v = v
+
+    def grow(self, limit: int) -> None:
+        n = len(self)
+        if self.collision or limit <= n:
+            return
+        self.update(zip(islice(self.v, n + 1, limit + 1), range(n + 1, limit + 1)))
+        if len(self) < limit:  # update kept the last k of a repeated value: redo by hand to name the first
+            self.clear()
+            for k in range(1, limit + 1):
+                if (j := self.setdefault(self.v[k], k)) != k:
+                    self.collision = (j, k)
+                    return
+
+
+# The search's index of the kept table, grown with it; a new table starts a new one.
+_index = None
+
+
+def _candidates(v: list[int], x: int, ell: int, limit: int) -> list[int]:
+    """The k <= limit with x | v[k], in no order, for ell the largest prime of x
+    (1 if x = 1): multiples of ell or of a prime s = 1 (mod 2 * ell), v[s] = s * (s - 1).
+    For ell = 2 that is every odd prime, and for 3 and 5 a filter of every k is faster."""
+    if ell <= 5:
+        ks = range(1, limit + 1)
+    else:
+        ks = set(range(ell, limit + 1, ell))
+        for s in range(2 * ell + 1, limit + 1, 2 * ell):
+            if v[s] == s * (s - 1):
+                ks.update(range(s, limit + 1, s))
+    return [k for k in ks if not v[k] % x]
+
+
+def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
+    """Search m, n <= bound for phi(m^2)/phi(n^2) = r = p/q: an O(bound) sieve, then one side's candidates.
+
+    With v[k] = phi(k^2) = k * phi(k), a pair has v[m] * q = v[n] * p, so
+    p | v[m] and q | v[n] (p, q coprime).  A prime ell | v[k] divides k or
+    s - 1 for a prime s | k, as phi(k) = prod s^(a-1) * (s - 1) over s^a || k.
+    So the search walks the side x whose largest prime ell is the larger, over
+    the multiples of ell and of primes s = 1 (mod ell) only, about
+    L * (1 + ln ln L) / ell of the k <= L; it keeps the k with x | v[k] and
+    looks up each one's partner in a value index.  Stages L = 64, 128, ... run
+    up to the bound, and the first with a pair answers the least in
+    (max(m, n), m, n) order, as it sees every pair with m, n <= L.
+
+    The index of the kept table is kept beside it; a copy past the kept bound
+    gets its own, grown with the stages.  It is exact only if k -> phi(k^2)
+    is injective (it is: OEIS A002618), checked as each k is indexed: the
+    first collision (j, k) raises RuntimeError if and only if k is at or below
+    the answer's top, or at or below the bound on a miss.
 
     A hit has p | phi(m^2) and q | phi(n^2), both at most bound^2, and every
     prime of phi(k^2) = k * phi(k) is at most k.  So r misses, unexpanded and
@@ -146,6 +194,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     bits (a prime's bit length is at most twice its log2); neither rule implies
     the other.  A bound past the cap is refused by the sieve all the same.
     """
+    global _index
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {shown(bound, 'number')}")
     num, den = r.numerator(), r.denominator()
@@ -154,16 +203,24 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
         return SearchResult(found=False, m=None, n=None, bound=bound)
     v = _phi_squares(bound)
     p, q = num.value(), den.value()
-    index: dict[int, int] = {}
-    # p and q are coprime, so q divides v[top] * p exactly when it divides v[top].
-    for top in range(1, bound + 1):
-        w = v[top]
-        if (j := index.setdefault(w, top)) != top:
-            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {top}")
-        if not w % q and (m := index.get(w // q * p, top)) < top:  # the pair (m, top)
-            return SearchResult(found=True, m=m, n=top, bound=bound)
-        if not w % p and (n := index.get(w // p * q, top + 1)) <= top:  # the pair (top, n)
-            return SearchResult(found=True, m=top, n=n, bound=bound)
+    index = _index if _index is not None and _index.v is v else _Index(v)
+    if v is _table:
+        _index = index
+    largest = {e > 0: b for b, e in r.entries}  # each side's largest prime, as the entries ascend
+    walk_p = largest.get(True, 1) > largest.get(False, 1)
+    x, y, ell = (p, q, largest.get(True, 1)) if walk_p else (q, p, largest.get(False, 1))
+    top = 0
+    while top < bound:
+        top = min(max(2 * top, 64), bound)
+        index.grow(top)
+        j, c = index.collision or (0, bound + 1)
+        limit = min(top, c - 1)  # the index is exact below its collision
+        hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]
+        if hits:
+            m, n = min(hits if walk_p else [(i, k) for k, i in hits], key=lambda mn: (max(mn), mn))
+            return SearchResult(found=True, m=m, n=n, bound=bound)
+        if top >= c:
+            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {c}")
     return SearchResult(found=False, m=None, n=None, bound=bound)
 
 

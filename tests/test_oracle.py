@@ -7,7 +7,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -337,6 +337,12 @@ def test_brute_force_fixtures():
     # 20 = phi(5^2)/phi(1^2): a prime of r at the bound still hits; past it, r misses.
     assert brute_force_minimal(parse_rational("20"), 5) == SearchResult(True, 5, 1, 5)
     assert brute_force_minimal(parse_rational("20"), 4) == SearchResult(False, None, None, 4)
+    # 5/3 walks its 5 side, and the partner of m = 5 is n = 6, the bound itself.
+    assert brute_force_minimal(parse_rational("5/3"), 6) == SearchResult(True, 5, 6, 6)
+    # The least pair's top is the last stage, 1024 = 2^4 * 64, or one past the bound.
+    r = parse_rational("2^18 * 3^-11")
+    assert brute_force_minimal(r, 1024) == SearchResult(True, 1024, 729, 1024)
+    assert brute_force_minimal(r, 1023) == SearchResult(False, None, None, 1023)
 
 
 def test_brute_force_none_under_bound():
@@ -402,6 +408,121 @@ def reference_minimal(r, bound):
             if lhs[top] == rhs[n]:
                 return SearchResult(found=True, m=top, n=n, bound=bound)
     return SearchResult(found=False, m=None, n=None, bound=bound)
+
+
+def index_minimal(r, bound):
+    """The search before it walked candidates: one loop over top indexes
+    v[top] = phi(top^2) by value, raising at the first collision, then looks up
+    m = v^-1(v[top] * p / q) with m < top and n = v^-1(v[top] * q / p) with
+    n <= top.  It reads a table of its own from oracle.sieve_totients."""
+    v = [k * f for k, f in enumerate(oracle.sieve_totients(bound))]
+    p, q = r.numerator().value(), r.denominator().value()
+    index = {}
+    for top in range(1, bound + 1):
+        w = v[top]
+        if (j := index.setdefault(w, top)) != top:
+            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {top}")
+        if not w % q and (m := index.get(w // q * p, top)) < top:
+            return SearchResult(found=True, m=m, n=top, bound=bound)
+        if not w % p and (n := index.get(w // p * q, top + 1)) <= top:
+            return SearchResult(found=True, m=top, n=n, bound=bound)
+    return SearchResult(found=False, m=None, n=None, bound=bound)
+
+
+_SCAN_TOP = 2100
+STAGE_EDGES = [edge + d for edge in (64, 128, 256, 512, 1024, 2048) for d in (-1, 0, 1)]
+PRIMES_TO_TOP = primes_up_to(_SCAN_TOP)
+
+
+@functools.cache
+def values_to_top():
+    return [k * f for k, f in enumerate(reference_totients()[: _SCAN_TOP + 1])]
+
+
+def rational(f):
+    return parse_rational(str(Fraction(f)))
+
+
+ratios = st.one_of(
+    # Attained: v[a] / v[b] has a pair with max(m, n) <= max(a, b).
+    st.tuples(st.integers(1, _SCAN_TOP), st.integers(1, _SCAN_TOP)).map(
+        lambda ab: rational(Fraction(values_to_top()[ab[0]], values_to_top()[ab[1]]))
+    ),
+    st.just(rational(1)),
+    st.integers(2, 3000).map(rational),
+    st.integers(2, 3000).map(lambda n: rational(Fraction(1, n))),
+    # Only 2 and 3, which the search walks through every k.
+    st.tuples(st.integers(-20, 20), st.integers(-12, 12)).map(lambda ab: rational(Fraction(2) ** ab[0] * Fraction(3) ** ab[1])),
+    # Sieved misses, mostly: a prime up to the top over or under a small number.
+    st.tuples(st.sampled_from(PRIMES_TO_TOP[100:]), st.integers(1, 60), st.sampled_from([1, -1])).map(
+        lambda t: rational(Fraction(t[0], t[1]) ** t[2])
+    ),
+)
+
+
+# A bound near the least pair's top (the top itself if d = 0; the scan's top on a miss), or a given one.
+bounds = st.one_of(
+    st.sampled_from([-1, 0, 1]).map(lambda d: ("near", d)),
+    st.sampled_from(STAGE_EDGES).map(lambda b: ("at", b)),
+    st.integers(1, _SCAN_TOP).map(lambda b: ("at", b)),
+)
+TWO_THREE = parse_rational("2^18 * 3^-11")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 100, 1500, _SCAN_TOP, 20000]), st.lists(st.tuples(ratios, bounds), min_size=1, max_size=3))
+@example(0, [(TWO_THREE, ("near", -1)), (TWO_THREE, ("near", 0)), (TWO_THREE, ("near", 1))])
+@example(20000, [(parse_rational("19/47"), ("at", 2048)), (TWO_THREE, ("at", 1025)), (rational(1), ("at", 1))])
+def test_search_equals_the_index_scan(warm, searches):
+    # On a cold table or one sieved to `warm`, searches in turn share the kept
+    # index, and each answers as the full index scan does.
+    oracle._table, oracle._phi = [0], [0]
+    if warm:
+        phi_square_sequence(warm)
+    for r, (kind, b) in searches:
+        if kind == "near":
+            first = index_minimal(r, _SCAN_TOP)
+            b = max(max(first.m, first.n) + b, 1) if first.found else _SCAN_TOP
+        assert brute_force_minimal(r, b) == index_minimal(r, b), (r, b)
+
+
+CANDIDATE_CASES = [
+    (1, 1, 50),
+    (2, 2, 100),
+    (2**7, 2, 300),
+    (3, 3, 100),
+    (2 * 3**4, 3, 500),
+    (5**2, 5, 400),
+    (7, 7, 200),  # the multiples of 29, the first prime 1 (mod 7)
+    (2 * 7**2, 7, 1000),
+    (47, 47, 1000),  # the multiples of 283 = 6 * 47 + 1
+    (3 * 11 * 13, 13, 2000),
+    (997, 997, 1000),  # the largest prime below the limit
+    (1009, 1009, 1000),  # the least prime above it
+]
+
+
+@pytest.mark.parametrize("x, ell, limit", CANDIDATE_CASES)
+def test_candidates_are_exactly_the_ks_x_divides(x, ell, limit):
+    v = values_to_top()
+    assert sorted(oracle._candidates(v, x, ell, limit)) == [k for k in range(1, limit + 1) if v[k] % x == 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, _SCAN_TOP), st.data())
+def test_candidates_equal_a_filter_of_every_k(limit, data):
+    # x's largest prime ell is 2, 3, a middle prime, one near the limit or one past it.
+    at_most = PRIMES_TO_TOP[: bisect_right(PRIMES_TO_TOP, limit)] or [2]
+    ell = data.draw(st.one_of(
+        st.sampled_from([2, 3]),
+        st.sampled_from(PRIMES_TO_TOP[3:60]),
+        st.sampled_from(at_most[-3:]),
+        st.just(PRIMES_TO_TOP[bisect_right(PRIMES_TO_TOP, limit)] if limit < PRIMES_TO_TOP[-1] else 2111),
+    ), label="ell")
+    rest = data.draw(st.dictionaries(st.sampled_from(PRIMES_TO_TOP[:8]).filter(ell.__gt__), st.integers(1, 3), max_size=2), label="rest")
+    x = ell ** data.draw(st.integers(1, 3), label="power") * prod(b**e for b, e in rest.items())
+    v = values_to_top()
+    assert sorted(oracle._candidates(v, x, ell, limit)) == [k for k in range(1, limit + 1) if v[k] % x == 0], (x, ell)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7, 300])
@@ -537,6 +658,64 @@ def test_search_refuses_a_colliding_index(monkeypatch, capsys):
     body = json.loads(capsys.readouterr().err)
     assert body["status"] == "internal_invariant_violation"
     assert "k = 2 and k = 3" in body["error"]
+
+
+def set_phi_50_51(phi):
+    phi[50], phi[51] = 51, 50  # phi(50^2) = phi(51^2) = 2550
+
+
+def set_phi_60_to_4(phi):
+    phi[60] = 4  # phi(60^2) = 240 = phi(30^2)
+
+
+@pytest.mark.parametrize("corrupt, j, c", [(set_phi_50_51, 50, 51), (set_phi_60_to_4, 30, 60)], ids=["past-the-index", "into-the-index"])
+def test_a_kept_index_meets_a_collision_the_table_grew_into(monkeypatch, corrupt, j, c):
+    # A clean search keeps its index of the table to 40.  A corrupted sieve then
+    # grows the kept table in place to 100, with a first collision (j, c) whose
+    # c lies past that index, and whose j lies past it or in it.
+    assert brute_force_minimal(parse_rational("1/768"), 40) == SearchResult(False, None, None, 40)
+    table, index = oracle._table, oracle._index
+    assert index.v is table and len(index) == 40
+
+    def corrupted(limit, phi=None):
+        phi = sieve_totients(limit, phi)
+        if len(phi) > c:
+            corrupt(phi)
+        return phi
+
+    monkeypatch.setattr(oracle, "sieve_totients", corrupted)
+    assert phi_square_sequence(100)[c - 1] == phi_square_sequence(100)[j - 1]
+    assert oracle._table is table and oracle._index is index
+    # Hits below c answer, at any bound: (3, 2) for 3, (1, 48) for 1/768.
+    for bound in (c - 1, c, 64, 100):
+        assert brute_force_minimal(parse_rational("3"), bound) == SearchResult(True, 3, 2, bound)
+        assert brute_force_minimal(parse_rational("1/768"), bound) == SearchResult(True, 1, 48, bound)
+    # A miss below c answers; a miss whose bound reaches c, or a search whose
+    # least pair would lie past c, raises, exactly as the full index scan does.
+    assert brute_force_minimal(parse_rational("19/47"), c - 1) == SearchResult(False, None, None, c - 1)
+    for text, bound in (("19/47", c), ("19/47", 100), ("1/1536", 100)):
+        with pytest.raises(RuntimeError, match=f"k = {j} and k = {c}$"):
+            index_minimal(parse_rational(text), bound)
+        with pytest.raises(RuntimeError, match=f"k = {j} and k = {c}$"):
+            brute_force_minimal(parse_rational(text), bound)
+    assert index.collision == (j, c) and len(index) == c - 1
+
+
+def test_a_new_table_starts_a_new_index(monkeypatch):
+    # An index that met a collision in one table is never read for the next.
+    def corrupted(limit, phi=None):
+        phi = sieve_totients(limit, phi)
+        phi[2] = 3
+        return phi
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "sieve_totients", corrupted)
+        with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
+            brute_force_minimal(parse_rational("3"), 10)
+    monkeypatch.setattr(oracle, "_table", [0])
+    monkeypatch.setattr(oracle, "_phi", [0])
+    assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
+    assert oracle._index.v is oracle._table and oracle._index.collision is None
 
 
 def test_search_at_a_large_bound():

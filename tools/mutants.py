@@ -61,18 +61,16 @@ QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_le
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
 
-SEARCH_CHECK = (
-    "        if (j := index.setdefault(w, top)) != top:\n"
-    '            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {top}")\n'
+SEARCH_STAGE = (
+    "        index.grow(top)\n"
+    "        j, c = index.collision or (0, bound + 1)\n"
+    "        limit = min(top, c - 1)  # the index is exact below its collision\n"
 )
-SEARCH_LOOKUPS = (
-    "        if not w % q and (m := index.get(w // q * p, top)) < top:  # the pair (m, top)\n"
-    "            return SearchResult(found=True, m=m, n=top, bound=bound)\n"
+SEARCH_HITS = (
+    "        hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
 )
-SEARCH_LOOKUPS_N = (
-    "        if not w % p and (n := index.get(w // p * q, top + 1)) <= top:  # the pair (top, n)\n"
-    "            return SearchResult(found=True, m=top, n=n, bound=bound)\n"
-)
+COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
+CANDIDATES = [T_ORACLE + "test_candidates_are_exactly_the_ks_x_divides"]
 PRIME_AND_SIZE_RULES = "    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):\n"
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
 BASE_SCREEN = (
@@ -87,38 +85,42 @@ BOUND_CHECK = (
 )
 
 MUTATIONS = [
-    # The search's value index, built in its scan loop.
+    # The value index, grown in C and by hand past a collision; the scan reads it too.
     Mutation(
-        "search-collision-check-removed", ORACLE, SEARCH_CHECK, "        index.setdefault(w, top)\n",
-        [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"],
+        "search-collision-check-removed", ORACLE, "        if len(self) < limit:  #", "        if False:  #", COLLIDING,
     ),
     Mutation(
         "search-index-by-plain-assignment", ORACLE,
-        "        if (j := index.setdefault(w, top)) != top:\n",
-        "        index[w] = top\n        if (j := index[w]) != top:\n",
-        [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"],
+        "                if (j := self.setdefault(self.v[k], k)) != k:\n",
+        "                self[self.v[k]] = k\n                if (j := self[self.v[k]]) != k:\n",
+        [*COLLIDING, T_ORACLE + "test_injectivity_scan_reports_first_collision"],
     ),
+    # The search walks one side's candidates in stages, against the index.
     Mutation(
-        "search-indexes-after-its-lookups", ORACLE, SEARCH_CHECK + SEARCH_LOOKUPS + SEARCH_LOOKUPS_N,
-        SEARCH_LOOKUPS + SEARCH_LOOKUPS_N + SEARCH_CHECK,
+        "search-indexes-after-its-lookups", ORACLE, SEARCH_STAGE + SEARCH_HITS,
+        SEARCH_STAGE.replace("        index.grow(top)\n", "") + SEARCH_HITS + "        index.grow(top)\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
     Mutation(
-        "search-indexes-the-whole-bound-first", ORACLE,
-        "    index: dict[int, int] = {}\n    # p and q are coprime",
-        "    index: dict[int, int] = dict(zip(v[1 : bound + 1], range(1, bound + 1)))\n    # p and q are coprime",
+        "search-indexes-the-whole-bound-first", ORACLE, "        index.grow(top)\n", "        index.grow(bound)\n",
         [T_CLI + "test_search_hit_at_the_sieve_cap_fits_in_1_gb"],
     ),
     Mutation(
-        "search-second-lookup-below-top", ORACLE, "top + 1)) <= top:", "top + 1)) < top:",
+        "search-partner-below-limit", ORACLE, "limit + 1)) <= limit]\n", "limit + 1)) < limit]\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
+    Mutation("search-stops-a-stage-early", ORACLE, "    while top < bound:\n", "    while 2 * top < bound:\n",
+             [T_ORACLE + "test_brute_force_fixtures"]),
     Mutation(
-        "scan-index-by-plain-assignment", ORACLE,
-        "        if (j := index.setdefault(v[k], k)) != k:\n",
-        "        index[v[k]] = k\n        if (j := index[v[k]]) != k:\n",
-        [T_ORACLE + "test_injectivity_scan_reports_first_collision", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"],
+        "search-collision-raise-past-the-stage", ORACLE, "        if top >= c:\n", "        if top > c:\n",
+        [T_ORACLE + "test_a_kept_index_meets_a_collision_the_table_grew_into"],
     ),
+    Mutation(
+        "candidates-start-at-ell-plus-1", ORACLE, "range(2 * ell + 1, limit + 1, 2 * ell)", "range(ell + 1, limit + 1, 2 * ell)",
+        CANDIDATES,
+    ),
+    Mutation("candidates-prime-test-negated", ORACLE, "if v[s] == s * (s - 1):", "if v[s] != s * (s - 1):", CANDIDATES),
+    Mutation("candidates-walk-2-sparsely", ORACLE, "    if ell <= 5:\n", "    if ell <= 1:\n", CANDIDATES),
     Mutation(
         "sequence-takes-limit-zero", ORACLE, "    if limit < 1:\n        raise", "    if limit < 0:\n        raise",
         [T_ORACLE + "test_oracles_own_their_range_checks", T_ORACLE + "test_text_refuses_a_limit_below_one_even_on_a_warm_table"],
@@ -277,10 +279,10 @@ MUTATIONS = [
 
 EQUIVALENT = [
     Mutation(
-        "search-lookup-order-swapped", ORACLE, SEARCH_LOOKUPS + SEARCH_LOOKUPS_N, SEARCH_LOOKUPS_N + SEARCH_LOOKUPS,
+        "search-walks-the-other-side", ORACLE, "largest.get(True, 1) > largest.get(False, 1)", "largest.get(True, 1) < largest.get(False, 1)",
         ["tests/test_oracle.py"],
-        "Every pair for r is (k * m0, k * n0), k >= 1 (README, the least pair).  A hit (m, top), m < top, needs "
-        "m0 < n0, and a hit (top, n), n <= top, needs n0 <= m0, so the two lookups never both hit at one top.",
+        "A pair has p | phi(m^2) and q | phi(n^2), so walking either side's candidates up to a stage, each by its "
+        "own largest prime, and looking up the partners finds the same pairs; only their number differs.",
     ),
 ]
 
