@@ -15,12 +15,12 @@ Exit codes are a stable scripting contract:
     4  verify ran cleanly but the ratio does not hold
 """
 
-import argparse
 import functools
 import json
 import os
 import sys
 from random import Random
+from types import SimpleNamespace
 
 from .errors import ExponentOverflowError, FactorizationFailure, ParseError, UnsupportedScaleError, cut
 from .factored import (
@@ -86,7 +86,7 @@ def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
     return body
 
 
-def cmd_represent(args: argparse.Namespace) -> Result:
+def cmd_represent(args: SimpleNamespace) -> Result:
     r = parse_rational(args.ratio)
     rep = represent(r)
     report = verify(rep.m, rep.n, r)
@@ -104,7 +104,7 @@ def cmd_represent(args: argparse.Namespace) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_INVARIANT_VIOLATION
 
 
-def cmd_verify(args: argparse.Namespace) -> Result:
+def cmd_verify(args: SimpleNamespace) -> Result:
     mf = parse_integer(args.m)
     nf = parse_integer(args.n)
     report = verify(mf, nf, parse_rational(args.ratio))
@@ -132,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     return payload, lines, EXIT_OK if report.holds else EXIT_VERIFY_FALSE
 
 
-def cmd_factor(args: argparse.Namespace) -> Result:
+def cmd_factor(args: SimpleNamespace) -> Result:
     s = args.n.strip()
     if not s.isdecimal():
         raise ParseError(f"factor takes a plain positive integer, got {cut(args.n, repr)}")
@@ -142,14 +142,14 @@ def cmd_factor(args: argparse.Namespace) -> Result:
     return payload, lines, EXIT_OK
 
 
-def cmd_sequence(args: argparse.Namespace) -> Result:
+def cmd_sequence(args: SimpleNamespace) -> Result:
     # Only the output main prints is built: the value list or the text.
     if args.json:
         return {"limit": args.limit, "values": phi_square_sequence(args.limit)}, [], EXIT_OK
     return {}, [phi_square_text(args.limit)], EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> Result:
+def cmd_search(args: SimpleNamespace) -> Result:
     result = brute_force_minimal(parse_rational(args.ratio), args.bound)
     payload = {"bound": args.bound, "found": result.found, "m": result.m, "n": result.n}
     lines = [f"input: {args.ratio}", f"bound: {args.bound}", f"found: {str(result.found).lower()}"]
@@ -198,7 +198,7 @@ def _check_round_trip() -> tuple[bool, str]:
     return True, "200 random ratios represented and verified"
 
 
-def cmd_selftest(args: argparse.Namespace) -> Result:
+def cmd_selftest(args: SimpleNamespace) -> Result:
     checks = [
         ("known pair 39330/55836 for 19/47", lambda: _check_known_pair(39330, 55836, "19/47", 19673280)),
         ("known pair 14476/20010 for 47/58", lambda: _check_known_pair(14476, 20010, "47/58", 1700160)),
@@ -223,7 +223,8 @@ def cmd_selftest(args: argparse.Namespace) -> Result:
 FLAGS = {"--json": "emit one JSON object", "--expanded": "also emit expanded decimal values"}
 
 # Each command: its help, the input its JSON record echoes, and its arguments
-# with their argparse options; cmd_<command> reads them from the parsed namespace.
+# with their argparse options, whose "type" _read honours too; cmd_<command> reads them
+# from the parsed namespace.
 COMMANDS = {
     "represent": (
         "find (m, n) with phi(m^2)/phi(n^2) = ratio", "{ratio}",
@@ -240,21 +241,61 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors are ParseErrors (exit 1), cut at 200 characters: the command list takes ~100."""
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain, well-formed line, or None to leave the line to argparse.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # type=int reads through _decimal: past the digit limit is exit 2, as for any numeral.
-        self.register("type", int, _decimal)
-
-    def error(self, message):
-        raise ParseError(cut(message, limit=200))
+    Plain is: the global flags first (main sorts them there), a command, exactly its
+    operands, and each of its options once, as "--bound 7".  Any other token that starts
+    with "-" (help, "--", "--bound=7", a negative numeral), a repeated or missing option,
+    a missing or extra operand, and an int that _decimal refuses with ValueError are left
+    to argparse, which alone prints help and usage messages.
+    """
+    flags = [a for a in argv if a in FLAGS]
+    command, *rest = argv[len(flags):] or [None]
+    if command not in COMMANDS:
+        return None
+    _, echo, arguments = COMMANDS[command]
+    operands, options = [], {}
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            operands.append(token)
+        elif token in arguments and token not in options:
+            options[token] = next(tokens, "-")  # a missing value is declined like a "-" token
+            if options[token].startswith("-"):
+                return None
+        else:
+            return None
+    names = [a for a in arguments if not a.startswith("-")]
+    if len(operands) != len(names) or len(options) != len(arguments) - len(names):
+        return None
+    args = SimpleNamespace(**{flag.lstrip("-"): flag in flags for flag in FLAGS}, command=command, echo=echo)
+    for argument, text in (*zip(names, operands), *options.items()):
+        if arguments[argument].get("type") is int:
+            try:
+                text = _decimal(text)
+            except ValueError:
+                return None  # for argparse's own message
+        setattr(args, argument.lstrip("-"), text)
+    return args
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args leaves the parser unchanged.
+def build_parser():
+    """The argparse parser of every line _read leaves; built once per process, as parse_args leaves it unchanged."""
+    import argparse  # here, not at import: a well-formed line loads neither argparse nor gettext
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse whose usage errors are ParseErrors (exit 1), cut at 200 characters: the command list takes ~100."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # type=int reads through _decimal: past the digit limit is exit 2, as for any numeral.
+            self.register("type", int, _decimal)
+
+        def error(self, message):
+            raise ParseError(cut(message, limit=200))
+
     parser = _Parser(
         prog="phisq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
     )
@@ -269,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output(args: argparse.Namespace, code: int, payload: dict, lines: list[str]) -> str:
+def _output(args: SimpleNamespace, code: int, payload: dict, lines: list[str]) -> str:
     """The plain lines, or under --json one record: command, input (cut in a refusal), status, payload."""
     if not args.json:
         return "\n".join(lines)
@@ -298,12 +339,16 @@ def main(argv=None) -> int:
     argv = sorted(argv, key=lambda a: a not in FLAGS)
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        # A plain, well-formed line is read here; argparse, loaded only then, reads any other.
+        args = _read(argv) or build_parser().parse_args(argv, SimpleNamespace())
         # Looked up per call, not bound in the parser: the traced benchmark rebinds cmd_*.
         payload, lines, code = globals()[f"cmd_{args.command}"](args)
         # Rendered inside the try: formatting a large integer can raise too.
         print(_output(args, code, payload, lines))
         return code
+    except SystemExit as exc:
+        # Help, which argparse has printed to stdout; its usage errors raise ParseError.
+        return exc.code
     except ParseError as exc:
         code, message = EXIT_PARSE_ERROR, str(exc)
     except (FactorizationFailure, ExponentOverflowError, UnsupportedScaleError) as exc:
@@ -315,7 +360,7 @@ def main(argv=None) -> int:
     if args is None:
         # A rejected line still tells --json, and a known command; its input is not echoed.
         first = next((a for a in argv if not a.startswith("-")), None)
-        args = argparse.Namespace(json="--json" in argv, command=first if first in COMMANDS else None, echo="")
+        args = SimpleNamespace(json="--json" in argv, command=first if first in COMMANDS else None, echo="")
     print(_output(args, code, {"error": message}, [f"error: {message}"]), file=sys.stderr)
     return code
 

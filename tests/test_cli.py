@@ -412,7 +412,7 @@ def test_sieve_past_the_cap_exits_2(capsys):
             assert body["error"] == message
 
 
-def test_one_shot_commands_import_neither_dataclasses_nor_fractions():
+def test_one_shot_commands_import_neither_dataclasses_nor_fractions(capsys):
     # A deterministic guard on what a one-shot run imports, not a time gate. -S keeps
     # site's own imports out, so the child's modules are phisq's and Python's core.
     script = (
@@ -422,12 +422,78 @@ def test_one_shot_commands_import_neither_dataclasses_nor_fractions():
         "argvs = (['represent', '2/3'], ['--json', 'verify', '13110', '18612', '19/47'],\n"
         "         ['search', '3', '--bound', '10'], ['sequence', '10'], ['factor', '12'], ['selftest'])\n"
         "codes = [main(argv) for argv in argvs]\n"
-        "heavy = sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules))\n"
+        "heavy = sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'argparse', 'gettext'} & set(sys.modules))\n"
         "print(codes, heavy)\n"
+        "print(main(['frobnicate']))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    # Well-formed lines never load argparse; a refused line loads it, for its unchanged message.
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] []", "1"]
+    assert "invalid choice: 'frobnicate' (choose from 'represent', " in proc.stderr
+    assert proc.stderr == run(capsys, "frobnicate")[2]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h", "--json"], ["represent", "-h"], ["sequence", "-h", "--json"], ["search", "3", "--help"]]
+)
+def test_help_is_printed_to_stdout_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    command = next((a for a in argv if a in cli.COMMANDS), None)
+    usage = f"usage: phisq {command} [-h]" if command else "usage: phisq [-h] [--json] [--expanded] command ..."
+    assert out.startswith(usage), out
+    assert out.count("usage:") == 1
+
+
+# Plain lines, one per command, with the global flags before and after: the reader's own.
+WELL_FORMED = [
+    ["represent", "19/47", "--json"],
+    ["--expanded", "verify", "39330", "55836", "19/47"],
+    ["factor", "55836", "--json", "--expanded"],
+    ["--json", "sequence", "007"],
+    ["search", "--bound", "10", "3", "--expanded"],
+    ["--json", "selftest", "--expanded"],
+]
+# Every other shape is argparse's to read, with the exit code it ends in.
+DECLINED = {
+    "equals": (["search", "3", "--bound=10"], EXIT_OK),
+    "double-dash": (["represent", "--", "2/3"], EXIT_OK),
+    "abbreviated-option": (["search", "3", "--bo", "10"], EXIT_OK),
+    "repeated-option": (["search", "3", "--bound", "x", "--bound", "10"], EXIT_PARSE_ERROR),
+    "other-commands-option": (["represent", "2/3", "--bound", "10"], EXIT_PARSE_ERROR),
+    "dash-operand": (["sequence", "-5"], EXIT_PARSE_ERROR),
+    "dash-value": (["search", "3", "--bound", "-5"], EXIT_PARSE_ERROR),
+    "help": (["represent", "-h"], EXIT_OK),
+    "missing-operand": (["verify", "1", "2"], EXIT_PARSE_ERROR),
+    "only-an-option": (["search", "--bound", "10"], EXIT_PARSE_ERROR),
+    "extra-operand": (["factor", "12", "13"], EXIT_PARSE_ERROR),
+    "operand-to-selftest": (["selftest", "x"], EXIT_PARSE_ERROR),
+    "missing-option": (["search", "3"], EXIT_PARSE_ERROR),
+    "missing-value": (["search", "3", "--bound"], EXIT_PARSE_ERROR),
+    "unknown-command": (["Represent", "2/3"], EXIT_PARSE_ERROR),
+    "no-command": (["--json"], EXIT_PARSE_ERROR),
+    "not-an-int": (["sequence", "abc"], EXIT_PARSE_ERROR),
+}
+
+
+def as_main_sorts(argv):
+    return sorted(argv, key=lambda a: a not in cli.FLAGS)
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: " ".join(argv))
+def test_the_reader_reads_a_plain_line_as_argparse_does(argv):
+    argv = as_main_sorts(argv)
+    args = cli._read(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, expected", DECLINED.values(), ids=DECLINED)
+def test_the_reader_leaves_every_other_line_to_argparse(capsys, argv, expected):
+    assert cli._read(as_main_sorts(argv)) is None
+    code, out, err = run(capsys, *argv)
+    assert code == expected, (out, err)
 
 
 def test_selftest_passes(capsys):

@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from phisq import cli  # noqa: E402
+from phisq.errors import ParseError, UnsupportedScaleError  # noqa: E402
 from phisq.primes import primes_up_to  # noqa: E402
 
 PAST_THE_DIGIT_LIMIT = st.integers(4301, 4400).map(lambda digits: "7" * digits)
@@ -92,3 +93,48 @@ def test_every_command_line_ends_in_a_documented_exit_code(argv):
         assert bool(err.getvalue()) == (code in (1, 2)), line
         # A refusal quotes outside text only after bounding it, as repr and JSON escape it.
         assert len(err.getvalue()) <= 500, (line, err.getvalue())
+
+
+# Tokens the reader must leave to argparse, and option shapes it reads only once and apart.
+DASHED = st.sampled_from(("-h", "--help", "--", "-", "-1", "-x", "--bound", "--bo", "--limit"))
+INSERTED = st.one_of(
+    DASHED.map(lambda t: [t]),
+    VALUE.map(lambda v: [v]),
+    LIMIT.map(lambda v: ["--bound", v]),
+    LIMIT.map(lambda v: [f"--bound={v}"]),
+)
+
+
+@st.composite
+def widened_command_lines(draw):
+    """command_lines(), as drawn, or with one token dropped, or one or two tokens put in anywhere or in one's place."""
+    argv = draw(command_lines())
+    change = draw(st.sampled_from(("keep", "drop", "insert", "replace")))
+    at = draw(st.integers(0, len(argv) - (change != "insert")))
+    if change == "drop":
+        del argv[at]
+    elif change != "keep":
+        argv[at:at + (change == "replace")] = draw(INSERTED)
+    return argv
+
+
+# argparse reads each --bound in turn, so the first can refuse the line.
+REPEATED_BOUND = st.tuples(VALUE, LIMIT, LIMIT).map(lambda t: ["search", t[0], "--bound", t[1], "--bound", t[2]])
+
+
+def reading(parse, argv):
+    """vars() of what parse(argv) returns, or None, or the type and message of its refusal; help goes nowhere."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            args = parse(argv)
+    except (ParseError, UnsupportedScaleError, SystemExit) as exc:
+        return type(exc), str(exc)
+    return None if args is None else vars(args)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(widened_command_lines(), REPEATED_BOUND))
+def test_the_reader_reads_a_line_as_argparse_does_or_leaves_it(line):
+    argv = sorted(line, key=lambda a: a not in cli.FLAGS)  # as main sorts it
+    mine = reading(cli._read, argv)
+    assert mine is None or mine == reading(cli.build_parser().parse_args, argv), argv

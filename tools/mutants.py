@@ -60,6 +60,7 @@ T_TOTIENT = "tests/test_totient.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
+READER_DECLINES = T_CLI + "test_the_reader_leaves_every_other_line_to_argparse"
 
 SEARCH_STAGE = (
     "        index.grow(top)\n"
@@ -173,6 +174,15 @@ MUTATIONS = [
     ),
     Mutation("argparse-message-uncut", CLI, "raise ParseError(cut(message, limit=200))", "raise ParseError(message)",
              [QUOTES + "[bound]", QUOTES + "[command]"]),
+    # The CLI's reader takes only the plain, well-formed line and leaves every other one to argparse.
+    Mutation("reader-accepts-a-repeated-option", CLI, "        elif token in arguments and token not in options:\n",
+             "        elif token in arguments:\n", [READER_DECLINES + "[repeated-option]"]),
+    Mutation("reader-accepts-a-dash-token", CLI, "        if not token.startswith(\"-\"):\n",
+             "        if token not in arguments:\n", [READER_DECLINES + "[dash-operand]"]),
+    Mutation("reader-skips-decimal", CLI, "                text = _decimal(text)\n", "                pass\n",
+             [T_CLI + "test_the_reader_reads_a_plain_line_as_argparse_does"]),
+    Mutation("reader-drops-the-operand-count", CLI, "len(operands) != len(names) or ", "",
+             [READER_DECLINES + "[missing-operand]"]),
     Mutation("factor-refusal-uncut", CLI, "got {cut(args.n, repr)}", "got {args.n!r}", [QUOTES + "[factor]"]),
     Mutation("echo-uncut", CLI, "        echo = cut(echo)\n", "        pass\n", [T_CLI + "test_factor_names_a_huge_cofactor_by_its_digit_count"]),
     Mutation("numeral-quote-uncut", FACTORED, "got {cut(text, repr)}", "got {text!r}", [QUOTES + "[numeral]"]),
