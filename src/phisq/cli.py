@@ -303,7 +303,7 @@ def build_parser():
         parser.add_argument(flag, action="store_true", help=text)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (text, echo, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.set_defaults(echo=echo)
         for argument, options in arguments.items():
             p.add_argument(argument, **options)

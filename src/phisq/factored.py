@@ -8,12 +8,13 @@ Values are slotted, immutable, hashable and picklable, with primes ascending.
 
 Each key is certified once.  Constructors, from_factors() and the literal
 parsers run the one validator (exact primality, order, exponent range, sign);
-factor(), which also reads the parsers' plain numerals, trusts factorize,
-which certifies every prime it returns.  Results computed inside the package
-from valid values (products, inverses, numerator and denominator, totients,
-the construction's m and n) are canonical by construction and skip it.  A
-computed prime -> exponent map (products, totients, verify's ratio) becomes a
-value through _checked alone, which sorts it, drops zeros and reports overflow.
+factor(), which also reads the parsers' plain numerals, and the fraction
+reader trust factorize, which certifies every prime it returns.  Results
+computed inside the package from valid values (products, inverses, numerator
+and denominator, totients, the construction's m and n) are canonical by
+construction and skip it.  A computed prime -> exponent map (products,
+totients, verify's ratio, a fraction's two sides) becomes a value through
+_checked alone, which sorts it, drops zeros and reports overflow.
 
 Values render as (and parse from) the literal grammar
 
@@ -222,9 +223,10 @@ def _parse(text: str, cls):
         return _parse_literal(s, cls)
     if "/" in s and not cls._integral:
         num_text, _, den_text = s.partition("/")
-        num = factor(_parse_nat(num_text, "numerator"))
-        den = factor(_parse_nat(den_text, "denominator"))
-        return num * den.inverse()
+        acc = factorize(_parse_nat(num_text, "numerator"))
+        for p, e in factorize(_parse_nat(den_text, "denominator")).items():
+            acc[p] = acc.get(p, 0) - e
+        return _checked(FactoredRational, acc)
     return factor(_parse_nat(s, "value"))
 
 

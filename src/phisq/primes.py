@@ -196,7 +196,7 @@ def _strip(n: int, p: int) -> tuple[int, int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Full prime factorization of n >= 1 as a prime -> exponent dict."""
+    """Full prime factorization of n >= 1 as a prime -> exponent dict, primes ascending."""
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
@@ -220,8 +220,10 @@ def factorize(n: int) -> dict[int, int]:
         stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
         product, candidates = _block_product(f), range(f, stop, 2)
     # n is 1, a prime, or a cofactor with no prime factor below f, and so is
-    # every piece rho splits off it: a piece below f * f is prime.
+    # every piece rho splits off it: a piece below f * f is prime.  out holds
+    # trial division's primes ascending, all below n, so only a split needs a sort.
     stack = [n] if n > 1 else []
+    split = False
     while stack:
         c = stack.pop()
         if c < f * f or is_prime(c):
@@ -229,7 +231,8 @@ def factorize(n: int) -> dict[int, int]:
             continue
         d = _rho_split(c)
         stack += d, c // d
-    return dict(sorted(out.items()))
+        split = True
+    return dict(sorted(out.items())) if split else out
 
 
 @lru_cache(maxsize=1 << 16)

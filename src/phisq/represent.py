@@ -79,6 +79,7 @@ class VerificationReport(namedtuple("VerificationReport", "holds lhs expected n"
 def represent(r: FactoredRational) -> Representation:
     """Find (m, n) with phi(m^2)/phi(n^2) = r and all primes of m*n <= max prime of r."""
     rest = dict(r.entries)
+    pop, get, factor_p_minus_1 = rest.pop, rest.get, _factor_p_minus_1
     heap = [-p for p in rest]
     heapify(heap)
     m: dict[int, int] = {}
@@ -86,7 +87,7 @@ def represent(r: FactoredRational) -> Representation:
     depth = 0
     while heap:
         q = -heappop(heap)
-        a = rest.pop(q)
+        a = pop(q)
         if a == 0:
             continue  # the exponent of q cancelled to zero
         depth += 1
@@ -94,23 +95,30 @@ def represent(r: FactoredRational) -> Representation:
             half = a // 2
             c = 1 if half >= 0 else 1 - half
             m[q], n[q] = c + half, c
+            continue
+        if a > 0:
+            m[q] = (a + 1) // 2
+            sign = -1  # r is divided by (q - 1) * q^a
         else:
-            side, sign = (m, 1) if a > 0 else (n, -1)
-            side[q] = (a * sign + 1) // 2
-            for p, e in _factor_p_minus_1(q):
-                if p not in rest:
-                    heappush(heap, -p)  # once: p stays in rest, even at 0, until it is popped
-                s = rest.get(p, 0) - sign * e
-                if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
-                    check_exponent(p, s)
-                rest[p] = s
+            n[q] = (1 - a) // 2
+            sign = 1  # r is multiplied by (q - 1) * q^|a|
+        for p, e in factor_p_minus_1(q):
+            s = get(p)
+            if s is None:
+                heappush(heap, -p)  # once: p stays in rest, even at 0, until it is popped
+                s = 0
+            s += sign * e
+            if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
+                check_exponent(p, s)
+            rest[p] = s
     # Canonical as built: every prime came from r or from factorize, each was popped once in
     # descending order, and every exponent is at most 2^62, as r's are within EXPONENT_LIMIT.
-    m_f, n_f = (_canonical(FactoredInteger, tuple(reversed(side.items()))) for side in (m, n))
-    return Representation(m=m_f, n=n_f, ratio=r, depth=depth)
+    m_f = _canonical(FactoredInteger, tuple(reversed(m.items())))
+    n_f = _canonical(FactoredInteger, tuple(reversed(n.items())))
+    return tuple.__new__(Representation, (m_f, n_f, r, depth))
 
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:
     """Check phi(m^2)/phi(n^2) = r by exact factored arithmetic."""
     lhs = _checked(FactoredRational, _phi_ratio(m.entries, n.entries))
-    return VerificationReport(holds=lhs.entries == r.entries, lhs=lhs, expected=r, n=n)
+    return tuple.__new__(VerificationReport, (lhs.entries == r.entries, lhs, r, n))

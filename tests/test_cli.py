@@ -459,7 +459,7 @@ WELL_FORMED = [
 DECLINED = {
     "equals": (["search", "3", "--bound=10"], EXIT_OK),
     "double-dash": (["represent", "--", "2/3"], EXIT_OK),
-    "abbreviated-option": (["search", "3", "--bo", "10"], EXIT_OK),
+    "abbreviated-option": (["search", "3", "--bo", "10"], EXIT_PARSE_ERROR),
     "repeated-option": (["search", "3", "--bound", "x", "--bound", "10"], EXIT_PARSE_ERROR),
     "other-commands-option": (["represent", "2/3", "--bound", "10"], EXIT_PARSE_ERROR),
     "dash-operand": (["sequence", "-5"], EXIT_PARSE_ERROR),

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import phisq.factored
 from phisq.errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, shown
@@ -468,15 +469,34 @@ NEAR_NUMERALS = st.tuples(SPACE, SMALL_NUMERAL, st.sampled_from(("", "/", "/ "))
 )
 
 
+# Fractions of numerals far past three digits, each side a product of small primes,
+# primes on either side of the trial bound (rho splits those above it) and at most
+# one 36-40-bit prime, times a factor both sides share; or a side that is 0, or a
+# multiple of the primality bound, which factorize refuses by naming its cofactor.
+NEAR_TRIAL_BOUND = (999953, 999983, 1000003, 1000033, 1000037, 1000039)
+WIDE_PRIMES = tuple(next_prime(2**b + 2 ** (b - 2)) for b in range(35, 40))
+PAST_BOUND = tuple(PRIMALITY_BOUND * k for k in (1, 2, 1000003, 1000033))
+SMOOTH = st.tuples(
+    st.lists(st.sampled_from((2, 3, 5, 7, 97, 1009, 1021)), max_size=4),
+    st.lists(st.sampled_from(NEAR_TRIAL_BOUND), max_size=3),
+).map(lambda parts: prod(parts[0]) * prod(parts[1]))
+FACTORED_SIDE = st.tuples(SMOOTH, st.sampled_from((1, 1, *WIDE_PRIMES))).map(prod)
+LARGE_SIDE = st.one_of(FACTORED_SIDE, FACTORED_SIDE, FACTORED_SIDE, st.just(0), st.sampled_from(PAST_BOUND))
+LARGE_FRACTIONS = st.tuples(SPACE, SMOOTH, LARGE_SIDE, st.sampled_from(("/", " / ")), LARGE_SIDE).map(
+    lambda parts: f"{parts[0]}{parts[1] * parts[2]}{parts[3]}{parts[1] * parts[4]}"
+)
+
 PARSERS = {FactoredRational: parse_rational, FactoredInteger: parse_integer}
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS),
+    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS, LARGE_FRACTIONS),
     st.sampled_from((FactoredRational, FactoredInteger)),
     st.sampled_from((0, 640, 4300)),
 )
+@example(f"{PAST_BOUND[2]}/{PAST_BOUND[0]}", FactoredRational, 0)  # both refused: the numerator's cofactor is named
+@example(f"{1000003 * 1000037 * WIDE_PRIMES[0]}/{1000037**2 * 1000039 * 6}", FactoredRational, 640)
 def test_parsers_match_the_regex_reference(text, cls, limit):
     # parse_rational or parse_integer (by cls): the same value and class, or the same
     # exception type and message, as the regexes give.

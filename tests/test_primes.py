@@ -186,6 +186,23 @@ def test_factorize_keys_ascending():
     assert list(factorize(55836)) == [2, 3, 11, 47]
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**5 * 3 * 1019 * 10007**2 * 999983,  # trial division reduces it to 1
+        2**5 * 1019 * (10**9 + 7),  # one certified cofactor is left
+        3 * P40,  # the cofactor ends trial division before the blocks
+        1000003 * 1000033 * 1000037,  # rho splits three pieces
+        2**5 * 1019 * 1000037 * 1000039,  # trial primes, then two rho pieces
+        1000003**2 * 1000033,
+    ],
+)
+def test_factorize_returns_primes_ascending_on_every_path(n):
+    factors = factorize(n)
+    assert factors == reference_factorize(n)
+    assert_ascending(factors, n)
+
+
 def test_factorize_is_deterministic():
     n = 1000003 * 1000033 * 10007
     assert factorize(n) == factorize(n) == {10007: 1, 1000003: 1, 1000033: 1}
@@ -310,7 +327,15 @@ def outcome(fn, n, rho_args):
 
 def assert_matches_reference(values, rho_args):
     for n in values:
-        assert outcome(factorize, n, rho_args) == outcome(reference_factorize, n, rho_args), n
+        result = outcome(factorize, n, rho_args)
+        assert result == outcome(reference_factorize, n, rho_args), n
+        assert_ascending(result[0], n)
+
+
+def assert_ascending(factors, n):
+    # Dict equality ignores order, so the reference suites' == would not see an unsorted map.
+    if isinstance(factors, dict):
+        assert list(factors) == sorted(factors), n
 
 
 def next_prime(n):

@@ -146,8 +146,22 @@ MUTATIONS = [
     Mutation("totient-subtracts-a-minus-1", TOTIENT, "        acc[p] -= a\n", "        acc[p] -= a - 1\n",
              [T_TOTIENT + "test_totient_fixtures"]),
     Mutation(
-        "construct-pushes-every-time", REPRESENT, "                if p not in rest:\n                    heappush(",
-        "                if True:\n                    heappush(", [T_REPRESENT + "test_represent_19_47_canonical_output"],
+        "construct-pushes-every-time", REPRESENT, "            if s is None:\n                heappush(heap, -p)",
+        "            heappush(heap, -p)\n            if s is None:\n                pass",
+        [T_REPRESENT + "test_represent_19_47_canonical_output"],
+    ),
+    Mutation(
+        "construct-odd-negative-sign-flipped", REPRESENT, "            sign = 1  #", "            sign = -1  #",
+        [T_REPRESENT + "test_represent_19_47_canonical_output"],
+    ),
+    # A fraction parses into one exponent map; factorize sorts only after rho splits.
+    Mutation(
+        "fraction-adds-the-denominator", FACTORED, "            acc[p] = acc.get(p, 0) - e\n",
+        "            acc[p] = acc.get(p, 0) + e\n", [T_FACTORED + "test_parse_fraction_fixtures"],
+    ),
+    Mutation(
+        "factorize-unsorted-after-a-split", PRIMES, "    return dict(sorted(out.items())) if split else out\n",
+        "    return out\n", [T_PRIMES + "test_factorize_returns_primes_ascending_on_every_path"],
     ),
     # is_prime's screen by the bases, and the block products, each one C call.
     Mutation(
