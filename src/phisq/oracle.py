@@ -3,17 +3,12 @@
 Everything here works on plain integers with a totient sieve, deliberately
 avoiding the factored-arithmetic path it is meant to cross-check.
 
-The sequence, the search and the injectivity scan all read one table per
-process, v[k] = phi(k^2) = k * phi(k) for k = 0..L, kept beside phi(0..L).  A
-request past L extends both by the values phi(L+1..limit) alone, in place while
-limit <= 1 << 16 (the bound of the primes caches); a larger request extends
-copies, which serve that one request and are dropped.  The search's value
-index v[k] -> k is kept beside the kept table, grown to the largest stage a
-search has reached and never past its first collision.  Each request reads
-only v[1..limit] of its own limit, and the index only up to its stage, so a
-larger kept table or index never changes an answer.  The plain sequence text is
-rendered once per process in the same way: the decimal lines of v[1..K],
-K <= 1 << 16, are kept, grown by the values they lack, and sliced per request.
+The sequence, the search and the injectivity scan all read one _Table per
+process: phi, v[k] = phi(k^2) = k * phi(k), the value index v[k] -> k and the
+decimal lines of v.  Each part grows by the values it lacks, in place while a
+request's limit is at most 1 << 16 (the bound of the primes caches); a larger
+request grows a copy, which serves it alone.  A request reads v and a collision
+only up to its own limit, so what ran before never changes an answer.
 """
 
 from array import array
@@ -33,14 +28,8 @@ from .primes import primes_up_to
 # CPython 3.11), so 10^7 already takes ~1.3 GB.
 _SIEVE_CAP = 10**7
 
-# The largest L whose table v[0..L] and phi(0..L) outlive the request that built them.
+# The largest limit whose table outlives the request that built it.
 _KEEP_LIMIT = 1 << 16
-_table: list[int] = [0]
-_phi: list[int] = [0]
-# The rendering "\n" + "\n".join(str(v[k]) for k = 1..K), and _digits[k], the digits in
-# its first k lines (summed in C by accumulate): line k ends at offset _digits[k] + k.
-_text = ""
-_digits = array("I", [0])
 
 
 def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
@@ -76,50 +65,89 @@ def sieve_totients(limit: int, phi: list[int] | None = None) -> list[int]:
     return phi
 
 
-def _phi_squares(limit: int) -> list[int]:
-    """The table v[0..L], L >= limit >= 1, with v[k] = phi(k^2) = k * phi(k);
-    callers must not mutate it.  Sieves, from the kept phi on, only when limit
-    is past the kept table."""
-    global _phi
+class _Table:
+    """phi(0..L) and v[0..L]; the index v[k] -> k for k = 1..len(index), stopped
+    by its first collision (j, k), v[j] = v[k]; and the rendering "\n" + "\n".join(
+    str(v[k]) for k = 1..K), whose line k ends at offset digits[k] + k."""
+
+    def __init__(self):
+        self.phi, self.v, self.index, self.collision = [0], [0], {}, None
+        self.text, self.digits = "", array("I", [0])
+
+    def copy(self, limit: int) -> "_Table":
+        """A copy grown to limit for one request, with its own values and rendering,
+        an empty index, and no phi once v is built: the request indexes v without it."""
+        table = _Table()
+        # The offsets are copied first, so that phi and v lie last on the heap and can grow in place.
+        table.text, table.digits, table.phi, table.v = self.text, self.digits[:], self.phi[:], self.v[:]
+        table.grow(limit)
+        table.phi = None
+        return table
+
+    def grow(self, limit: int) -> None:
+        """Extends phi and v to limit by the values they lack; phi through the module's sieve_totients."""
+        v = self.v
+        if limit >= len(v):
+            phi = self.phi = sieve_totients(limit, self.phi)
+            v += map(mul, range(len(v), limit + 1), islice(phi, len(v), limit + 1))
+
+    def grow_index(self, limit: int) -> None:
+        """Indexes v[k] -> k up to limit, in C, unless a collision stopped it."""
+        index, v, n = self.index, self.v, len(self.index)
+        if self.collision or limit <= n:
+            return
+        index.update(zip(islice(v, n + 1, limit + 1), range(n + 1, limit + 1)))
+        if len(index) < limit:  # update kept the last k of a repeated value: redo by hand to name the first
+            index.clear()
+            for k in range(1, limit + 1):
+                if (j := index.setdefault(v[k], k)) != k:
+                    self.collision = (j, k)
+                    return
+
+    def grow_text(self, stop: int) -> None:
+        """Renders the lines of v up to stop that the text lacks; digits[k] sums their digits in C."""
+        digits = self.digits
+        if len(digits) <= stop:
+            lines = [str(x) for x in self.v[len(digits) : stop + 1]]
+            digits[-1:] = array("I", accumulate(map(len, lines), initial=digits[-1]))
+            self.text += "\n" + "\n".join(lines)
+
+
+_kept = _Table()
+
+
+def _table_for(limit: int) -> _Table:
+    """The table grown to limit >= 1: the kept one while limit <= _KEEP_LIMIT,
+    else a copy of it, which serves this one request; callers must not mutate v."""
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {shown(limit, 'number')}")
-    if limit < len(_table):
-        return _table
-    if limit <= _KEEP_LIMIT:
-        phi = _phi = sieve_totients(limit, _phi)
-        v = _table
-    else:
-        phi = sieve_totients(limit, _phi[:])
-        v = _table[:]
-    v += map(mul, range(len(v), limit + 1), islice(phi, len(v), limit + 1))
-    return v
+    if limit > _KEEP_LIMIT:
+        return _kept.copy(limit)
+    _kept.grow(limit)
+    return _kept
 
 
 def phi_square_sequence(limit: int) -> list[int]:
     """[phi(1^2), phi(2^2), ..., phi(limit^2)], i.e. k * phi(k) for k = 1..limit."""
-    return _phi_squares(limit)[1 : limit + 1]
+    return _table_for(limit).v[1 : limit + 1]
 
 
 def phi_square_text(limit: int) -> str:
     """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of
-    the rendering kept up to _KEEP_LIMIT, then the values past it, if any."""
-    global _text
-    v = _phi_squares(limit)
+    the table's rendering up to _KEEP_LIMIT, then the values past it, if any."""
+    table = _table_for(limit)
     stop = min(limit, _KEEP_LIMIT)
-    if len(_digits) <= stop:
-        lines = [str(x) for x in v[len(_digits) : stop + 1]]
-        _digits[-1:] = array("I", accumulate(map(len, lines), initial=_digits[-1]))
-        _text += "\n" + "\n".join(lines)
-    return "\n".join([_text[1 : _digits[stop] + stop], *[str(x) for x in v[stop + 1 : limit + 1]]])
+    table.grow_text(stop)
+    return "\n".join([table.text[1 : table.digits[stop] + stop], *[str(x) for x in table.v[stop + 1 : limit + 1]]])
 
 
 def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
         raise ParseError(f"limit must be >= 2, got {shown(limit, 'number')}")
-    index = _Index(_phi_squares(limit))
-    index.grow(limit)
-    return index.collision
+    table = _table_for(limit)
+    table.grow_index(limit)
+    return table.collision if table.collision and table.collision[1] <= limit else None
 
 
 class SearchResult(namedtuple("SearchResult", "found m n bound")):
@@ -128,37 +156,12 @@ class SearchResult(namedtuple("SearchResult", "found m n bound")):
     __slots__ = ()
 
 
-class _Index(dict):
-    """The value index v[k] -> k of the table v for k = 1..len(self), grown in C.
-    It stops before the first k whose value an earlier j holds, and keeps that
-    pair as collision = (j, k)."""
-
-    collision: tuple[int, int] | None = None
-
-    def __init__(self, v: list[int]):
-        self.v = v
-
-    def grow(self, limit: int) -> None:
-        n = len(self)
-        if self.collision or limit <= n:
-            return
-        self.update(zip(islice(self.v, n + 1, limit + 1), range(n + 1, limit + 1)))
-        if len(self) < limit:  # update kept the last k of a repeated value: redo by hand to name the first
-            self.clear()
-            for k in range(1, limit + 1):
-                if (j := self.setdefault(self.v[k], k)) != k:
-                    self.collision = (j, k)
-                    return
-
-
-# The search's index of the kept table, grown with it; a new table starts a new one.
-_index = None
-
-
 def _candidates(v: list[int], x: int, ell: int, limit: int) -> list[int]:
     """The k <= limit with x | v[k], in no order, for ell the largest prime of x
-    (1 if x = 1): multiples of ell or of a prime s = 1 (mod 2 * ell), v[s] = s * (s - 1).
-    For ell = 2 that is every odd prime, and for 3 and 5 a filter of every k is faster."""
+    (1 if x = 1): multiples of ell or of a prime s = 1 (mod ell), v[s] = s * (s - 1).
+    For odd ell such an s is 1 (mod 2 * ell), and the walk steps through those.
+    For ell <= 5 every k is filtered instead: at ell = 2 the walk would miss the
+    primes s = 3 (mod 4), and at 3 and 5 the filter measured faster."""
     if ell <= 5:
         ks = range(1, limit + 1)
     else:
@@ -182,11 +185,10 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     up to the bound, and the first with a pair answers the least in
     (max(m, n), m, n) order, as it sees every pair with m, n <= L.
 
-    The index of the kept table is kept beside it; a copy past the kept bound
-    gets its own, grown with the stages.  It is exact only if k -> phi(k^2)
-    is injective (it is: OEIS A002618), checked as each k is indexed: the
-    first collision (j, k) raises RuntimeError if and only if k is at or below
-    the answer's top, or at or below the bound on a miss.
+    The index is the table's own, grown with the stages.  It is exact only if
+    k -> phi(k^2) is injective (it is: OEIS A002618), checked as each k is
+    indexed: the first collision (j, k) raises RuntimeError if and only if k is
+    at or below the answer's top, or at or below the bound on a miss.
 
     A hit has p | phi(m^2) and q | phi(n^2), both at most bound^2, and every
     prime of phi(k^2) = k * phi(k) is at most k.  So r misses, unexpanded and
@@ -194,26 +196,23 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     bits (a prime's bit length is at most twice its log2); neither rule implies
     the other.  A bound past the cap is refused by the sieve all the same.
     """
-    global _index
     if bound < 1:
         raise ParseError(f"bound must be >= 1, got {shown(bound, 'number')}")
     num, den = r.numerator(), r.denominator()
     wide = max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length()
     if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):
         return SearchResult(found=False, m=None, n=None, bound=bound)
-    v = _phi_squares(bound)
+    table = _table_for(bound)
+    v, index = table.v, table.index
     p, q = num.value(), den.value()
-    index = _index if _index is not None and _index.v is v else _Index(v)
-    if v is _table:
-        _index = index
     largest = {e > 0: b for b, e in r.entries}  # each side's largest prime, as the entries ascend
     walk_p = largest.get(True, 1) > largest.get(False, 1)
     x, y, ell = (p, q, largest.get(True, 1)) if walk_p else (q, p, largest.get(False, 1))
     top = 0
     while top < bound:
         top = min(max(2 * top, 64), bound)
-        index.grow(top)
-        j, c = index.collision or (0, bound + 1)
+        table.grow_index(top)
+        j, c = table.collision or (0, bound + 1)
         limit = min(top, c - 1)  # the index is exact below its collision
         hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]
         if hits:

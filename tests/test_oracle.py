@@ -1,9 +1,9 @@
+import copy
 import functools
 import importlib
 import io
 import json
 import random
-from array import array
 from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -34,13 +34,10 @@ represent_module = importlib.import_module("phisq.represent")
 
 @pytest.fixture(autouse=True)
 def fresh_table(monkeypatch):
-    """Each test starts from an empty phi(k^2) table, an empty kept phi list and
-    an empty rendering of the table, and a table, phi list or rendering built
-    from a patched sieve_totients is gone once the test ends."""
-    monkeypatch.setattr(oracle, "_table", [0])
-    monkeypatch.setattr(oracle, "_phi", [0])
-    monkeypatch.setattr(oracle, "_text", "")
-    monkeypatch.setattr(oracle, "_digits", array("I", [0]))
+    """Each test starts from an empty kept table (values, phi, index and
+    rendering), and a table built from a patched sieve_totients is gone once
+    the test ends."""
+    monkeypatch.setattr(oracle, "_kept", oracle._Table())
 
 
 def euler_phi(n):
@@ -147,11 +144,11 @@ _KEPT = oracle._KEEP_LIMIT
 def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
     # Growing, shrinking and crossing the kept bound in any order gives the
     # sieve's own answer, and no table past the bound is kept.
-    oracle._table = [0]
+    oracle._kept = oracle._Table()
     for limit in limits:
         phi = sieve_totients(limit)
         assert phi_square_sequence(limit) == [k * phi[k] for k in range(1, limit + 1)], limits
-        assert len(oracle._table) <= _KEPT + 1
+        assert len(oracle._kept.v) <= _KEPT + 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,15 +159,15 @@ def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
 def test_sequence_text_equals_a_fresh_sieve_in_any_order(limits):
     # The plain output is a slice of the kept rendering, grown in any order:
     # it is byte for byte a fresh render, and never covers more than the bound.
-    oracle._table, oracle._text, oracle._digits = [0], "", array("I", [0])
+    oracle._kept = kept = oracle._Table()
     for limit in limits:
         phi = sieve_totients(limit)
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["sequence", str(limit)]) == 0
         assert out.getvalue() == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)) + "\n", limits
-        kept = len(oracle._digits) - 1
-        assert oracle._text.count("\n") == kept <= _KEPT and len(oracle._text) == oracle._digits[-1] + kept
+        lines = len(kept.digits) - 1
+        assert kept.text.count("\n") == lines <= _KEPT and len(kept.text) == kept.digits[-1] + lines
 
 
 def test_sequence_json_equals_a_fresh_sieve():
@@ -203,6 +200,10 @@ def test_table_is_sieved_only_when_it_grows(monkeypatch):
     phi_square_sequence(_KEPT + 1)
     phi_square_sequence(150)
     assert sieved == [100, 200, _KEPT + 1, _KEPT + 1]
+    # A request at the kept bound itself grows the kept table.
+    phi_square_sequence(_KEPT)
+    phi_square_sequence(_KEPT)
+    assert sieved[4:] == [_KEPT] and len(oracle._kept.v) == _KEPT + 1
 
 
 def test_sieve_equals_the_classic_sieve():
@@ -239,45 +240,79 @@ def test_table_equals_the_classic_sieve_in_any_order(limits):
     # Growing and shrinking across the kept bound, on the kept path and the
     # dropped one, gives k * phi(k) of the classic sieve; the kept lists stay
     # equal to it and never pass the bound.
-    oracle._table, oracle._phi = [0], [0]
+    oracle._kept = table = oracle._Table()
     phi = reference_totients()
     for limit in limits:
-        assert oracle._phi_squares(limit)[: limit + 1] == [k * phi[k] for k in range(limit + 1)], limits
-        kept = len(oracle._table) - 1
-        assert kept <= _KEPT and len(oracle._phi) == kept + 1
-        assert oracle._phi == phi[: kept + 1]
-        assert oracle._table == [k * phi[k] for k in range(kept + 1)]
+        assert oracle._table_for(limit).v[: limit + 1] == [k * phi[k] for k in range(limit + 1)], limits
+        kept = len(table.v) - 1
+        assert kept <= _KEPT and len(table.phi) == kept + 1
+        assert table.phi == phi[: kept + 1]
+        assert table.v == [k * phi[k] for k in range(kept + 1)]
 
 
 def test_a_growth_computes_only_the_missing_values():
     phi_square_sequence(100)
-    table, phi = oracle._table, oracle._phi
+    table, phi = oracle._kept.v, oracle._kept.phi
     old_table, old_phi = table[:], phi[:]
     phi_square_sequence(200)
     # The same lists, grown by exactly phi(101..200) and v[101..200]; the
     # values they held are the very same objects, not recomputed ones.
-    assert oracle._table is table and oracle._phi is phi
+    assert oracle._kept.v is table and oracle._kept.phi is phi
     assert len(phi) - len(old_phi) == len(table) - len(old_table) == 100
     assert all(a is b for a, b in zip(old_phi, phi)) and all(a is b for a, b in zip(old_table, table))
     assert table == [k * euler_phi(k) for k in range(201)]
 
 
 def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
-    phi_square_sequence(3000)
-    table, kept = oracle._table, oracle._phi
-    old_table, old_kept = table[:], kept[:]
+    # Every part of the kept table is warm: values, phi, rendering and index.
+    assert oracle.phi_square_text(3000).count("\n") == 2999
+    assert injectivity_scan(3000) is None
+    kept = oracle._kept
+    parts = {name: getattr(kept, name) for name in ("v", "phi", "index", "collision", "text", "digits")}
+    contents = {name: copy.copy(part) for name, part in parts.items()}
     extended = []
     monkeypatch.setattr(
         oracle, "sieve_totients", lambda limit, phi=None: extended.append(phi) or sieve_totients(limit, phi)
     )
-    assert phi_square_sequence(_KEPT + 1)[-1] == (_KEPT + 1) * euler_phi(_KEPT + 1)
+
+    def printed(*argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+
+    past = _KEPT + 1  # a prime: phi(past^2) = past * (past - 1)
+    requests = [
+        ("sequence", lambda: printed("sequence", str(past)).endswith(f"\n{past * (past - 1)}\n")),
+        ("sequence --json", lambda: json.loads(printed("sequence", str(past), "--json"))["values"][-1] == past * (past - 1)),
+        ("search hit", lambda: brute_force_minimal(parse_rational("19/47"), 100000) == SearchResult(True, 13110, 18612, 100000)),
+        ("search miss", lambda: brute_force_minimal(parse_rational("7/65521"), past) == SearchResult(False, None, None, past)),
+        ("injectivity scan", lambda: injectivity_scan(past) is None),
+        ("phi_square_sequence", lambda: phi_square_sequence(past)[-1] == past * euler_phi(past)),
+    ]
+    for name, answers in requests:
+        assert answers(), name
+        # The sieve extended a copy of the kept phi, and every part of the kept
+        # table is the same object with the same contents.
+        assert extended[-1] is not kept.phi and len(extended[-1]) > past, name
+        assert oracle._kept is kept, name
+        for part, value in parts.items():
+            assert getattr(kept, part) is value and value == contents[part], (name, part)
     with pytest.raises(UnsupportedScaleError):
         phi_square_sequence(oracle._SIEVE_CAP + 1)
-    # The sieve extended a copy of the kept phi, and both kept lists are the
-    # same objects with the same contents.
-    assert extended[0] is not kept and len(extended[0]) == _KEPT + 2
-    assert oracle._table is table and oracle._phi is kept
-    assert table == old_table and kept == old_kept and len(table) == 3001
+    assert len(kept.v) == 3001 and len(kept.index) == 3000 and len(kept.digits) == 3001
+
+
+def test_a_copy_past_the_kept_bound_drops_phi_before_it_is_indexed(monkeypatch):
+    # A copy serves one request, which reads only v: holding phi(0..bound)
+    # while the index grows would add a list as long as the table to the peak.
+    indexed = []
+    grow_index = oracle._Table.grow_index
+    monkeypatch.setattr(oracle._Table, "grow_index", lambda table, limit: indexed.append(table) or grow_index(table, limit))
+    assert injectivity_scan(_KEPT + 1) is None
+    assert brute_force_minimal(parse_rational("7/65521"), _KEPT + 1) == SearchResult(False, None, None, _KEPT + 1)
+    assert indexed and all(table is not oracle._kept and table.phi is None for table in indexed)
+    assert len(indexed[-1].v) == _KEPT + 2
 
 
 def test_the_sieve_names_a_huge_limit_by_its_digit_count():
@@ -328,6 +363,21 @@ def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
     for text in ("19/47", "1/960"):
         with pytest.raises(RuntimeError, match="k = 50 and k = 51"):
             brute_force_minimal(parse_rational(text), 60)
+    # The scan and the search grow one index, in either order.  A search whose
+    # stages stop below the collision, then a scan below it, read none; a scan
+    # at the collision reads it.
+    monkeypatch.setattr(oracle, "_kept", oracle._Table())
+    assert phi_square_sequence(100)[49:51] == [2550, 2550]
+    assert brute_force_minimal(parse_rational("1/768"), 40) == SearchResult(False, None, None, 40)
+    assert len(oracle._kept.index) == 40
+    assert injectivity_scan(50) is None
+    assert injectivity_scan(51) == (50, 51)
+    # A scan past the collision, then a search hit below it, still answers.
+    monkeypatch.setattr(oracle, "_kept", oracle._Table())
+    assert injectivity_scan(100) == (50, 51)
+    assert brute_force_minimal(parse_rational("3"), 60) == SearchResult(True, 3, 2, 60)
+    assert injectivity_scan(50) is None and injectivity_scan(51) == (50, 51)
+    assert oracle._kept.collision == (50, 51) and len(oracle._kept.index) == 50
 
 
 def test_brute_force_fixtures():
@@ -476,7 +526,7 @@ TWO_THREE = parse_rational("2^18 * 3^-11")
 def test_search_equals_the_index_scan(warm, searches):
     # On a cold table or one sieved to `warm`, searches in turn share the kept
     # index, and each answers as the full index scan does.
-    oracle._table, oracle._phi = [0], [0]
+    oracle._kept = oracle._Table()
     if warm:
         phi_square_sequence(warm)
     for r, (kind, b) in searches:
@@ -616,7 +666,7 @@ def test_search_answers_a_prime_above_the_bound_without_a_table(bound, above, e,
     r = FactoredRational.from_factors({**rest, big: e})
     expected = reference_minimal(r, bound)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_phi_squares", no_table)
+        mp.setattr(oracle, "_table_for", no_table)
         assert brute_force_minimal(r, bound) == expected
 
 
@@ -674,8 +724,9 @@ def test_a_kept_index_meets_a_collision_the_table_grew_into(monkeypatch, corrupt
     # grows the kept table in place to 100, with a first collision (j, c) whose
     # c lies past that index, and whose j lies past it or in it.
     assert brute_force_minimal(parse_rational("1/768"), 40) == SearchResult(False, None, None, 40)
-    table, index = oracle._table, oracle._index
-    assert index.v is table and len(index) == 40
+    kept = oracle._kept
+    table, index = kept.v, kept.index
+    assert len(index) == 40
 
     def corrupted(limit, phi=None):
         phi = sieve_totients(limit, phi)
@@ -685,7 +736,7 @@ def test_a_kept_index_meets_a_collision_the_table_grew_into(monkeypatch, corrupt
 
     monkeypatch.setattr(oracle, "sieve_totients", corrupted)
     assert phi_square_sequence(100)[c - 1] == phi_square_sequence(100)[j - 1]
-    assert oracle._table is table and oracle._index is index
+    assert oracle._kept is kept and kept.v is table and kept.index is index
     # Hits below c answer, at any bound: (3, 2) for 3, (1, 48) for 1/768.
     for bound in (c - 1, c, 64, 100):
         assert brute_force_minimal(parse_rational("3"), bound) == SearchResult(True, 3, 2, bound)
@@ -698,7 +749,7 @@ def test_a_kept_index_meets_a_collision_the_table_grew_into(monkeypatch, corrupt
             index_minimal(parse_rational(text), bound)
         with pytest.raises(RuntimeError, match=f"k = {j} and k = {c}$"):
             brute_force_minimal(parse_rational(text), bound)
-    assert index.collision == (j, c) and len(index) == c - 1
+    assert kept.collision == (j, c) and len(index) == c - 1
 
 
 def test_a_new_table_starts_a_new_index(monkeypatch):
@@ -712,10 +763,9 @@ def test_a_new_table_starts_a_new_index(monkeypatch):
         mp.setattr(oracle, "sieve_totients", corrupted)
         with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
             brute_force_minimal(parse_rational("3"), 10)
-    monkeypatch.setattr(oracle, "_table", [0])
-    monkeypatch.setattr(oracle, "_phi", [0])
+    monkeypatch.setattr(oracle, "_kept", oracle._Table())
     assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
-    assert oracle._index.v is oracle._table and oracle._index.collision is None
+    assert oracle._kept.collision is None and len(oracle._kept.index) == 10
 
 
 def test_search_at_a_large_bound():

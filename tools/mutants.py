@@ -63,14 +63,17 @@ RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
 READER_DECLINES = T_CLI + "test_the_reader_leaves_every_other_line_to_argparse"
 
 SEARCH_STAGE = (
-    "        index.grow(top)\n"
-    "        j, c = index.collision or (0, bound + 1)\n"
+    "        table.grow_index(top)\n"
+    "        j, c = table.collision or (0, bound + 1)\n"
     "        limit = min(top, c - 1)  # the index is exact below its collision\n"
 )
 SEARCH_HITS = (
     "        hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
 )
 COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
+PAST_THE_KEPT_BOUND = [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_kept_lists"]
+KEEP_RULE = "    if limit > _KEEP_LIMIT:\n"
+TABLE_COPY = "        table.text, table.digits, table.phi, table.v = self.text, self.digits[:], self.phi[:], self.v[:]\n"
 CANDIDATES = [T_ORACLE + "test_candidates_are_exactly_the_ks_x_divides"]
 PRIME_AND_SIZE_RULES = "    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):\n"
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
@@ -86,24 +89,53 @@ BOUND_CHECK = (
 )
 
 MUTATIONS = [
-    # The value index, grown in C and by hand past a collision; the scan reads it too.
+    # One table per process: the kept one up to _KEEP_LIMIT, past it a copy with lists, offsets and index of its own.
     Mutation(
-        "search-collision-check-removed", ORACLE, "        if len(self) < limit:  #", "        if False:  #", COLLIDING,
+        "keep-rule-below-the-bound", ORACLE, KEEP_RULE, KEEP_RULE.replace(">", ">="),
+        [T_ORACLE + "test_table_is_sieved_only_when_it_grows"],
+    ),
+    Mutation(
+        "keep-rule-past-the-bound", ORACLE, KEEP_RULE, KEEP_RULE.replace("_KEEP_LIMIT", "_KEEP_LIMIT + 1"),
+        [T_ORACLE + "test_table_is_sieved_only_when_it_grows"],
+    ),
+    Mutation(
+        "past-the-bound-uses-the-kept-table", ORACLE, "        return _kept.copy(limit)\n", "        pass\n", PAST_THE_KEPT_BOUND,
+    ),
+    Mutation(
+        "copy-keeps-phi", ORACLE, "        table.phi = None\n", "",
+        [T_ORACLE + "test_a_copy_past_the_kept_bound_drops_phi_before_it_is_indexed"],
+    ),
+    Mutation("copy-shares-phi", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.phi[:]", "self.phi"), PAST_THE_KEPT_BOUND),
+    Mutation("copy-shares-the-values", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.v[:]", "self.v"), PAST_THE_KEPT_BOUND),
+    Mutation(
+        "copy-shares-the-digit-offsets", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.digits[:]", "self.digits"),
+        PAST_THE_KEPT_BOUND,
+    ),
+    Mutation(
+        "copy-shares-the-index", ORACLE, TABLE_COPY, TABLE_COPY + "        table.index = self.index\n", PAST_THE_KEPT_BOUND,
+    ),
+    # The value index, grown in C and by hand past a collision; the scan and the search share it.
+    Mutation(
+        "search-collision-check-removed", ORACLE, "        if len(index) < limit:  #", "        if False:  #", COLLIDING,
     ),
     Mutation(
         "search-index-by-plain-assignment", ORACLE,
-        "                if (j := self.setdefault(self.v[k], k)) != k:\n",
-        "                self[self.v[k]] = k\n                if (j := self[self.v[k]]) != k:\n",
+        "                if (j := index.setdefault(v[k], k)) != k:\n",
+        "                index[v[k]] = k\n                if (j := index[v[k]]) != k:\n",
         [*COLLIDING, T_ORACLE + "test_injectivity_scan_reports_first_collision"],
+    ),
+    Mutation(
+        "scan-collision-past-its-limit", ORACLE, "collision[1] <= limit", "collision[1] < limit",
+        [T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"],
     ),
     # The search walks one side's candidates in stages, against the index.
     Mutation(
         "search-indexes-after-its-lookups", ORACLE, SEARCH_STAGE + SEARCH_HITS,
-        SEARCH_STAGE.replace("        index.grow(top)\n", "") + SEARCH_HITS + "        index.grow(top)\n",
+        SEARCH_STAGE.replace("        table.grow_index(top)\n", "") + SEARCH_HITS + "        table.grow_index(top)\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
     Mutation(
-        "search-indexes-the-whole-bound-first", ORACLE, "        index.grow(top)\n", "        index.grow(bound)\n",
+        "search-indexes-the-whole-bound-first", ORACLE, "        table.grow_index(top)\n", "        table.grow_index(bound)\n",
         [T_CLI + "test_search_hit_at_the_sieve_cap_fits_in_1_gb"],
     ),
     Mutation(
