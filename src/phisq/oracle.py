@@ -7,8 +7,9 @@ The sequence, the search and the injectivity scan all read one _Table per
 process: phi, v[k] = phi(k^2) = k * phi(k), the value index v[k] -> k and the
 decimal lines of v.  Each part grows by the values it lacks, in place while a
 request's limit is at most 1 << 16 (the bound of the primes caches); a larger
-request grows a copy, which serves it alone.  A request reads v and a collision
-only up to its own limit, so what ran before never changes an answer.
+request builds a table of its own from nothing, which serves it alone and
+shares no list with the kept one.  A request reads v and a collision only up to
+its own limit, so what ran before never changes an answer.
 """
 
 from array import array
@@ -74,16 +75,6 @@ class _Table:
         self.phi, self.v, self.index, self.collision = [0], [0], {}, None
         self.text, self.digits = "", array("I", [0])
 
-    def copy(self, limit: int) -> "_Table":
-        """A copy grown to limit for one request, with its own values and rendering,
-        an empty index, and no phi once v is built: the request indexes v without it."""
-        table = _Table()
-        # The offsets are copied first, so that phi and v lie last on the heap and can grow in place.
-        table.text, table.digits, table.phi, table.v = self.text, self.digits[:], self.phi[:], self.v[:]
-        table.grow(limit)
-        table.phi = None
-        return table
-
     def grow(self, limit: int) -> None:
         """Extends phi and v to limit by the values they lack; phi through the module's sieve_totients."""
         v = self.v
@@ -117,12 +108,15 @@ _kept = _Table()
 
 
 def _table_for(limit: int) -> _Table:
-    """The table grown to limit >= 1: the kept one while limit <= _KEEP_LIMIT,
-    else a copy of it, which serves this one request; callers must not mutate v."""
+    """The table grown to limit >= 1: the kept one while limit <= _KEEP_LIMIT, else a
+    new one for this request alone, without phi once v is built; callers must not mutate v."""
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {shown(limit, 'number')}")
     if limit > _KEEP_LIMIT:
-        return _kept.copy(limit)
+        table = _Table()
+        table.grow(limit)
+        table.phi = None
+        return table
     _kept.grow(limit)
     return _kept
 

@@ -26,12 +26,7 @@ from phisq.factored import (
 from phisq.oracle import brute_force_minimal
 from phisq.primes import PRIMALITY_BOUND, factorize, is_prime
 from phisq.represent import represent, verify
-
-
-def next_prime(n):
-    while not is_prime(n):
-        n += 1
-    return n
+from test_primes import next_prime
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

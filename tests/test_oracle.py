@@ -7,11 +7,13 @@ import random
 from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from phisq import oracle, primes
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
@@ -27,6 +29,7 @@ from phisq.oracle import (
 )
 from phisq.primes import primes_up_to
 from phisq.represent import represent
+from test_acceptance import euler_phi
 
 # The module, not the function the package exports under the same name.
 represent_module = importlib.import_module("phisq.represent")
@@ -38,21 +41,6 @@ def fresh_table(monkeypatch):
     rendering), and a table built from a patched sieve_totients is gone once
     the test ends."""
     monkeypatch.setattr(oracle, "_kept", oracle._Table())
-
-
-def euler_phi(n):
-    out = n
-    t = n
-    p = 2
-    while p * p <= t:
-        if t % p == 0:
-            while t % p == 0:
-                t //= p
-            out -= out // p
-        p += 1
-    if t > 1:
-        out -= out // t
-    return out
 
 
 def classic_totients(limit):
@@ -263,6 +251,14 @@ def test_a_growth_computes_only_the_missing_values():
     assert table == [k * euler_phi(k) for k in range(201)]
 
 
+def printed(*argv):
+    """What main(argv) prints on stdout; it must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
 def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
     # Every part of the kept table is warm: values, phi, rendering and index.
     assert oracle.phi_square_text(3000).count("\n") == 2999
@@ -270,31 +266,43 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
     kept = oracle._kept
     parts = {name: getattr(kept, name) for name in ("v", "phi", "index", "collision", "text", "digits")}
     contents = {name: copy.copy(part) for name, part in parts.items()}
-    extended = []
+    handed = []
     monkeypatch.setattr(
-        oracle, "sieve_totients", lambda limit, phi=None: extended.append(phi) or sieve_totients(limit, phi)
+        oracle, "sieve_totients", lambda limit, phi=None: handed.append(len(phi)) or sieve_totients(limit, phi)
     )
-
-    def printed(*argv):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(list(argv)) == 0
-        return out.getvalue()
 
     past = _KEPT + 1  # a prime: phi(past^2) = past * (past - 1)
     requests = [
-        ("sequence", lambda: printed("sequence", str(past)).endswith(f"\n{past * (past - 1)}\n")),
-        ("sequence --json", lambda: json.loads(printed("sequence", str(past), "--json"))["values"][-1] == past * (past - 1)),
-        ("search hit", lambda: brute_force_minimal(parse_rational("19/47"), 100000) == SearchResult(True, 13110, 18612, 100000)),
-        ("search miss", lambda: brute_force_minimal(parse_rational("7/65521"), past) == SearchResult(False, None, None, past)),
-        ("injectivity scan", lambda: injectivity_scan(past) is None),
-        ("phi_square_sequence", lambda: phi_square_sequence(past)[-1] == past * euler_phi(past)),
+        ("sequence", lambda: printed("sequence", str(past)), lambda out: out.endswith(f"\n{past * (past - 1)}\n")),
+        (
+            "sequence --json", lambda: printed("sequence", str(past), "--json"),
+            lambda out: json.loads(out)["values"][-1] == past * (past - 1),
+        ),
+        (
+            "search hit", lambda: repr(brute_force_minimal(parse_rational("19/47"), 100000)),
+            lambda out: out == repr(SearchResult(True, 13110, 18612, 100000)),
+        ),
+        (
+            "search miss", lambda: repr(brute_force_minimal(parse_rational("7/65521"), past)),
+            lambda out: out == repr(SearchResult(False, None, None, past)),
+        ),
+        ("injectivity scan", lambda: repr(injectivity_scan(past)), lambda out: out == "None"),
+        (
+            "phi_square_sequence", lambda: repr(phi_square_sequence(past)),
+            lambda out: out.endswith(f", {past * euler_phi(past)}]"),
+        ),
     ]
-    for name, answers in requests:
-        assert answers(), name
-        # The sieve extended a copy of the kept phi, and every part of the kept
-        # table is the same object with the same contents.
-        assert extended[-1] is not kept.phi and len(extended[-1]) > past, name
+    for name, answer, holds in requests:
+        oracle._kept = oracle._Table()
+        on_an_empty_table = answer()
+        oracle._kept = kept
+        handed.clear()
+        out = answer()
+        assert holds(out) and out == on_an_empty_table, name
+        # The request's own table started empty: the sieve was handed phi(0)
+        # alone, and every part of the kept table is the same object with the
+        # same contents.
+        assert handed == [1], (name, handed)
         assert oracle._kept is kept, name
         for part, value in parts.items():
             assert getattr(kept, part) is value and value == contents[part], (name, part)
@@ -303,9 +311,10 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
     assert len(kept.v) == 3001 and len(kept.index) == 3000 and len(kept.digits) == 3001
 
 
-def test_a_copy_past_the_kept_bound_drops_phi_before_it_is_indexed(monkeypatch):
-    # A copy serves one request, which reads only v: holding phi(0..bound)
-    # while the index grows would add a list as long as the table to the peak.
+def test_a_table_past_the_kept_bound_drops_phi_before_it_is_indexed(monkeypatch):
+    # A one-request table serves a request that reads only v: holding
+    # phi(0..bound) while the index grows would add a list as long as the table
+    # to the peak.
     indexed = []
     grow_index = oracle._Table.grow_index
     monkeypatch.setattr(oracle._Table, "grow_index", lambda table, limit: indexed.append(table) or grow_index(table, limit))
@@ -313,6 +322,63 @@ def test_a_copy_past_the_kept_bound_drops_phi_before_it_is_indexed(monkeypatch):
     assert brute_force_minimal(parse_rational("7/65521"), _KEPT + 1) == SearchResult(False, None, None, _KEPT + 1)
     assert indexed and all(table is not oracle._kept and table.phi is None for table in indexed)
     assert len(indexed[-1].v) == _KEPT + 2
+
+
+_SMALL_KEEP = 64
+_SMALL_LIMITS = st.one_of(st.sampled_from([_SMALL_KEEP - 1, _SMALL_KEEP, _SMALL_KEEP + 1]),
+                          st.integers(1, 3 * _SMALL_KEEP))
+
+
+class TableMachine(RuleBasedStateMachine):
+    """A model of the table with _KEEP_LIMIT at 64: requests on either side of
+    the bound, in any order, each answering as on an empty table, while the kept
+    lists hold their invariants and never pass the bound."""
+
+    def __init__(self):
+        super().__init__()
+        oracle._kept = oracle._Table()
+
+    def check(self, call):
+        # The answer on the kept table, then on an empty one, with the kept one back.
+        answer, kept = call(), oracle._kept
+        oracle._kept = oracle._Table()
+        try:
+            assert call() == answer
+        finally:
+            oracle._kept = kept
+
+    @rule(limit=_SMALL_LIMITS, as_json=st.booleans())
+    def sequence(self, limit, as_json):
+        self.check(lambda: printed("sequence", str(limit), *["--json"] * as_json))
+
+    @rule(limit=_SMALL_LIMITS)
+    def text(self, limit):
+        self.check(lambda: oracle.phi_square_text(limit))
+
+    @rule(limit=_SMALL_LIMITS.filter(lambda limit: limit >= 2))
+    def scan(self, limit):
+        self.check(lambda: injectivity_scan(limit))
+
+    @rule(p=st.integers(1, 60), q=st.integers(1, 60), bound=_SMALL_LIMITS)
+    def search(self, p, q, bound):
+        self.check(lambda: brute_force_minimal(parse_rational(f"{p}/{q}"), bound))
+
+    @invariant()
+    def kept_lists_hold(self):
+        kept, phi = oracle._kept, reference_totients()
+        top = len(kept.v) - 1
+        assert top <= _SMALL_KEEP and kept.phi == phi[: top + 1]
+        assert kept.v == [k * phi[k] for k in range(top + 1)]
+        lines = len(kept.digits) - 1
+        assert lines <= top and kept.text == "".join(f"\n{x}" for x in kept.v[1 : lines + 1])
+        assert list(kept.digits) == list(accumulate((len(str(x)) for x in kept.v[1 : lines + 1]), initial=0))
+        assert kept.collision is None and kept.index == {kept.v[k]: k for k in range(1, len(kept.index) + 1)}
+        assert len(kept.index) <= top
+
+
+def test_the_table_answers_as_an_empty_one_in_any_order(monkeypatch):
+    monkeypatch.setattr(oracle, "_KEEP_LIMIT", _SMALL_KEEP)
+    run_state_machine_as_test(TableMachine, settings=settings(max_examples=60, stateful_step_count=20, deadline=None))
 
 
 def test_the_sieve_names_a_huge_limit_by_its_digit_count():

@@ -17,17 +17,11 @@ from phisq.primes import (  # noqa: E402
     is_prime,
     primes_up_to,
 )
-from test_primes import all_bases_is_prime, reference_factorize  # noqa: E402
-
-
-def _next_prime(n: int) -> int:
-    while not is_prime(n):
-        n += 1
-    return n
+from test_primes import all_bases_is_prime, next_prime, reference_factorize  # noqa: E402
 
 
 def _primes(lo: int, hi: int):
-    return st.integers(min_value=lo, max_value=hi).map(_next_prime)
+    return st.integers(min_value=lo, max_value=hi).map(next_prime)
 
 
 # n log-uniform below the bound: a bit length first, then n of that length.
@@ -83,7 +77,7 @@ def test_factorize_equals_full_trial_division(smooth, large):
 # A few primes of 2^36..2^60, drawn once from a fixed seed: their p - 1 reach
 # the block stage of trial division, and one of them needs rho.
 _RNG = Random(20201)
-LARGE_PRIMES = [_next_prime(_RNG.randrange(2**36, 2**60)) for _ in range(6)]
+LARGE_PRIMES = [next_prime(_RNG.randrange(2**36, 2**60)) for _ in range(6)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -73,7 +73,7 @@ SEARCH_HITS = (
 COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
 PAST_THE_KEPT_BOUND = [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_kept_lists"]
 KEEP_RULE = "    if limit > _KEEP_LIMIT:\n"
-TABLE_COPY = "        table.text, table.digits, table.phi, table.v = self.text, self.digits[:], self.phi[:], self.v[:]\n"
+NEW_TABLE = "        table = _Table()\n"
 CANDIDATES = [T_ORACLE + "test_candidates_are_exactly_the_ks_x_divides"]
 PRIME_AND_SIZE_RULES = "    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):\n"
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
@@ -89,7 +89,7 @@ BOUND_CHECK = (
 )
 
 MUTATIONS = [
-    # One table per process: the kept one up to _KEEP_LIMIT, past it a copy with lists, offsets and index of its own.
+    # One table per process: the kept one up to _KEEP_LIMIT, past it a new one that starts empty.
     Mutation(
         "keep-rule-below-the-bound", ORACLE, KEEP_RULE, KEEP_RULE.replace(">", ">="),
         [T_ORACLE + "test_table_is_sieved_only_when_it_grows"],
@@ -98,21 +98,22 @@ MUTATIONS = [
         "keep-rule-past-the-bound", ORACLE, KEEP_RULE, KEEP_RULE.replace("_KEEP_LIMIT", "_KEEP_LIMIT + 1"),
         [T_ORACLE + "test_table_is_sieved_only_when_it_grows"],
     ),
+    Mutation("past-the-bound-uses-the-kept-table", ORACLE, NEW_TABLE, "        table = _kept\n", PAST_THE_KEPT_BOUND),
     Mutation(
-        "past-the-bound-uses-the-kept-table", ORACLE, "        return _kept.copy(limit)\n", "        pass\n", PAST_THE_KEPT_BOUND,
+        "one-request-table-keeps-phi", ORACLE, "        table.phi = None\n", "",
+        [T_ORACLE + "test_a_table_past_the_kept_bound_drops_phi_before_it_is_indexed"],
     ),
+    Mutation("one-request-table-starts-from-the-kept-phi", ORACLE, NEW_TABLE,
+             NEW_TABLE + "        table.phi = _kept.phi\n", PAST_THE_KEPT_BOUND),
+    Mutation("one-request-table-starts-from-the-kept-values", ORACLE, NEW_TABLE,
+             NEW_TABLE + "        table.v = _kept.v\n", PAST_THE_KEPT_BOUND),
+    Mutation("one-request-table-starts-from-the-kept-index", ORACLE, NEW_TABLE,
+             NEW_TABLE + "        table.index = _kept.index\n", PAST_THE_KEPT_BOUND),
+    Mutation("one-request-table-starts-from-the-kept-rendering", ORACLE, NEW_TABLE,
+             NEW_TABLE + "        table.text, table.digits = _kept.text, _kept.digits\n", PAST_THE_KEPT_BOUND),
     Mutation(
-        "copy-keeps-phi", ORACLE, "        table.phi = None\n", "",
-        [T_ORACLE + "test_a_copy_past_the_kept_bound_drops_phi_before_it_is_indexed"],
-    ),
-    Mutation("copy-shares-phi", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.phi[:]", "self.phi"), PAST_THE_KEPT_BOUND),
-    Mutation("copy-shares-the-values", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.v[:]", "self.v"), PAST_THE_KEPT_BOUND),
-    Mutation(
-        "copy-shares-the-digit-offsets", ORACLE, TABLE_COPY, TABLE_COPY.replace("self.digits[:]", "self.digits"),
-        PAST_THE_KEPT_BOUND,
-    ),
-    Mutation(
-        "copy-shares-the-index", ORACLE, TABLE_COPY, TABLE_COPY + "        table.index = self.index\n", PAST_THE_KEPT_BOUND,
+        "one-request-table-starts-from-copies-of-the-kept-lists", ORACLE, NEW_TABLE,
+        NEW_TABLE + "        table.phi, table.v = _kept.phi[:], _kept.v[:]\n", PAST_THE_KEPT_BOUND,
     ),
     # The value index, grown in C and by hand past a collision; the scan and the search share it.
     Mutation(
