@@ -1,6 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: a command, its operands and options, and the global flags.
 
-Subcommands: represent, verify, factor, sequence, search, selftest.
 Exit codes are a stable scripting contract:
 
     0  success (and, for verify, the ratio holds)
@@ -13,11 +12,14 @@ Exit codes are a stable scripting contract:
        library itself is wrong, or any unexpected exception, reported by
        type instead of a traceback)
     4  verify ran cleanly but the ratio does not hold
+
+A reader that closes the output early (phisq sequence 200000 | head -n 1) is
+neither a fault nor the input's: the command's own code, nothing on stderr.
 """
 
-import functools
 import json
 import os
+import re
 import sys
 from random import Random
 from types import SimpleNamespace
@@ -218,96 +220,99 @@ def cmd_selftest(args: SimpleNamespace) -> Result:
     return {"checks": results, "all_passed": all_ok}, lines, EXIT_OK if all_ok else EXIT_INVARIANT_VIOLATION
 
 
-# The global flags: declared once, on the top-level parser, and accepted before
-# or after the command, spelled in full.
+# The global flags, before or after the command, spelled in full.
 FLAGS = {"--json": "emit one JSON object", "--expanded": "also emit expanded decimal values"}
-
-# Each command: its help, the input its JSON record echoes, and its arguments
-# with their argparse options, whose "type" _read honours too; cmd_<command> reads them
-# from the parsed namespace.
+HELP = ("-h", "--help")
+# Each command: its help, the input its JSON record echoes, and its arguments: operands in order,
+# and options, each required and taking one value; cmd_<command> reads them in _read's namespace.
 COMMANDS = {
-    "represent": (
-        "find (m, n) with phi(m^2)/phi(n^2) = ratio", "{ratio}",
-        {"ratio": {"help": '"p/q", "n", or a factored literal like "2^3 * 5^-1"'}},
-    ),
-    "verify": ("check phi(m^2)/phi(n^2) = ratio", "m={m} n={n} r={ratio}", {"m": {}, "n": {}, "ratio": {}}),
-    "factor": ("prime factorization of a positive integer", "{n}", {"n": {}}),
-    "sequence": ("phi(k^2) for k = 1..limit", "{limit}", {"limit": {"type": int}}),
-    "search": (
-        "minimal (m, n) with m, n <= bound", "{ratio}",
-        {"ratio": {}, "--bound": {"type": int, "required": True, "help": "search m, n <= bound"}},
-    ),
-    "selftest": ("run the built-in cross-check suite", "", {}),
+    "represent": ("find (m, n) with phi(m^2)/phi(n^2) = ratio", "{ratio}", ("ratio",)),
+    "verify": ("check phi(m^2)/phi(n^2) = ratio", "m={m} n={n} r={ratio}", ("m", "n", "ratio")),
+    "factor": ("prime factorization of a positive integer", "{n}", ("n",)),
+    "sequence": ("phi(k^2) for k = 1..limit", "{limit}", ("limit",)),
+    "search": ("minimal (m, n) with m, n <= bound", "{ratio}", ("ratio", "--bound")),
+    "selftest": ("run the built-in cross-check suite", "", ()),
 }
+INTS = {"limit", "--bound"}  # read through _decimal: past the digit limit is exit 2, as for any numeral
+
+
+def _refusal(message: str) -> ParseError:
+    """A usage error, cut at 200 characters: the command list takes ~100."""
+    return ParseError(cut(message, limit=200))
+
+
+def _operand(token: str, options=()) -> bool:
+    """Whether token is an operand: "-", a negative number, no leading dash, or a space not after "<option>="."""
+    if not token.startswith("-") or token == "-" or re.match(r"-\d*\.?\d+$", token):  # argparse's negative number
+        return True
+    return " " in token and token.partition("=")[0] not in options
+
+
+def _help(usage: str) -> None:
+    """Print the usage line, the commands and global flags, and this docstring."""
+    rows = [f"  {name:<12}{text}" for name, text in ({n: t for n, (t, _, _) in COMMANDS.items()} | FLAGS).items()]
+    print(f"usage: phisq {usage}\n", *rows, "", __doc__ or "", sep="\n")  # no docstring under python -OO
 
 
 def _read(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives a plain, well-formed line, or None to leave the line to argparse.
+    """The namespace of a command line, or None once its help is printed; a usage error raises ParseError.
 
-    Plain is: the global flags first (main sorts them there), a command, exactly its
-    operands, and each of its options once, as "--bound 7".  Any other token that starts
-    with "-" (help, "--", "--bound=7", a negative numeral), a repeated or missing option,
-    a missing or extra operand, and an int that _decimal refuses with ValueError are left
-    to argparse, which alone prints help and usage messages.
+    The grammar and messages are those argparse 3.11 gave this program (the README lists
+    them).  After the first "--" every token is an operand; that "--" is dropped next to an
+    operand that fills a slot, and before the command it is the command.
     """
-    flags = [a for a in argv if a in FLAGS]
-    command, *rest = argv[len(flags):] or [None]
+    args = SimpleNamespace(**{flag[2:]: flag in argv for flag in FLAGS})
+    extras, tokens = [], (token for token in argv if token not in FLAGS)
+    for command in tokens:  # help and unknown options, up to the command
+        if command == "--" or _operand(command):
+            break
+        if command in HELP:
+            return _help("[-h] [--json] [--expanded] command ...")
+        extras.append(command)
+    else:
+        command = None
+    if command is None or command == "--" and next(tokens, None) is None:
+        raise _refusal("the following arguments are required: command")
     if command not in COMMANDS:
-        return None
-    _, echo, arguments = COMMANDS[command]
-    operands, options = [], {}
-    tokens = iter(rest)
+        raise _refusal(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    _, args.echo, arguments = COMMANDS[command]
+    args.command = command
+    slots = [a for a in arguments if a[0] != "-"]
+    dashed = filled = False  # past the first "--"; whether the last token filled a slot
     for token in tokens:
-        if not token.startswith("-"):
-            operands.append(token)
-        elif token in arguments and token not in options:
-            options[token] = next(tokens, "-")  # a missing value is declined like a "-" token
-            if options[token].startswith("-"):
-                return None
+        operand = dashed or _operand(token, arguments)
+        last, filled = filled, operand and bool(slots)
+        name, equals, value = token.partition("=")
+        if token == "--" and not dashed:
+            dashed = True
+            if not slots and not last:
+                extras.append(token)
+            continue
+        if filled:
+            name, value = slots.pop(0), token
+        elif not operand and token in HELP:
+            shown = (f"{a} {a[2:].upper()}" if a[0] == "-" else a for a in arguments)
+            return _help(" ".join([command, "[-h]", *shown]))
+        elif not operand and name in arguments:  # an option, which takes one value
+            if not equals:
+                value = next(tokens, "--")
+                if value == "--" or not _operand(value, arguments):
+                    raise _refusal(f"argument {name}: expected one argument")
         else:
-            return None
-    names = [a for a in arguments if not a.startswith("-")]
-    if len(operands) != len(names) or len(options) != len(arguments) - len(names):
-        return None
-    args = SimpleNamespace(**{flag.lstrip("-"): flag in flags for flag in FLAGS}, command=command, echo=echo)
-    for argument, text in (*zip(names, operands), *options.items()):
-        if arguments[argument].get("type") is int:
+            extras.append(token)
+            continue
+        if name in INTS:
             try:
-                text = _decimal(text)
+                value = _decimal(value)
             except ValueError:
-                return None  # for argparse's own message
-        setattr(args, argument.lstrip("-"), text)
+                raise _refusal(f"argument {name}: invalid int value: {value!r}") from None
+        setattr(args, name.lstrip("-"), value)
+    missing = [a for a in arguments if not hasattr(args, a.lstrip("-"))]
+    if missing:
+        raise _refusal(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _refusal(f"unrecognized arguments: {' '.join(extras)}")
     return args
-
-
-@functools.cache
-def build_parser():
-    """The argparse parser of every line _read leaves; built once per process, as parse_args leaves it unchanged."""
-    import argparse  # here, not at import: a well-formed line loads neither argparse nor gettext
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse whose usage errors are ParseErrors (exit 1), cut at 200 characters: the command list takes ~100."""
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            # type=int reads through _decimal: past the digit limit is exit 2, as for any numeral.
-            self.register("type", int, _decimal)
-
-        def error(self, message):
-            raise ParseError(cut(message, limit=200))
-
-    parser = _Parser(
-        prog="phisq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
-    )
-    for flag, text in FLAGS.items():
-        parser.add_argument(flag, action="store_true", help=text)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (text, echo, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.set_defaults(echo=echo)
-        for argument, options in arguments.items():
-            p.add_argument(argument, **options)
-    return parser
 
 
 def _output(args: SimpleNamespace, code: int, payload: dict, lines: list[str]) -> str:
@@ -334,21 +339,20 @@ def _describe_unexpected(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Move the global flags in front of the command, where they are declared. Abbreviations
-    # are refused, so an accepted and a rejected line both choose JSON by the exact "--json".
-    argv = sorted(argv, key=lambda a: a not in FLAGS)
-    args = None
+    args, code = None, EXIT_OK
     try:
-        # A plain, well-formed line is read here; argparse, loaded only then, reads any other.
-        args = _read(argv) or build_parser().parse_args(argv, SimpleNamespace())
-        # Looked up per call, not bound in the parser: the traced benchmark rebinds cmd_*.
-        payload, lines, code = globals()[f"cmd_{args.command}"](args)
-        # Rendered inside the try: formatting a large integer can raise too.
-        print(_output(args, code, payload, lines))
+        args = _read(argv)
+        if args is not None:  # else help, printed by _read
+            # Looked up per call, not bound in the reader: the traced benchmark rebinds cmd_*.
+            payload, lines, code = globals()[f"cmd_{args.command}"](args)
+            # Rendered inside the try: formatting a large integer can raise too.
+            print(_output(args, code, payload, lines))
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
-    except SystemExit as exc:
-        # Help, which argparse has printed to stdout; its usage errors raise ParseError.
-        return exc.code
+    except BrokenPipeError:
+        # The reader left early. Point stdout at devnull, where the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ParseError as exc:
         code, message = EXIT_PARSE_ERROR, str(exc)
     except (FactorizationFailure, ExponentOverflowError, UnsupportedScaleError) as exc:

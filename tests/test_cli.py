@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from argparse_reference import reference
 from phisq import cli
 from phisq.cli import (
     EXIT_INVARIANT_VIOLATION,
@@ -161,7 +162,7 @@ LONG_TEXT_REFUSALS = {
 
 @pytest.mark.parametrize("argv", LONG_TEXT_REFUSALS.values(), ids=LONG_TEXT_REFUSALS)
 def test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length(capsys, argv):
-    # Bounded as shown, after repr and JSON escaping; argparse's own messages are bounded whole.
+    # Bounded as shown, after repr and JSON escaping; usage messages are bounded whole.
     for line in (argv, [*argv, "--json"]):
         code, out, err = run(capsys, *line)
         assert (code, out) == (EXIT_PARSE_ERROR, "")
@@ -169,7 +170,7 @@ def test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length(capsys, a
 
 
 HUGE_NUMBER_REFUSALS = {
-    # argparse reads a negative numeral as a positional or an option's value.
+    # A negative numeral is an operand or an option's value.
     "limit": (["sequence", "-" + "1" * 4000], "limit must be >= 1, got a 4000-digit negative number"),
     "bound": (["search", "3", "--bound", "-" + "1" * 4000], "bound must be >= 1, got a 4000-digit negative number"),
     "exponent": (
@@ -420,16 +421,16 @@ def test_one_shot_commands_import_neither_dataclasses_nor_fractions(capsys):
         "sys.path.insert(0, sys.argv[1])\n"
         "from phisq.cli import main\n"
         "argvs = (['represent', '2/3'], ['--json', 'verify', '13110', '18612', '19/47'],\n"
-        "         ['search', '3', '--bound', '10'], ['sequence', '10'], ['factor', '12'], ['selftest'])\n"
+        "         ['search', '3', '--bound', '10'], ['sequence', '10'], ['factor', '12'], ['selftest'],\n"
+        "         ['frobnicate'], ['--help'])\n"
         "codes = [main(argv) for argv in argvs]\n"
         "heavy = sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'argparse', 'gettext'} & set(sys.modules))\n"
         "print(codes, heavy)\n"
-        "print(main(['frobnicate']))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script, SRC], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # Well-formed lines never load argparse; a refused line loads it, for its unchanged message.
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0] []", "1"]
+    # No line loads argparse: not a well-formed one, a refused one, nor help.
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 1, 0] []"
     assert "invalid choice: 'frobnicate' (choose from 'represent', " in proc.stderr
     assert proc.stderr == run(capsys, "frobnicate")[2]
 
@@ -446,7 +447,61 @@ def test_help_is_printed_to_stdout_and_exits_0(capsys, argv):
     assert out.count("usage:") == 1
 
 
-# Plain lines, one per command, with the global flags before and after: the reader's own.
+# Command lines, each with its exit code and exact stderr, on every Python: argparse 3.11's
+# reading of them for this program, except where a row says otherwise.
+LINES = {
+    "equals": (["search", "3", "--bound=10"], EXIT_OK, ""),
+    "double-dash": (["represent", "--", "2/3"], EXIT_OK, ""),
+    "double-dash-after-the-operands": (["sequence", "5", "--"], EXIT_OK, ""),
+    "double-dash-past-the-operands": (["factor", "12", "13", "--"], EXIT_PARSE_ERROR, "unrecognized arguments: 13 --"),
+    "double-dash-after-a-value": (["search", "3", "--bound", "5", "--"], EXIT_PARSE_ERROR,
+                                  "unrecognized arguments: --"),
+    "double-dash-as-a-value": (["search", "3", "--bound", "--", "5"], EXIT_PARSE_ERROR,
+                               "argument --bound: expected one argument"),
+    "double-dash-as-the-command": (["--", "search", "3", "--bound", "5"], EXIT_PARSE_ERROR,
+                                   "argument command: invalid choice: '--' (choose from 'represent', 'verify', "
+                                   "'factor', 'sequence', 'search', 'selftest')"),
+    "double-dash-alone": (["--expanded", "--"], EXIT_PARSE_ERROR, "the following arguments are required: command"),
+    # After the first "--", a second is an operand (argparse 3.11 made it an empty list: exit 3).
+    "second-double-dash": (["verify", "1", "--", "--", "2"], EXIT_PARSE_ERROR,
+                           "value must be an unsigned integer, got '--'"),
+    "abbreviated-option": (["search", "3", "--bo", "10"], EXIT_PARSE_ERROR,
+                           "the following arguments are required: --bound"),
+    "repeated-option": (["search", "3", "--bound", "x", "--bound", "10"], EXIT_PARSE_ERROR,
+                        "argument --bound: invalid int value: 'x'"),
+    "repeated-option-keeps-the-last": (["search", "3", "--bound", "0", "--bound", "10"], EXIT_OK, ""),
+    "other-commands-option": (["represent", "2/3", "--bound", "10"], EXIT_PARSE_ERROR,
+                              "unrecognized arguments: --bound 10"),
+    "dash-operand": (["sequence", "-5"], EXIT_PARSE_ERROR, "limit must be >= 1, got -5"),
+    "dash-decimal": (["sequence", "-.5"], EXIT_PARSE_ERROR, "argument limit: invalid int value: '-.5'"),
+    "dash-value": (["search", "3", "--bound", "-5"], EXIT_PARSE_ERROR, "bound must be >= 1, got -5"),
+    "spaced-dash-token": (["sequence", "- 5"], EXIT_PARSE_ERROR, "argument limit: invalid int value: '- 5'"),
+    "unknown-option": (["sequence", "-x"], EXIT_PARSE_ERROR, "the following arguments are required: limit"),
+    "help": (["represent", "-h"], EXIT_OK, ""),
+    "help-before-a-bad-int": (["sequence", "-h", "abc"], EXIT_OK, ""),
+    "bad-int-before-help": (["sequence", "abc", "-h"], EXIT_PARSE_ERROR, "argument limit: invalid int value: 'abc'"),
+    # -h takes no value: glued to one, it is an unknown option (argparse 3.11 named the value).
+    "glued-help": (["represent", "2/3", "-hx"], EXIT_PARSE_ERROR, "unrecognized arguments: -hx"),
+    "missing-operand": (["verify", "1", "2"], EXIT_PARSE_ERROR, "the following arguments are required: ratio"),
+    "only-an-option": (["search", "--bound", "10"], EXIT_PARSE_ERROR, "the following arguments are required: ratio"),
+    "missing-before-unknown": (["search", "-x"], EXIT_PARSE_ERROR,
+                               "the following arguments are required: ratio, --bound"),
+    "extra-operand": (["factor", "12", "13"], EXIT_PARSE_ERROR, "unrecognized arguments: 13"),
+    "operand-to-selftest": (["selftest", "x"], EXIT_PARSE_ERROR, "unrecognized arguments: x"),
+    "missing-option": (["search", "3"], EXIT_PARSE_ERROR, "the following arguments are required: --bound"),
+    "missing-value": (["search", "3", "--bound"], EXIT_PARSE_ERROR, "argument --bound: expected one argument"),
+    "unknown-command": (["Represent", "2/3"], EXIT_PARSE_ERROR,
+                        "argument command: invalid choice: 'Represent' (choose from 'represent', 'verify', "
+                        "'factor', 'sequence', 'search', 'selftest')"),
+    "no-command": (["--expanded"], EXIT_PARSE_ERROR, "the following arguments are required: command"),
+    "not-an-int": (["sequence", "abc"], EXIT_PARSE_ERROR, "argument limit: invalid int value: 'abc'"),
+    "plain-leading-zeros": (["--json", "sequence", "007"], EXIT_OK, ""),
+    "plain-flags-after": (["factor", "55836", "--json", "--expanded"], EXIT_OK, ""),
+    "plain-option-first": (["search", "--bound", "10", "3", "--expanded"], EXIT_OK, ""),
+}
+
+
+# Plain lines, one per command, with the global flags before and after.
 WELL_FORMED = [
     ["represent", "19/47", "--json"],
     ["--expanded", "verify", "39330", "55836", "19/47"],
@@ -455,45 +510,21 @@ WELL_FORMED = [
     ["search", "--bound", "10", "3", "--expanded"],
     ["--json", "selftest", "--expanded"],
 ]
-# Every other shape is argparse's to read, with the exit code it ends in.
-DECLINED = {
-    "equals": (["search", "3", "--bound=10"], EXIT_OK),
-    "double-dash": (["represent", "--", "2/3"], EXIT_OK),
-    "abbreviated-option": (["search", "3", "--bo", "10"], EXIT_PARSE_ERROR),
-    "repeated-option": (["search", "3", "--bound", "x", "--bound", "10"], EXIT_PARSE_ERROR),
-    "other-commands-option": (["represent", "2/3", "--bound", "10"], EXIT_PARSE_ERROR),
-    "dash-operand": (["sequence", "-5"], EXIT_PARSE_ERROR),
-    "dash-value": (["search", "3", "--bound", "-5"], EXIT_PARSE_ERROR),
-    "help": (["represent", "-h"], EXIT_OK),
-    "missing-operand": (["verify", "1", "2"], EXIT_PARSE_ERROR),
-    "only-an-option": (["search", "--bound", "10"], EXIT_PARSE_ERROR),
-    "extra-operand": (["factor", "12", "13"], EXIT_PARSE_ERROR),
-    "operand-to-selftest": (["selftest", "x"], EXIT_PARSE_ERROR),
-    "missing-option": (["search", "3"], EXIT_PARSE_ERROR),
-    "missing-value": (["search", "3", "--bound"], EXIT_PARSE_ERROR),
-    "unknown-command": (["Represent", "2/3"], EXIT_PARSE_ERROR),
-    "no-command": (["--json"], EXIT_PARSE_ERROR),
-    "not-an-int": (["sequence", "abc"], EXIT_PARSE_ERROR),
-}
-
-
-def as_main_sorts(argv):
-    return sorted(argv, key=lambda a: a not in cli.FLAGS)
 
 
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: " ".join(argv))
 def test_the_reader_reads_a_plain_line_as_argparse_does(argv):
-    argv = as_main_sorts(argv)
+    # Every Python's argparse reads these alike, so the check runs on all of them.
     args = cli._read(argv)
     assert args is not None
-    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    assert vars(args) == vars(reference(argv))
 
 
-@pytest.mark.parametrize("argv, expected", DECLINED.values(), ids=DECLINED)
-def test_the_reader_leaves_every_other_line_to_argparse(capsys, argv, expected):
-    assert cli._read(as_main_sorts(argv)) is None
+@pytest.mark.parametrize("argv, expected, message", LINES.values(), ids=LINES)
+def test_a_command_line_ends_in_its_exit_code_and_message(capsys, argv, expected, message):
     code, out, err = run(capsys, *argv)
-    assert code == expected, (out, err)
+    assert (code, err) == (expected, message and f"error: {message}\n"), out
+    assert out.startswith("usage: phisq") == ("-h" in argv and code == EXIT_OK)
 
 
 def test_selftest_passes(capsys):
@@ -562,6 +593,21 @@ def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "phisq", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_a_closed_output_pipe_is_not_a_fault():
+    # As in "phisq sequence 200000 | head -n 1": about 1.9 MB of values, far past a pipe's
+    # buffer, so the child is still writing when the reader closes its end after one line.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "phisq", "sequence", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    # The command's own code; no error line and no "Exception ignored" at exit.
+    assert (code, err) == (EXIT_OK, b"")
 
 
 def test_module_represents_all_primes_to_20000():

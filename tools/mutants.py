@@ -60,7 +60,8 @@ T_TOTIENT = "tests/test_totient.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
-READER_DECLINES = T_CLI + "test_the_reader_leaves_every_other_line_to_argparse"
+LINES = T_CLI + "test_a_command_line_ends_in_its_exit_code_and_message"
+DOUBLE_DASH = "            if not slots and not last:\n"
 
 SEARCH_STAGE = (
     "        table.grow_index(top)\n"
@@ -219,17 +220,28 @@ MUTATIONS = [
         "cut-prefix-measured-before-escaping", ERRORS, "    while len(dumps(form(text[:k]))) - 2 > limit // 2:\n",
         "    while k > limit // 2:\n", [QUOTES + "[escaped-prefix]"],
     ),
-    Mutation("argparse-message-uncut", CLI, "raise ParseError(cut(message, limit=200))", "raise ParseError(message)",
+    Mutation("argparse-message-uncut", CLI, "return ParseError(cut(message, limit=200))", "return ParseError(message)",
              [QUOTES + "[bound]", QUOTES + "[command]"]),
-    # The CLI's reader takes only the plain, well-formed line and leaves every other one to argparse.
-    Mutation("reader-accepts-a-repeated-option", CLI, "        elif token in arguments and token not in options:\n",
-             "        elif token in arguments:\n", [READER_DECLINES + "[repeated-option]"]),
-    Mutation("reader-accepts-a-dash-token", CLI, "        if not token.startswith(\"-\"):\n",
-             "        if token not in arguments:\n", [READER_DECLINES + "[dash-operand]"]),
-    Mutation("reader-skips-decimal", CLI, "                text = _decimal(text)\n", "                pass\n",
-             [T_CLI + "test_the_reader_reads_a_plain_line_as_argparse_does"]),
-    Mutation("reader-drops-the-operand-count", CLI, "len(operands) != len(names) or ", "",
-             [READER_DECLINES + "[missing-operand]"]),
+    # The CLI's reader: argparse's grammar and messages for this program.
+    Mutation("reader-keeps-the-first-of-a-repeated-option", CLI, "        setattr(args, name.lstrip(\"-\"), value)\n",
+             "        vars(args).setdefault(name.lstrip(\"-\"), value)\n",
+             [LINES + "[repeated-option-keeps-the-last]"]),
+    Mutation("reader-accepts-a-dash-token", CLI,
+             "    return \" \" in token and token.partition(\"=\")[0] not in options\n", "    return True\n",
+             [LINES + "[unknown-option]"]),
+    Mutation("reader-skips-decimal", CLI, "                value = _decimal(value)\n", "                pass\n",
+             [LINES + "[plain-leading-zeros]"]),
+    Mutation("reader-drops-the-operand-count", CLI, "[a for a in arguments if not hasattr(",
+             "[a for a in arguments if a[0] == \"-\" and not hasattr(", [LINES + "[missing-operand]"]),
+    # The first "--" after the command is dropped next to an operand that fills a slot.
+    Mutation("reader-drops-a-double-dash-past-the-operands", CLI, DOUBLE_DASH,
+             DOUBLE_DASH.replace("not slots and not last", "False"), [LINES + "[double-dash-past-the-operands]"]),
+    Mutation("reader-keeps-a-double-dash-beside-the-last-operand", CLI, DOUBLE_DASH,
+             DOUBLE_DASH.replace(" and not last", ""), [LINES + "[double-dash-after-the-operands]"]),
+    Mutation("reader-takes-a-negative-numeral-for-an-option", CLI, " or token == \"-\" or re.match(",
+             " or token == \"-\" and re.match(", [LINES + "[dash-operand]"]),
+    Mutation("closed-pipe-is-a-fault", CLI, "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+             [T_CLI + "test_a_closed_output_pipe_is_not_a_fault"]),
     Mutation("factor-refusal-uncut", CLI, "got {cut(args.n, repr)}", "got {args.n!r}", [QUOTES + "[factor]"]),
     Mutation("echo-uncut", CLI, "        echo = cut(echo)\n", "        pass\n", [T_CLI + "test_factor_names_a_huge_cofactor_by_its_digit_count"]),
     Mutation("numeral-quote-uncut", FACTORED, "got {cut(text, repr)}", "got {text!r}", [QUOTES + "[numeral]"]),
