@@ -254,14 +254,16 @@ def _help(usage: str) -> None:
     print(f"usage: phisq {usage}\n", *rows, "", __doc__ or "", sep="\n")  # no docstring under python -OO
 
 
-def _read(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace of a command line, or None once its help is printed; a usage error raises ParseError.
+def _read(argv: list[str], args: SimpleNamespace) -> SimpleNamespace | None:
+    """args, filled in from a command line, or None once its help is printed; a usage error raises ParseError.
 
-    The grammar and messages are those argparse 3.11 gave this program (the README lists
-    them).  After the first "--" every token is an operand; that "--" is dropped next to an
-    operand that fills a slot, and before the command it is the command.
+    The flags are set first, the command once it is accepted and the echo last, so a refused
+    line leaves args as far as it was read.  The grammar and messages are those argparse 3.11
+    gave this program (the README lists them).  After the first "--" every token is an
+    operand; that "--" is dropped next to an operand that fills a slot, and before the
+    command it is the command.
     """
-    args = SimpleNamespace(**{flag[2:]: flag in argv for flag in FLAGS})
+    vars(args).update({flag[2:]: flag in argv for flag in FLAGS})
     extras, tokens = [], (token for token in argv if token not in FLAGS)
     for command in tokens:  # help and unknown options, up to the command
         if command == "--" or _operand(command):
@@ -275,7 +277,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         raise _refusal("the following arguments are required: command")
     if command not in COMMANDS:
         raise _refusal(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
-    _, args.echo, arguments = COMMANDS[command]
+    _, echo, arguments = COMMANDS[command]
     args.command = command
     slots = [a for a in arguments if a[0] != "-"]
     dashed = filled = False  # past the first "--"; whether the last token filled a slot
@@ -312,6 +314,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
         raise _refusal(f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise _refusal(f"unrecognized arguments: {' '.join(extras)}")
+    args.echo = echo
     return args
 
 
@@ -338,11 +341,10 @@ def _describe_unexpected(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args, code = None, EXIT_OK
+    # What a refused line's record shows where the reader did not get that far: no command, no input.
+    args, code = SimpleNamespace(command=None, echo=""), EXIT_OK
     try:
-        args = _read(argv)
-        if args is not None:  # else help, printed by _read
+        if _read(sys.argv[1:] if argv is None else argv, args) is not None:  # else help, printed by _read
             # Looked up per call, not bound in the reader: the traced benchmark rebinds cmd_*.
             payload, lines, code = globals()[f"cmd_{args.command}"](args)
             # Rendered inside the try: formatting a large integer can raise too.
@@ -361,10 +363,6 @@ def main(argv=None) -> int:
         # Anything else (RecursionError, MemoryError, a failed assert) is a bug
         # in the library, never the input's fault: report it, never crash.
         code, message = EXIT_INVARIANT_VIOLATION, _describe_unexpected(exc)
-    if args is None:
-        # A rejected line still tells --json, and a known command; its input is not echoed.
-        first = next((a for a in argv if not a.startswith("-")), None)
-        args = SimpleNamespace(json="--json" in argv, command=first if first in COMMANDS else None, echo="")
     print(_output(args, code, {"error": message}, [f"error: {message}"]), file=sys.stderr)
     return code
 

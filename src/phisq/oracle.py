@@ -182,7 +182,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     The index is the table's own, grown with the stages.  It is exact only if
     k -> phi(k^2) is injective (it is: OEIS A002618), checked as each k is
     indexed: the first collision (j, k) raises RuntimeError if and only if k is
-    at or below the answer's top, or at or below the bound on a miss.
+    at or below the answer's top, or at or below the bound on a sieved miss.
 
     A hit has p | phi(m^2) and q | phi(n^2), both at most bound^2, and every
     prime of phi(k^2) = k * phi(k) is at most k.  So r misses, unexpanded and

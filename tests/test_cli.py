@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -447,8 +448,16 @@ def test_help_is_printed_to_stdout_and_exits_0(capsys, argv):
     assert out.count("usage:") == 1
 
 
+def record(command, error):
+    """The --json record of a refused line: the command the reader accepted before it refused, or None, and no input."""
+    return json.dumps({"command": command, "input": "", "status": "parse_error", "error": error})
+
+
+CHOICES = "(choose from 'represent', 'verify', 'factor', 'sequence', 'search', 'selftest')"
+
 # Command lines, each with its exit code and exact stderr, on every Python: argparse 3.11's
-# reading of them for this program, except where a row says otherwise.
+# reading of them for this program, except where a row says otherwise.  Under --json the
+# stderr of a refusal is its record.
 LINES = {
     "equals": (["search", "3", "--bound=10"], EXIT_OK, ""),
     "double-dash": (["represent", "--", "2/3"], EXIT_OK, ""),
@@ -498,6 +507,19 @@ LINES = {
     "plain-leading-zeros": (["--json", "sequence", "007"], EXIT_OK, ""),
     "plain-flags-after": (["factor", "55836", "--json", "--expanded"], EXIT_OK, ""),
     "plain-option-first": (["search", "--bound", "10", "3", "--expanded"], EXIT_OK, ""),
+    # A command name after a token read as the command names no command in the record.
+    "json-double-dash-as-the-command": (["--json", "--", "search", "3", "--bound", "5"], EXIT_PARSE_ERROR,
+                                        record(None, f"argument command: invalid choice: '--' {CHOICES}")),
+    "json-negative-numeral-as-the-command": (["--json", "-5", "search"], EXIT_PARSE_ERROR,
+                                             record(None, f"argument command: invalid choice: '-5' {CHOICES}")),
+    "json-dash-as-the-command": (["--json", "-", "search"], EXIT_PARSE_ERROR,
+                                 record(None, f"argument command: invalid choice: '-' {CHOICES}")),
+    "json-unknown-command": (["--json", "frobnicate"], EXIT_PARSE_ERROR,
+                             record(None, f"argument command: invalid choice: 'frobnicate' {CHOICES}")),
+    "json-missing-option": (["--json", "search", "3"], EXIT_PARSE_ERROR,
+                            record("search", "the following arguments are required: --bound")),
+    "json-not-an-int": (["--json", "search", "3", "--bound", "x"], EXIT_PARSE_ERROR,
+                        record("search", "argument --bound: invalid int value: 'x'")),
 }
 
 
@@ -515,7 +537,7 @@ WELL_FORMED = [
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: " ".join(argv))
 def test_the_reader_reads_a_plain_line_as_argparse_does(argv):
     # Every Python's argparse reads these alike, so the check runs on all of them.
-    args = cli._read(argv)
+    args = cli._read(argv, SimpleNamespace())
     assert args is not None
     assert vars(args) == vars(reference(argv))
 
@@ -523,7 +545,7 @@ def test_the_reader_reads_a_plain_line_as_argparse_does(argv):
 @pytest.mark.parametrize("argv, expected, message", LINES.values(), ids=LINES)
 def test_a_command_line_ends_in_its_exit_code_and_message(capsys, argv, expected, message):
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (expected, message and f"error: {message}\n"), out
+    assert (code, err) == (expected, message and (message if "--json" in argv else f"error: {message}") + "\n"), out
     assert out.startswith("usage: phisq") == ("-h" in argv and code == EXIT_OK)
 
 

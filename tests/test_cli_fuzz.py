@@ -17,6 +17,7 @@ where the installed argparse still reads a refused command as 3.11 did.
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,4 +154,4 @@ REFERENCE_DIFFERS = reference_differs()
 def test_the_reader_reads_a_line_as_argparse_does_or_leaves_it(line):
     # The same namespace, help on both sides, or the same refusal, message and all.
     # (The plain lines are checked on every Python in tests/test_cli.py.)
-    assert reading(cli._read, line) == reading(reference, line), line
+    assert reading(lambda argv: cli._read(argv, SimpleNamespace()), line) == reading(reference, line), line

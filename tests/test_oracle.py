@@ -13,7 +13,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
 from phisq import oracle, primes
 from phisq.cli import EXIT_INVARIANT_VIOLATION, main
@@ -329,23 +329,73 @@ _SMALL_LIMITS = st.one_of(st.sampled_from([_SMALL_KEEP - 1, _SMALL_KEEP, _SMALL_
                           st.integers(1, 3 * _SMALL_KEEP))
 
 
+def planted(table, j, c):
+    """table, whose v[c] is made v[j] as soon as it holds v[c], before its index or text reads it."""
+    grow = table.grow
+
+    def grow_and_collide(limit):
+        grow(limit)
+        if len(table.v) > c:
+            table.v[c] = table.v[j]
+
+    table.grow = grow_and_collide
+    grow_and_collide(0)
+    return table
+
+
+def outcome(call):
+    """call()'s answer, or the type and message of the RuntimeError it raises."""
+    try:
+        return call()
+    except RuntimeError as exc:
+        return RuntimeError, str(exc)
+
+
+def answered_on(table, call):
+    """outcome(call) with table as the kept one, and the kept one back."""
+    kept, oracle._kept = oracle._kept, table
+    try:
+        return outcome(call)
+    finally:
+        oracle._kept = kept
+
+
 class TableMachine(RuleBasedStateMachine):
     """A model of the table with _KEEP_LIMIT at 64: requests on either side of
     the bound, in any order, each answering as on an empty table, while the kept
-    lists hold their invariants and never pass the bound."""
+    lists hold their invariants and never pass the bound.
+
+    One rule plants a collision (j, c) in the kept table, v[c] = v[j], and the
+    empty table each answer is compared against carries it too.  A table past
+    the bound is a new one and stays clean."""
 
     def __init__(self):
         super().__init__()
         oracle._kept = oracle._Table()
+        self.collision = None
+
+    def empty(self):
+        return planted(oracle._Table(), *self.collision) if self.collision else oracle._Table()
 
     def check(self, call):
-        # The answer on the kept table, then on an empty one, with the kept one back.
-        answer, kept = call(), oracle._kept
-        oracle._kept = oracle._Table()
-        try:
-            assert call() == answer
-        finally:
-            oracle._kept = kept
+        # The answer on the kept table, then on an empty one.
+        answer = outcome(call)
+        assert answered_on(self.empty(), call) == answer
+        return answer
+
+    def unread(self):
+        """The least k >= 2 whose kept value neither the index nor the text has read."""
+        kept = oracle._kept
+        return max(len(kept.index), len(kept.digits) - 1, 1) + 1
+
+    @precondition(lambda self: self.collision is None and self.unread() <= _SMALL_KEEP)
+    @rule(data=st.data())
+    def collide(self, data):
+        # A value the kept table holds now, or once it grows to it.
+        c = data.draw(st.integers(self.unread(), _SMALL_KEEP), label="c")
+        j = data.draw(st.integers(1, c - 1), label="j")
+        planted(oracle._kept, j, c)
+        self.collision = (j, c)
 
     @rule(limit=_SMALL_LIMITS, as_json=st.booleans())
     def sequence(self, limit, as_json):
@@ -357,23 +407,40 @@ class TableMachine(RuleBasedStateMachine):
 
     @rule(limit=_SMALL_LIMITS.filter(lambda limit: limit >= 2))
     def scan(self, limit):
-        self.check(lambda: injectivity_scan(limit))
+        answer = self.check(lambda: injectivity_scan(limit))
+        j, c = self.collision or (0, limit + 1)
+        assert answer == ((j, c) if c <= limit <= _SMALL_KEEP else None)
 
-    @rule(p=st.integers(1, 60), q=st.integers(1, 60), bound=_SMALL_LIMITS)
-    def search(self, p, q, bound):
-        self.check(lambda: brute_force_minimal(parse_rational(f"{p}/{q}"), bound))
+    @rule(p=st.integers(1, 60), q=st.integers(1, 60), bound=_SMALL_LIMITS, near=st.sampled_from([None, -1, 0, 1]))
+    def search(self, p, q, bound, near):
+        if self.collision and near is not None:  # a bound next to a planted c
+            bound = max(self.collision[1] + near, 1)
+        call = lambda: brute_force_minimal(parse_rational(f"{p}/{q}"), bound)
+        table = oracle._Table()
+        answer, clean = self.check(call), answered_on(table, call)
+        # The collision raises iff c is at or below the clean answer's top, or the bound on a
+        # miss that reads the table: a prime above the bound or a side too wide misses unread.
+        j, c = self.collision if self.collision and bound <= _SMALL_KEEP else (0, bound + 1)
+        top = max(clean.m, clean.n) if clean.found else bound if len(table.v) > 1 else 0
+        assert answer == ((RuntimeError, f"phi(k^2) collides at k = {j} and k = {c}") if c <= top else clean)
 
     @invariant()
     def kept_lists_hold(self):
         kept, phi = oracle._kept, reference_totients()
         top = len(kept.v) - 1
         assert top <= _SMALL_KEEP and kept.phi == phi[: top + 1]
-        assert kept.v == [k * phi[k] for k in range(top + 1)]
+        v = [k * phi[k] for k in range(top + 1)]
+        j, c = self.collision or (0, top + 1)
+        if c <= top:
+            v[c] = v[j]  # the planted collision, and nothing else
+        assert kept.v == v
         lines = len(kept.digits) - 1
         assert lines <= top and kept.text == "".join(f"\n{x}" for x in kept.v[1 : lines + 1])
         assert list(kept.digits) == list(accumulate((len(str(x)) for x in kept.v[1 : lines + 1]), initial=0))
-        assert kept.collision is None and kept.index == {kept.v[k]: k for k in range(1, len(kept.index) + 1)}
-        assert len(kept.index) <= top
+        # The index is exact up to its length; it stops at the planted collision and meets no other.
+        n = len(kept.index)
+        assert n <= top and kept.index == {v[k]: k for k in range(1, n + 1)}
+        assert kept.collision is None and n < c or kept.collision == self.collision and n == c - 1 and c <= top
 
 
 def test_the_table_answers_as_an_empty_one_in_any_order(monkeypatch):

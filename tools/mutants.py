@@ -62,6 +62,7 @@ NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
 LINES = T_CLI + "test_a_command_line_ends_in_its_exit_code_and_message"
 DOUBLE_DASH = "            if not slots and not last:\n"
+REFUSAL = "    print(_output(args, code, {\"error\": message}, [f\"error: {message}\"]), file=sys.stderr)\n"
 
 SEARCH_STAGE = (
     "        table.grow_index(top)\n"
@@ -240,6 +241,14 @@ MUTATIONS = [
              DOUBLE_DASH.replace(" and not last", ""), [LINES + "[double-dash-after-the-operands]"]),
     Mutation("reader-takes-a-negative-numeral-for-an-option", CLI, " or token == \"-\" or re.match(",
              " or token == \"-\" and re.match(", [LINES + "[dash-operand]"]),
+    # A refused line's record names the command the reader accepted, never a guess from argv.
+    Mutation(
+        "refusal-guesses-the-command", CLI, REFUSAL,
+        "    first = next((a for a in argv if not a.startswith(\"-\")), None)\n"
+        "    args.command = first if first in COMMANDS else None\n" + REFUSAL,
+        [LINES + "[json-double-dash-as-the-command]", LINES + "[json-negative-numeral-as-the-command]",
+         LINES + "[json-dash-as-the-command]"],
+    ),
     Mutation("closed-pipe-is-a-fault", CLI, "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
              [T_CLI + "test_a_closed_output_pipe_is_not_a_fault"]),
     Mutation("factor-refusal-uncut", CLI, "got {cut(args.n, repr)}", "got {args.n!r}", [QUOTES + "[factor]"]),
