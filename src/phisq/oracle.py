@@ -7,9 +7,12 @@ The sequence, the search and the injectivity scan all read one _Table per
 process: phi, v[k] = phi(k^2) = k * phi(k), the value index v[k] -> k and the
 decimal lines of v.  Each part grows by the values it lacks, in place while a
 request's limit is at most 1 << 16 (the bound of the primes caches); a larger
-request builds a table of its own from nothing, which serves it alone and
-shares no list with the kept one.  A request reads v and a collision only up to
-its own limit, so what ran before never changes an answer.
+request builds a table of its own from nothing, which serves it alone, shares
+no list with the kept one and renders no text.  A request reads v and a
+collision only up to its own limit, so what ran before never changes an answer.
+
+Every function here is safe to call from threads: a request holds one lock from
+_table_for until it has read the table, past the kept bound too.
 """
 
 from array import array
@@ -18,6 +21,7 @@ from itertools import accumulate, islice
 from math import isqrt
 from operator import mul
 from random import Random
+from threading import Lock
 
 from .errors import ParseError, UnsupportedScaleError, shown
 from .factored import FactoredRational
@@ -105,6 +109,7 @@ class _Table:
 
 
 _kept = _Table()
+_lock = Lock()  # held by each reader from _table_for until it has read the table
 
 
 def _table_for(limit: int) -> _Table:
@@ -123,25 +128,29 @@ def _table_for(limit: int) -> _Table:
 
 def phi_square_sequence(limit: int) -> list[int]:
     """[phi(1^2), phi(2^2), ..., phi(limit^2)], i.e. k * phi(k) for k = 1..limit."""
-    return _table_for(limit).v[1 : limit + 1]
+    with _lock:
+        return _table_for(limit).v[1 : limit + 1]
 
 
 def phi_square_text(limit: int) -> str:
-    """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of
-    the table's rendering up to _KEEP_LIMIT, then the values past it, if any."""
-    table = _table_for(limit)
-    stop = min(limit, _KEEP_LIMIT)
-    table.grow_text(stop)
-    return "\n".join([table.text[1 : table.digits[stop] + stop], *[str(x) for x in table.v[stop + 1 : limit + 1]]])
+    """The lines str(phi(k^2)) for k = 1..limit, joined by newlines: a slice of the kept rendering,
+    or past _KEEP_LIMIT one join of blocks of _KEEP_LIMIT lines, each block's strings freed once joined."""
+    with _lock:
+        table = _table_for(limit)
+        if table is _kept:
+            table.grow_text(limit)
+            return table.text[1 : table.digits[limit] + limit]
+    return "\n".join(["\n".join(map(str, table.v[k : k + _KEEP_LIMIT])) for k in range(1, limit + 1, _KEEP_LIMIT)])
 
 
 def injectivity_scan(limit: int) -> tuple[int, int] | None:
     """First pair (m, n), m < n <= limit, with phi(m^2) = phi(n^2), else None."""
     if limit < 2:
         raise ParseError(f"limit must be >= 2, got {shown(limit, 'number')}")
-    table = _table_for(limit)
-    table.grow_index(limit)
-    return table.collision if table.collision and table.collision[1] <= limit else None
+    with _lock:
+        table = _table_for(limit)
+        table.grow_index(limit)
+        return table.collision if table.collision and table.collision[1] <= limit else None
 
 
 class SearchResult(namedtuple("SearchResult", "found m n bound")):
@@ -196,25 +205,27 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
     wide = max(num.bit_size(), den.bit_size()) > 4 * bound.bit_length()
     if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):
         return SearchResult(found=False, m=None, n=None, bound=bound)
-    table = _table_for(bound)
-    v, index = table.v, table.index
-    p, q = num.value(), den.value()
-    largest = {e > 0: b for b, e in r.entries}  # each side's largest prime, as the entries ascend
-    walk_p = largest.get(True, 1) > largest.get(False, 1)
-    x, y, ell = (p, q, largest.get(True, 1)) if walk_p else (q, p, largest.get(False, 1))
-    top = 0
-    while top < bound:
-        top = min(max(2 * top, 64), bound)
-        table.grow_index(top)
-        j, c = table.collision or (0, bound + 1)
-        limit = min(top, c - 1)  # the index is exact below its collision
-        hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]
-        if hits:
-            m, n = min(hits if walk_p else [(i, k) for k, i in hits], key=lambda mn: (max(mn), mn))
-            return SearchResult(found=True, m=m, n=n, bound=bound)
-        if top >= c:
-            raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {c}")
-    return SearchResult(found=False, m=None, n=None, bound=bound)
+    with _lock:
+        table = _table_for(bound)
+        v, index = table.v, table.index
+        p, q = num.value(), den.value()
+        largest = {e > 0: b for b, e in r.entries}  # each side's largest prime, as the entries ascend
+        walk_p = largest.get(True, 1) > largest.get(False, 1)
+        x, y, ell = (p, q, largest.get(True, 1)) if walk_p else (q, p, largest.get(False, 1))
+        top = 0
+        while top < bound:
+            top = min(max(2 * top, 64), bound)
+            table.grow_index(top)
+            j, c = table.collision or (0, bound + 1)
+            limit = min(top, c - 1)  # the index is exact below its collision
+            hits = [(k, i) for k in _candidates(v, x, ell, limit)
+                    if (i := index.get(v[k] // x * y, limit + 1)) <= limit]
+            if hits:
+                m, n = min(hits if walk_p else [(i, k) for k, i in hits], key=lambda mn: (max(mn), mn))
+                return SearchResult(found=True, m=m, n=n, bound=bound)
+            if top >= c:
+                raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {c}")
+        return SearchResult(found=False, m=None, n=None, bound=bound)
 
 
 def random_rational(rng: Random, max_prime: int = 97, max_exponent: int = 6) -> FactoredRational:

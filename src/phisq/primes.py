@@ -148,24 +148,28 @@ def _rho_split(n: int) -> int:
     )
 
 
+def _sieve(start: int, stop: int, primes) -> bytearray:
+    """1 at n - start for each prime n in [start, stop), 2 <= start, else 0; primes ascend and reach isqrt(stop - 1)."""
+    size = stop - start
+    sieve = bytearray([1]) * size
+    for p in primes:
+        if p * p >= stop:
+            break
+        first = max(p * p, -(-start // p) * p) - start
+        sieve[first::p] = bytes(len(range(first, size, p)))
+    return sieve
+
+
 @lru_cache(maxsize=None)
 def _block_product(start: int) -> int:
     """Product of the primes among the trial candidates of the block at f = start.
 
     When factorize reaches the block, its cofactor has no prime factor below
     start, so its gcd with this product is the product of the block's primes
-    that divide it, which factorize then splits.  Sieving the block's range by
-    _SMALL_PRIMES, 2 and 3 included, leaves exactly its primes.
+    that divide it, which factorize then splits.  _SMALL_PRIMES sieve the block.
     """
     stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
-    size = stop - start
-    sieve = bytearray([1]) * size
-    for p in _SMALL_PRIMES:
-        if p * p > stop:
-            break
-        first = max(p * p, -(-start // p) * p) - start
-        sieve[first::p] = bytes(len(range(first, size, p)))
-    return prod(compress(range(start, stop, 2), sieve[::2]))  # start is odd: the block's odd numbers
+    return prod(compress(range(start, stop, 2), _sieve(start, stop, _SMALL_PRIMES)[::2]))  # start is odd
 
 
 def _split(g: int, candidates) -> list[int]:
@@ -242,15 +246,10 @@ def _factor_p_minus_1(p: int) -> tuple[tuple[int, int], ...]:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a simple sieve of Eratosthenes."""
+    """All primes <= limit, sieved by the primes up to its square root."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return [p for p in range(2, limit + 1) if sieve[p]]
+    return list(compress(range(2, limit + 1), _sieve(2, limit + 1, primes_up_to(isqrt(limit)))))
 
 
 # The primes below _BLOCK_START: trial division's first stage, and the primes

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -248,21 +250,38 @@ def test_search_none_under_bound_is_not_an_error(capsys):
     assert body["m"] is None and body["n"] is None
 
 
-def search_in_1_gb(ratio, bound, timeout):
-    """The --json record of `phisq search ratio --bound bound` in a child limited to a
-    1 GB address space, after asserting it exited 0; the timeout only guards a hang."""
+def in_1_gb(argv, timeout):
+    """The exit code, stdout's line count and last line, and stderr of `phisq argv` in a
+    child limited to a 1 GB address space.  stdout is counted as it comes, not held; the
+    timeout only guards a hang."""
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
         "from phisq.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "search", ratio, "--bound", str(bound), "--json"],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    body = json.loads(proc.stdout)
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=err, env=env
+    ) as proc:
+        guard = threading.Timer(timeout, proc.kill)
+        guard.start()
+        lines, tail = 0, b""
+        try:
+            while chunk := proc.stdout.read(1 << 16):
+                lines, tail = lines + chunk.count(b"\n"), (tail + chunk)[-(1 << 16) :]
+            proc.wait()
+        finally:
+            guard.cancel()
+        err.seek(0)
+        return proc.returncode, lines, tail.rstrip(b"\n").rpartition(b"\n")[2].decode(), err.read().decode()
+
+
+def search_in_1_gb(ratio, bound, timeout):
+    """The --json record of `phisq search ratio --bound bound` in a child limited to a
+    1 GB address space, after asserting it exited 0; the timeout only guards a hang."""
+    code, lines, last, err = in_1_gb(["search", ratio, "--bound", str(bound), "--json"], timeout)
+    assert code == EXIT_OK, err
+    body = json.loads(last)
     return body["status"], body["bound"], body["found"], body["m"], body["n"]
 
 
@@ -283,6 +302,24 @@ def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
     #   CPython 3.12.1:  830 MiB, 805 MiB;    CPython 3.13.0: 831 MiB, 801 MiB;
     # so the margin under the limit is at least ~180 MiB on each.
     assert search_in_1_gb("1/2", 10000000, 600) == ("ok", 10000000, True, 1, 2)
+
+
+# The exit-code contract at the grammar's edge: each line in a child limited to 1 GB,
+# with its exit code, stdout's line count and, where a row gives it, the last line.
+EDGES = {
+    "sequence-at-the-cap": (["sequence", "10000000"], EXIT_OK, 10**7, "40000000000000"),
+    "sequence-past-the-cap": (["sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None),
+    "json-sequence-past-the-cap": (["--json", "sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None),
+}
+
+
+@pytest.mark.parametrize("argv, expected, lines, last", EDGES.values(), ids=EDGES)
+def test_a_line_at_the_grammars_edge_ends_in_its_exit_code_in_1_gb(argv, expected, lines, last):
+    code, out_lines, out_last, err = in_1_gb(argv, 600)
+    assert code == expected, err
+    assert len(err) <= 500 and "Traceback" not in err, err
+    assert out_lines == lines
+    assert last is None or out_last == last
 
 
 def test_search_requires_bound(capsys):

@@ -4,11 +4,13 @@ import importlib
 import io
 import json
 import random
+import threading
 from bisect import bisect_right
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -165,6 +167,15 @@ def test_sequence_json_equals_a_fresh_sieve():
         with redirect_stdout(out):
             assert main(["sequence", str(limit), "--json"]) == 0
         assert json.loads(out.getvalue())["values"] == [k * phi[k] for k in range(1, limit + 1)]
+
+
+def test_text_past_the_kept_bound_is_a_render_of_the_sieve_across_block_edges():
+    # Past the bound the text is joined in blocks of _KEEP_LIMIT lines: at an
+    # edge no line is lost, repeated or joined without its newline.
+    phi = sieve_totients(3 * _KEPT + 5)
+    for limit in (_KEPT + 1, 2 * _KEPT, 2 * _KEPT + 1, 3 * _KEPT + 5):
+        assert oracle.phi_square_text(limit) == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)), limit
+    assert len(oracle._kept.v) == 1
 
 
 def test_mutating_a_sequence_leaves_the_next_answer():
@@ -446,6 +457,54 @@ class TableMachine(RuleBasedStateMachine):
 def test_the_table_answers_as_an_empty_one_in_any_order(monkeypatch):
     monkeypatch.setattr(oracle, "_KEEP_LIMIT", _SMALL_KEEP)
     run_state_machine_as_test(TableMachine, settings=settings(max_examples=60, stateful_step_count=20, deadline=None))
+
+
+READERS = {
+    "sequence": phi_square_sequence,
+    "text": oracle.phi_square_text,
+    "scan": injectivity_scan,
+    "search": lambda limit: brute_force_minimal(parse_rational("3"), limit),
+}
+
+
+@pytest.mark.parametrize("first, second", [("sequence", "scan"), ("text", "search")])
+def test_two_threads_grow_the_kept_table_one_after_the_other(monkeypatch, first, second):
+    # The first sieve that grow calls works out phi's new values from the phi it was
+    # handed, then waits until a second thread's request has sieved inside _table_for,
+    # and only then appends them, as a thread switch inside sieve_totients would.
+    # Unlocked, the second sieve extends the same phi in between and phi is extended
+    # twice; held by the lock, the second thread waits, and so the wait times out.
+    monkeypatch.setattr(oracle, "_KEEP_LIMIT", _SMALL_KEEP)
+    calls = [lambda: READERS[first](40), lambda: READERS[second](60), lambda: phi_square_sequence(_SMALL_KEEP)]
+    expected = [answered_on(oracle._Table(), call) for call in calls]
+    waiting, second_sieved, sieves = threading.Event(), threading.Event(), []
+
+    def interrupted(limit, phi=None):
+        sieves.append(limit)
+        if len(sieves) > 1:
+            phi = sieve_totients(limit, phi)
+            second_sieved.set()
+            return phi
+        new = sieve_totients(limit, phi[:])[len(phi) :]
+        waiting.set()
+        second_sieved.wait(timeout=0.5)
+        phi += new
+        return phi
+
+    monkeypatch.setattr(oracle, "sieve_totients", interrupted)
+    answers = [None, None]
+    threads = [threading.Thread(target=lambda i=i: answers.__setitem__(i, outcome(calls[i]))) for i in (0, 1)]
+    threads[0].start()
+    assert waiting.wait(timeout=10)
+    threads[1].start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert answers == expected[:2]
+    TableMachine.kept_lists_hold(SimpleNamespace(collision=None))
+    # A later request that grows the kept table reads what the two left behind.
+    assert outcome(calls[2]) == expected[2]
+    TableMachine.kept_lists_hold(SimpleNamespace(collision=None))
 
 
 def test_the_sieve_names_a_huge_limit_by_its_digit_count():

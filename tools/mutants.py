@@ -65,15 +65,17 @@ DOUBLE_DASH = "            if not slots and not last:\n"
 REFUSAL = "    print(_output(args, code, {\"error\": message}, [f\"error: {message}\"]), file=sys.stderr)\n"
 
 SEARCH_STAGE = (
-    "        table.grow_index(top)\n"
-    "        j, c = table.collision or (0, bound + 1)\n"
-    "        limit = min(top, c - 1)  # the index is exact below its collision\n"
+    "            table.grow_index(top)\n"
+    "            j, c = table.collision or (0, bound + 1)\n"
+    "            limit = min(top, c - 1)  # the index is exact below its collision\n"
 )
 SEARCH_HITS = (
-    "        hits = [(k, i) for k in _candidates(v, x, ell, limit) if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
+    "            hits = [(k, i) for k in _candidates(v, x, ell, limit)\n"
+    "                    if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
 )
 COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
 PAST_THE_KEPT_BOUND = [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_kept_lists"]
+PAST_BOUND_BLOCKS = "[\"\\n\".join(map(str, table.v[k : k + _KEEP_LIMIT])) for k in range(1, limit + 1, _KEEP_LIMIT)]"
 KEEP_RULE = "    if limit > _KEEP_LIMIT:\n"
 NEW_TABLE = "        table = _Table()\n"
 CANDIDATES = [T_ORACLE + "test_candidates_are_exactly_the_ks_x_divides"]
@@ -111,11 +113,24 @@ MUTATIONS = [
              NEW_TABLE + "        table.v = _kept.v\n", PAST_THE_KEPT_BOUND),
     Mutation("one-request-table-starts-from-the-kept-index", ORACLE, NEW_TABLE,
              NEW_TABLE + "        table.index = _kept.index\n", PAST_THE_KEPT_BOUND),
-    Mutation("one-request-table-starts-from-the-kept-rendering", ORACLE, NEW_TABLE,
-             NEW_TABLE + "        table.text, table.digits = _kept.text, _kept.digits\n", PAST_THE_KEPT_BOUND),
     Mutation(
         "one-request-table-starts-from-copies-of-the-kept-lists", ORACLE, NEW_TABLE,
         NEW_TABLE + "        table.phi, table.v = _kept.phi[:], _kept.v[:]\n", PAST_THE_KEPT_BOUND,
+    ),
+    # Past the kept bound the text is one join of blocks of _KEEP_LIMIT lines, each rendered alone.
+    Mutation(
+        "past-bound-text-in-one-list", ORACLE, PAST_BOUND_BLOCKS, "[str(x) for x in table.v[1 : limit + 1]]",
+        [T_CLI + "test_a_line_at_the_grammars_edge_ends_in_its_exit_code_in_1_gb[sequence-at-the-cap]"],
+    ),
+    Mutation(
+        "past-bound-block-edge-shifted", ORACLE, PAST_BOUND_BLOCKS,
+        PAST_BOUND_BLOCKS.replace("k + _KEEP_LIMIT]", "k + _KEEP_LIMIT - 1]"),
+        [T_ORACLE + "test_text_past_the_kept_bound_is_a_render_of_the_sieve_across_block_edges"],
+    ),
+    # Each reader holds the one lock from _table_for until it has read the kept table.
+    Mutation(
+        "kept-table-unlocked", ORACLE, "_lock = Lock()", "_lock = __import__(\"contextlib\").nullcontext()",
+        [T_ORACLE + "test_two_threads_grow_the_kept_table_one_after_the_other"],
     ),
     # The value index, grown in C and by hand past a collision; the scan and the search share it.
     Mutation(
@@ -134,21 +149,21 @@ MUTATIONS = [
     # The search walks one side's candidates in stages, against the index.
     Mutation(
         "search-indexes-after-its-lookups", ORACLE, SEARCH_STAGE + SEARCH_HITS,
-        SEARCH_STAGE.replace("        table.grow_index(top)\n", "") + SEARCH_HITS + "        table.grow_index(top)\n",
+        SEARCH_STAGE.replace("            table.grow_index(top)\n", "") + SEARCH_HITS + "            table.grow_index(top)\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
     Mutation(
-        "search-indexes-the-whole-bound-first", ORACLE, "        table.grow_index(top)\n", "        table.grow_index(bound)\n",
+        "search-indexes-the-whole-bound-first", ORACLE, "            table.grow_index(top)\n", "            table.grow_index(bound)\n",
         [T_CLI + "test_search_hit_at_the_sieve_cap_fits_in_1_gb"],
     ),
     Mutation(
         "search-partner-below-limit", ORACLE, "limit + 1)) <= limit]\n", "limit + 1)) < limit]\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
-    Mutation("search-stops-a-stage-early", ORACLE, "    while top < bound:\n", "    while 2 * top < bound:\n",
+    Mutation("search-stops-a-stage-early", ORACLE, "        while top < bound:\n", "        while 2 * top < bound:\n",
              [T_ORACLE + "test_brute_force_fixtures"]),
     Mutation(
-        "search-collision-raise-past-the-stage", ORACLE, "        if top >= c:\n", "        if top > c:\n",
+        "search-collision-raise-past-the-stage", ORACLE, "            if top >= c:\n", "            if top > c:\n",
         [T_ORACLE + "test_a_kept_index_meets_a_collision_the_table_grew_into"],
     ),
     Mutation(
@@ -208,8 +223,8 @@ MUTATIONS = [
         [T_PRIMES + "test_known_fixtures"],
     ),
     Mutation(
-        "block-product-6k-plus-5-only", PRIMES, "prod(compress(range(start, stop, 2), sieve[::2]))",
-        "prod(compress(range(start, stop, 6), sieve[::6]))",
+        "block-product-6k-plus-5-only", PRIMES, "range(start, stop, 2), _sieve(start, stop, _SMALL_PRIMES)[::2]",
+        "range(start, stop, 6), _sieve(start, stop, _SMALL_PRIMES)[::6]",
         [T_PRIMES + "test_staged_matches_reference_on_products_within_one_block"],
     ),
     # Refusals quote outside text through errors.cut.
