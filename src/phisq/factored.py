@@ -20,15 +20,17 @@ Values render as (and parse from) the literal grammar
 
     term ("*" term)*        term = <nat> "^" <signed int>
 
-so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  Each term is
-read once, by partition, strip and isdecimal; a refusal names its first wrong part.
+so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  A literal is
+read in a fixed number of whole-text passes (split, strip, isdecimal, int); only
+a literal they refuse is walked term by term, to name its first wrong part.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import compress
+from itertools import compress, repeat
 from math import prod
+from operator import contains
 
 from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
 from .primes import factorize, is_prime
@@ -197,8 +199,23 @@ def _parse_nat(text: str, what: str) -> int:
 
 def _parse_literal(text: str, cls):
     """A factored literal as a cls; the grammar is checked here, the values by cls."""
+    terms = text.split("*")
+    # One "^" in each term and no "_", which int() reads as a digit separator; then each base
+    # is decimal and each numeral, stripped, is one int() can read: a sign only on an exponent.
+    if text.count("^") == len(terms) and all(map(contains, terms, repeat("^"))) and "_" not in text:
+        parts = list(map(str.strip, text.replace("*", "^").split("^")))
+        if all(map(str.isdecimal, parts[::2])):
+            try:
+                numbers = list(map(int, parts))
+            except ValueError:  # an exponent off the grammar, or a numeral past the digit limit
+                pass
+            else:
+                factors = dict(zip(numbers[::2], numbers[1::2]))
+                if len(factors) == len(terms):  # no base repeated
+                    return cls.from_factors(factors)
+    # A refusal: read term by term, to name its first wrong part.
     acc: dict[int, int] = {}
-    for term in text.split("*"):
+    for term in terms:
         base_text, sep, exp_text = term.partition("^")
         if not sep:
             raise ParseError(f"term {cut(term.strip(), repr)} is missing an exponent (expected p^e)")

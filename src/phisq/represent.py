@@ -15,15 +15,16 @@ one step at a time:
 
 q = 2 needs no rule of its own, because q - 1 = 1; r = 1 gives (1, 1).
 
-The steps run as one loop over a mutable prime -> exponent map, popping primes
-in descending order from a max-heap; the primes a step pulls in from q - 1 are
-all below q, so the heap order is never violated. A prime is pushed once, when
-it enters the map; one whose exponent cancels to zero stays there until it is
-popped, and is skipped. m and n grow as plain maps and become FactoredIntegers
-once, at the end. depth counts the peeling steps. Each step eliminates the
-current largest prime, so depth is at most the number of primes up to the
-largest prime of r, and all primes of m*n stay at or below it. Each new
-exponent is compared with EXPONENT_LIMIT in the loop itself.
+The steps run as one loop over a mutable prime -> exponent map, taking the
+larger of two tops: the end of the ascending list of r's primes, and a max-heap
+of the primes r lacks. The primes a step pulls in from q - 1 are all below q, so
+the order is never violated. A prime enters the heap once, when it enters the
+map; one whose exponent cancels to zero stays there until it is taken, and is
+skipped. m and n grow as plain maps and become FactoredIntegers once, at the
+end. depth counts the peeling steps. Each step eliminates the current largest
+prime, so depth is at most the number of primes up to the largest prime of r,
+and all primes of m*n stay at or below it. Each new exponent is compared with
+EXPONENT_LIMIT in the loop itself.
 
 verify reads phi(m^2)/phi(n^2) from totient._phi_ratio and range-checks only
 that ratio, by _checked: a pair whose totients alone leave the exponent range
@@ -36,7 +37,7 @@ prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no p - 1.
 
 from collections import namedtuple
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import prod
 
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
@@ -79,15 +80,15 @@ class VerificationReport(namedtuple("VerificationReport", "holds lhs expected n"
 def represent(r: FactoredRational) -> Representation:
     """Find (m, n) with phi(m^2)/phi(n^2) = r and all primes of m*n <= max prime of r."""
     rest = dict(r.entries)
-    pop, get, factor_p_minus_1 = rest.pop, rest.get, _factor_p_minus_1
-    heap = [-p for p in rest]
-    heapify(heap)
+    get, factor_p_minus_1 = rest.get, _factor_p_minus_1
+    primes = list(rest)  # ascending, as r's entries are
+    new: list[int] = []  # a max-heap of negated primes that r lacks, brought in by some q - 1
     m: dict[int, int] = {}
     n: dict[int, int] = {}
     depth = 0
-    while heap:
-        q = -heappop(heap)
-        a = pop(q)
+    while primes or new:
+        q = -heappop(new) if new and (not primes or -new[0] > primes[-1]) else primes.pop()
+        a = rest[q]  # q stays in rest: no later step reaches a prime this large
         if a == 0:
             continue  # the exponent of q cancelled to zero
         depth += 1
@@ -105,7 +106,7 @@ def represent(r: FactoredRational) -> Representation:
         for p, e in factor_p_minus_1(q):
             s = get(p)
             if s is None:
-                heappush(heap, -p)  # once: p stays in rest, even at 0, until it is popped
+                heappush(new, -p)  # once: p stays in rest, even at 0
                 s = 0
             s += sign * e
             if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:

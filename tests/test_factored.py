@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from phisq.factored import (
     parse_rational,
 )
 from phisq.oracle import brute_force_minimal
-from phisq.primes import PRIMALITY_BOUND, factorize, is_prime
+from phisq.primes import PRIMALITY_BOUND, factorize, is_prime, primes_up_to
 from phisq.represent import represent, verify
 from test_primes import next_prime
 
@@ -263,7 +264,8 @@ def test_literal_round_trips_through_str():
 
 def test_parse_rejects_malformed_input():
     # "²" is a digit to str.isdigit, but int() refuses it.
-    for bad in ["", "abc", "1/2/3", "2^", "^3", "2**3", "2^1 * x^2", "-3", "1.5", "²", "2^²", "2^-²", "²^1", "2^--3", "2^+-3"]:
+    for bad in ["", "abc", "1/2/3", "2^", "^3", "2**3", "2^1 * x^2", "-3", "1.5", "²", "2^²", "2^-²", "²^1", "2^--3", "2^+-3",
+                "2^1_0", "3^1 * 2^-1_0", "1_3^1"]:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
@@ -481,12 +483,50 @@ LARGE_FRACTIONS = st.tuples(SPACE, SMOOTH, LARGE_SIDE, st.sampled_from(("/", " /
     lambda parts: f"{parts[0]}{parts[1] * parts[2]}{parts[3]}{parts[1] * parts[4]}"
 )
 
+# Literals over 100-600 consecutive primes, whole or with one edit: a dropped or doubled
+# "*" or "^", an inserted "_", sign, Unicode space or Unicode digit, a base repeated far
+# from its first use, or a base or exponent zero-padded past the 4300-digit limit.
+LITERAL_PRIMES = tuple(primes_up_to(8000))
+INSERTED = ("_", "+", "-", " ", "\u2003", "\x1c", "\u3000", "٣", "５")
+
+
+def edit_at(draw, text, sep):
+    """text with one drawn occurrence of sep dropped or doubled."""
+    i = draw(st.sampled_from([k for k, c in enumerate(text) if c == sep]))
+    return text[:i] + sep * draw(st.sampled_from((0, 2))) + text[i + 1 :]
+
+
+@st.composite
+def wide_literals(draw):
+    k = draw(st.integers(100, 600))
+    start = draw(st.integers(0, len(LITERAL_PRIMES) - k))
+    rng = draw(st.randoms(use_true_random=False))
+    bases = [str(p) for p in LITERAL_PRIMES[start : start + k]]
+    exps = [str(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in bases]
+    edit = draw(st.sampled_from(("none", "*", "^", "insert", "repeat", "pad")))
+    if edit == "repeat":
+        bases[draw(st.integers(3 * k // 4, k - 1))] = bases[draw(st.integers(0, k // 4))]
+    elif edit == "pad":
+        i = draw(st.integers(0, k - 1))
+        if draw(st.booleans()):
+            bases[i] = "0" * 4300 + bases[i]
+        else:
+            exps[i] = exps[i][:-1] + "0" * 4300 + exps[i][-1]
+    text = " * ".join(map("^".join, zip(bases, exps)))
+    if edit in ("*", "^"):
+        text = edit_at(draw, text, edit)
+    elif edit == "insert":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(INSERTED)) + text[i:]
+    return text
+
+
 PARSERS = {FactoredRational: parse_rational, FactoredInteger: parse_integer}
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS, LARGE_FRACTIONS),
+    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS, LARGE_FRACTIONS, wide_literals()),
     st.sampled_from((FactoredRational, FactoredInteger)),
     st.sampled_from((0, 640, 4300)),
 )
@@ -498,6 +538,122 @@ def test_parsers_match_the_regex_reference(text, cls, limit):
     with int_digit_limit(limit):
         expected = literal_outcome(reference_parse, text, cls)
         assert literal_outcome(lambda t, c: PARSERS[c](t), text, cls) == expected
+        if "^" in text and expected[0] in PARSERS:
+            # An accepted literal is read by the whole-text passes: the term-by-term walk,
+            # which reads each numeral through _decimal, is reached only to name a refusal.
+            with patch.object(phisq.factored, "_decimal", side_effect=AssertionError("the walk read it")):
+                assert PARSERS[cls](text).entries == expected[1]
+
+
+@pytest.mark.parametrize("text", [
+    "2^\t3 *\n5 ^-1", "\x1c2 ^ \x1c+3\x1c*\u30005^-0002", "٣^٣ * ５^-１", "2^1 * " + "0" * 700 + "3^1",
+    "3^1 * 2^1", "  19 ^ 1*47^-1 ", " * ".join(f"{p}^{(-1) ** p}" for p in LITERAL_PRIMES),
+], ids=["tab-newline", "separators-and-signs", "unicode-digits", "zero-padded", "descending", "spaces", "primes-to-8000"])
+def test_the_passes_read_every_literal_they_accept(text):
+    # Whitespace str.strip removes (int() alone keeps U+001C-U+001F), Unicode digits, signs,
+    # leading zeros and any order: the term-by-term walk, the only reader of _decimal on
+    # this path, is never reached.
+    expected = reference_parse(text, FactoredRational)
+    with patch.object(phisq.factored, "_decimal", side_effect=AssertionError("the walk read it")):
+        assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2^3^4 * 5^1", "exponent '3^4' must be a signed integer"),
+    ("2^1 * 3^^1 * 5", "exponent '^1' must be a signed integer"),
+    ("2^1 * 3 * 5^1^1", "term '3' is missing an exponent (expected p^e)"),
+    ("2^1 * 3^1_0", "exponent '1_0' must be a signed integer"),
+    ("2^1 * 3^- 1", "exponent '- 1' must be a signed integer"),
+    ("2^1 * +3^1", "base '+3' must be an unsigned integer"),
+    ("2^1 * 3^1 * 5^1 * 3^1", "prime 3 appears more than once"),
+], ids=["two-carets-in-a-term", "doubled-caret", "term-without-caret", "underscore", "spaced-sign", "signed-base",
+        "repeated-base"])
+def test_a_literal_refusal_names_its_first_wrong_part(text, message):
+    # Each of these passes some whole-text check (the caret count, the bases, int()) and
+    # fails another; the walk names the first wrong part.
+    with pytest.raises(ParseError) as info:
+        parse_rational(text)
+    assert str(info.value) == message
+    assert literal_outcome(reference_parse, text, FactoredRational) == (ParseError, message)
+
+
+# --- the constructors against the entry-by-entry walk ---------------------------
+
+# Past PRIMALITY_BOUND and prime to every Miller-Rabin base: is_prime raises on it.
+UNCERTIFIABLE = 43**16
+
+
+def reference_validate(entries, integral):
+    """Each entry checked in turn: primality, order, a nonzero exponent, range, then sign."""
+    previous = 1
+    for p, e in entries:
+        if not is_prime(p):
+            raise ParseError(f"base {shown(p, 'number')} is not prime")
+        if p <= previous:
+            raise ParseError(f"prime keys must be distinct and ascending, got {p} after {previous}")
+        if e == 0:
+            raise ParseError(f"exponent for prime {p} must be nonzero")
+        if abs(e) > EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"exponent {shown(e, 'number')} for prime {p} exceeds +/-{EXPONENT_LIMIT}")
+        if e < 0 and integral:
+            raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
+        previous = p
+
+
+def construction_outcome(build, entries):
+    try:
+        value = build(entries)
+    except (ParseError, ExponentOverflowError, UnsupportedScaleError) as exc:
+        return type(exc), str(exc)
+    return value.entries if value is not None else entries
+
+
+ENTRY_BASES = st.one_of(
+    st.sampled_from(PRIMES_TO_100), st.integers(-2, 120),
+    st.sampled_from((UNCERTIFIABLE, PRIMALITY_BOUND, 2**61 - 1, 1000003 * 1000033)),
+)
+ENTRY_EXPONENTS = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from((EXPONENT_LIMIT, EXPONENT_LIMIT + 1, -EXPONENT_LIMIT, -EXPONENT_LIMIT - 1, 2**70)),
+)
+
+
+@st.composite
+def near_valid_entries(draw):
+    """Ascending distinct primes with small nonzero exponents, then at most two entries replaced or swapped."""
+    entries = sorted(draw(st.dictionaries(st.sampled_from(PRIMES_TO_100), st.sampled_from((-3, -1, 1, 2)), max_size=10)).items())
+    for _ in range(draw(st.integers(0, 2))):
+        if not entries:
+            break
+        i, j = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, len(entries) - 1))
+        if draw(st.booleans()):
+            entries[i] = (draw(ENTRY_BASES), draw(ENTRY_EXPONENTS))
+        else:
+            entries[i], entries[j] = entries[j], entries[i]
+    return tuple(entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(near_valid_entries(), st.lists(st.tuples(ENTRY_BASES, ENTRY_EXPONENTS), max_size=6).map(tuple)),
+    st.sampled_from((FactoredRational, FactoredInteger)),
+)
+@example(((2, 0), (UNCERTIFIABLE, 1)), FactoredRational)
+@example(((3, 1), (2, 1), (UNCERTIFIABLE, 1)), FactoredInteger)
+@example(((2, -1), (UNCERTIFIABLE, 1)), FactoredInteger)
+def test_constructors_refuse_as_the_entry_by_entry_walk(entries, cls):
+    # The same value, or the same exception type and message, whichever entry is wrong first.
+    expected = construction_outcome(lambda e: reference_validate(e, cls._integral), entries)
+    assert construction_outcome(cls, entries) == expected
+
+
+@pytest.mark.parametrize("cls", [FactoredRational, FactoredInteger])
+def test_a_zero_exponent_is_named_before_a_base_past_the_primality_bound(cls):
+    # is_prime raises at the later base; the entries are checked in order, so the zero is named first.
+    with pytest.raises(ParseError, match="^exponent for prime 2 must be nonzero$"):
+        cls(((2, 0), (UNCERTIFIABLE, 1)))
+    with pytest.raises(UnsupportedScaleError):
+        cls(((2, 1), (UNCERTIFIABLE, 1)))
 
 
 def test_importing_phisq_loads_no_re():

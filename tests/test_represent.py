@@ -1,5 +1,6 @@
 import importlib
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,13 +13,15 @@ from phisq.factored import (
     FactoredInteger,
     FactoredRational,
     factor,
+    check_exponent,
     parse_rational,
 )
 from phisq.oracle import random_rational
 from phisq.primes import factorize, prime_pi, primes_up_to
-from phisq.represent import represent, verify
+from phisq.represent import Representation, represent, verify
 from phisq.totient import totient_of_square
 from test_acceptance import euler_phi
+from test_primes import next_prime
 
 
 def phi_square(n):
@@ -217,6 +220,103 @@ def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
     assert calls == []
 
 
+# --- the construction against the heap loop it replaced -----------------------
+
+def reference_represent(r):
+    """The construction as a max-heap of negated primes, each pushed once when it enters the map."""
+    rest = dict(r.entries)
+    heap = [-p for p in rest]
+    heapify(heap)
+    m, n, depth = {}, {}, 0
+    while heap:
+        q = -heappop(heap)
+        a = rest.pop(q)
+        if a == 0:
+            continue
+        depth += 1
+        if a % 2 == 0:
+            half = a // 2
+            c = 1 if half >= 0 else 1 - half
+            m[q], n[q] = c + half, c
+            continue
+        if a > 0:
+            m[q], sign = (a + 1) // 2, -1
+        else:
+            n[q], sign = (1 - a) // 2, 1
+        for p, e in factorize(q - 1).items():
+            if p not in rest:
+                heappush(heap, -p)
+            s = rest.get(p, 0) + sign * e
+            if abs(s) > EXPONENT_LIMIT:
+                check_exponent(p, s)
+            rest[p] = s
+    m_f = FactoredInteger(tuple(sorted(m.items())))
+    n_f = FactoredInteger(tuple(sorted(n.items())))
+    return Representation(m_f, n_f, r, depth)
+
+
+def construction_outcome(build, r):
+    try:
+        return build(r)
+    except ExponentOverflowError as exc:
+        return type(exc), str(exc)
+
+
+PRIMES_TO_400 = primes_up_to(400)
+
+
+@st.composite
+def construction_inputs(draw):
+    """Primes <= 400; or a largest prime q whose q - 1 cancels some of r's exponents to zero;
+    or a prime below 20 with its exponent within 3 of +/-EXPONENT_LIMIT, and a larger prime
+    with an odd exponent, so a step may push it past the limit."""
+    factors = draw(st.dictionaries(st.sampled_from(PRIMES_TO_400), st.integers(-9, 9).filter(bool), max_size=12))
+    kind = draw(st.sampled_from(("plain", "cancel", "overflow")))
+    if kind == "cancel":
+        q = draw(st.sampled_from(PRIMES_TO_400[1:]))
+        a = draw(st.sampled_from((-3, -1, 1, 3)))
+        factors = {p: e for p, e in factors.items() if p < q} | {q: a}
+        for p, c in factorize(q - 1).items():
+            if draw(st.booleans()):
+                factors[p] = c if a > 0 else -c  # q's step leaves p at 0
+    elif kind == "overflow":
+        p = draw(st.sampled_from(PRIMES_TO_400[:8]))
+        factors[p] = draw(st.sampled_from((1, -1))) * (EXPONENT_LIMIT - draw(st.integers(0, 3)))
+        factors[draw(st.sampled_from(PRIMES_TO_400[8:]))] = draw(st.sampled_from((-1, 1)))  # its q - 1 holds 2
+    return FactoredRational.from_factors(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(construction_inputs())
+@example(parse_rational("7^1 * 3^1 * 2^1"))  # 7's step cancels 3 and 2 to zero
+@example(parse_rational(f"7^1 * 3^-{EXPONENT_LIMIT}"))
+def test_represent_matches_the_heap_loop(r):
+    # The same m, n (entries in order), ratio and depth, or the same refusal.
+    assert construction_outcome(represent, r) == construction_outcome(reference_represent, r)
+
+
+def large_prime_product(count=2000, seed=41):
+    """About count primes of 2^23..2^24 with odd exponents: each q - 1 brings primes r lacks."""
+    rng = random.Random(seed)
+    chosen = {next_prime(rng.randrange(2**23, 2**24 - 2**12)) for _ in range(count)}
+    return FactoredRational.from_factors({p: rng.choice((-3, -1, 1, 3)) for p in chosen})
+
+
+FIXED_INPUTS = {
+    "19/47": lambda: parse_rational("19/47"),
+    "three-primes": lambda: parse_rational("2^3 * 3^-2 * 53^5"),
+    "alternating-3000": lambda: alternating_product(3000),
+    "large-primes": large_prime_product,
+}
+
+
+@pytest.mark.parametrize("name", FIXED_INPUTS)
+def test_represent_matches_the_heap_loop_on_fixed_inputs(name):
+    # Each of the large primes' q - 1 brings primes that r lacks into the newcomer heap; no wall-time gate.
+    r = FIXED_INPUTS[name]()
+    assert represent(r) == reference_represent(r)
+
+
 # --- the fused verify against the path through totient_of_square -------------
 
 def reference_verify(m, n, r):
@@ -238,7 +338,6 @@ def assert_verify_matches_reference(m, n, r):
     assert type(report.lhs) is FactoredRational
 
 
-PRIMES_TO_400 = primes_up_to(400)
 RATIONALS = st.dictionaries(
     st.sampled_from(PRIMES_TO_400), st.integers(min_value=-9, max_value=9).filter(bool), max_size=12
 ).map(FactoredRational.from_factors)

@@ -196,10 +196,12 @@ MUTATIONS = [
     Mutation("totient-subtracts-a-minus-1", TOTIENT, "        acc[p] -= a\n", "        acc[p] -= a - 1\n",
              [T_TOTIENT + "test_totient_fixtures"]),
     Mutation(
-        "construct-pushes-every-time", REPRESENT, "            if s is None:\n                heappush(heap, -p)",
-        "            heappush(heap, -p)\n            if s is None:\n                pass",
+        "construct-pushes-every-time", REPRESENT, "            if s is None:\n                heappush(new, -p)",
+        "            heappush(new, -p)\n            if s is None:\n                pass",
         [T_REPRESENT + "test_represent_19_47_canonical_output"],
     ),
+    Mutation("construct-newcomer-appended", REPRESENT, "heappush(new, -p)", "primes.append(p)",
+             [T_REPRESENT + "test_represent_matches_the_heap_loop_on_fixed_inputs"]),
     Mutation(
         "construct-odd-negative-sign-flipped", REPRESENT, "            sign = 1  #", "            sign = -1  #",
         [T_REPRESENT + "test_represent_19_47_canonical_output"],
@@ -336,8 +338,8 @@ MUTATIONS = [
         'exp.lstrip("+-").isdecimal()', [T_FACTORED + "test_parse_rejects_malformed_input"],
     ),
     Mutation(
-        "literal-strips-spaces-only", FACTORED, "base, exp = base_text.strip(), exp_text.strip()",
-        'base, exp = base_text.strip(" "), exp_text.strip(" ")', [T_FACTORED + "test_parse_factored_literal"],
+        "literal-strips-spaces-only", FACTORED, "list(map(str.strip, text.replace(", "list(map(lambda s: s.strip(\" \"), text.replace(",
+        [T_FACTORED + "test_the_passes_read_every_literal_they_accept"],
     ),
     Mutation(
         "base-isdigit", FACTORED, "if not base.isdecimal():", "if not base.isdigit():",
@@ -351,6 +353,13 @@ MUTATIONS = [
         "numeral-isdigit", FACTORED, "    if not s.isdecimal():\n        raise ParseError(f\"{what}",
         "    if not s.isdigit():\n        raise ParseError(f\"{what}", [T_FACTORED + "test_parse_rejects_malformed_input"],
     ),
+    # The literal's whole-text passes; the term-by-term walk only names a refusal.
+    Mutation("literal-underscore-unchecked", FACTORED, ' and "_" not in text:', ":",
+             [T_FACTORED + "test_parse_rejects_malformed_input"]),
+    Mutation("literal-caret-count-unchecked", FACTORED, 'text.count("^") == len(terms) and ', "",
+             [T_FACTORED + "test_a_literal_refusal_names_its_first_wrong_part"]),
+    Mutation("literal-always-walked", FACTORED, 'if text.count("^")', 'if False and text.count("^")',
+             [T_FACTORED + "test_the_passes_read_every_literal_they_accept"]),
     Mutation(
         "fraction-read-as-integer", FACTORED, 'if "/" in s and not cls._integral:', 'if "/" in s:',
         [T_FACTORED + "test_parse_integer"],
