@@ -7,14 +7,15 @@ and an int-valued value(), and equals the rational with the same entries.
 Values are slotted, immutable, hashable and picklable, with primes ascending.
 
 Each key is certified once.  Constructors, from_factors() and the literal
-parsers run the one validator (exact primality, order, exponent range, sign);
-factor(), which also reads the parsers' plain numerals, and the fraction
-reader trust factorize, which certifies every prime it returns.  Results
-computed inside the package from valid values (products, inverses, numerator
-and denominator, totients, the construction's m and n) are canonical by
-construction and skip it.  A computed prime -> exponent map (products,
-totients, verify's ratio, a fraction's two sides) becomes a value through
-_checked alone, which sorts it, drops zeros and reports overflow.
+parsers run the one validator (exact primality, order, one range test per
+exponent); factor(), which also reads the parsers' plain numerals, and the
+fraction reader trust factorize, which certifies every prime it returns.
+Results computed inside the package from valid values (products, inverses,
+numerator and denominator, totients, the construction's m and n, a ratio
+verify finds equal to r) are canonical by construction and skip it.  Any
+other computed prime -> exponent map (products, totients, verify's ratio, a
+fraction's two sides) becomes a value through _checked alone, which sorts it,
+drops zeros and reports overflow.
 
 Values render as (and parse from) the literal grammar
 
@@ -28,9 +29,9 @@ a literal they refuse is walked term by term, to name its first wrong part.
 from __future__ import annotations
 
 import sys
-from itertools import compress, repeat
+from itertools import repeat
 from math import prod
-from operator import contains
+from operator import contains, itemgetter
 
 from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
 from .primes import factorize, is_prime
@@ -59,12 +60,11 @@ def _canonical(cls, entries: tuple[tuple[int, int], ...]):
 
 def _checked(cls, acc: dict[int, int]):
     """A cls of a map of known primes to exponents, sorted, with zeros dropped and the range checked."""
-    keys = sorted(acc)
-    exps = list(map(acc.__getitem__, keys))
-    if exps and (max(exps) > EXPONENT_LIMIT or min(exps) < -EXPONENT_LIMIT):
-        for p, e in zip(keys, exps):  # ascending, so the least prime past the limit is named
-            check_exponent(p, e)
-    return _canonical(cls, tuple(compress(zip(keys, exps), exps)))
+    exps = acc.values()
+    if acc and (max(exps) > EXPONENT_LIMIT or min(exps) < -EXPONENT_LIMIT):
+        for p in sorted(acc):  # ascending, so the least prime past the limit is named
+            check_exponent(p, acc[p])
+    return _canonical(cls, tuple(sorted(filter(itemgetter(1), acc.items()))))
 
 
 class FactoredRational:
@@ -79,16 +79,18 @@ class FactoredRational:
 
     def __post_init__(self) -> None:  # the old name: bench/tracing.py wraps it to count objects
         previous = 1
+        least = 1 if self._integral else -EXPONENT_LIMIT
         for p, e in self.entries:
             if not is_prime(p):
                 raise ParseError(f"base {shown(p, 'number')} is not prime")
             if p <= previous:
                 raise ParseError(f"prime keys must be distinct and ascending, got {p} after {previous}")
-            if e == 0:
-                raise ParseError(f"exponent for prime {p} must be nonzero")
-            check_exponent(p, e)
-            if e < 0 and self._integral:
-                raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
+            if not least <= e <= EXPONENT_LIMIT or e == 0:  # only a wrong entry: zero, range, sign
+                if e == 0:
+                    raise ParseError(f"exponent for prime {p} must be nonzero")
+                check_exponent(p, e)
+                if e < 0 and self._integral:
+                    raise ParseError(f"exponent {e} for prime {p} does not denote an integer")
             previous = p
 
     def __setattr__(self, name, value=None):

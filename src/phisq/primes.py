@@ -28,8 +28,10 @@ refusal (UnsupportedScaleError, FactorizationFailure, with their messages) is
 that of full trial division.
 
 The totients and the construction need p - 1 factored for each prime p they
-meet.  _factor_p_minus_1 factors each prime's p - 1 once per process, in an
-LRU cache bounded like is_prime's; a refusal is raised again, not cached.
+meet.  The dict _p_minus_1 factors each prime's p - 1 on its first read, and
+empties itself at is_prime's cache bound; a refusal is raised, not stored.
+Threads may share it: a fill stores the same pairs whoever makes it, and a
+clear only causes refills.
 """
 
 from bisect import bisect_right
@@ -75,8 +77,10 @@ _BLOCK_PAIRS = 512
 RHO_MAX_ATTEMPTS = 16
 RHO_MAX_ITERATIONS = 2_000_000
 
+_CACHE_SIZE = 1 << 16  # entries kept by is_prime's cache and by _p_minus_1
 
-@lru_cache(maxsize=1 << 16)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Decide primality of n >= 0 exactly.
 
@@ -239,10 +243,18 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items())) if split else out
 
 
-@lru_cache(maxsize=1 << 16)
-def _factor_p_minus_1(p: int) -> tuple[tuple[int, int], ...]:
-    """factorize(p - 1) as ascending (prime, exponent) pairs, cached per prime p."""
-    return tuple(factorize(p - 1).items())
+class _PMinus1(dict):
+    """p -> factorize(p - 1) as ascending (prime, exponent) pairs, factored on p's first read."""
+
+    def __missing__(self, p: int) -> tuple[tuple[int, int], ...]:
+        pairs = tuple(factorize(p - 1).items())
+        if len(self) >= _CACHE_SIZE:
+            self.clear()  # not oldest first: next(iter(self)) walks the freed slots at the front
+        self[p] = pairs
+        return pairs
+
+
+_p_minus_1 = _PMinus1()
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -24,14 +24,15 @@ skipped. m and n grow as plain maps and become FactoredIntegers once, at the
 end. depth counts the peeling steps. Each step eliminates the current largest
 prime, so depth is at most the number of primes up to the largest prime of r,
 and all primes of m*n stay at or below it. Each new exponent is compared with
-EXPONENT_LIMIT in the loop itself.
+EXPONENT_LIMIT in the loop itself, and each q - 1 is read from primes._p_minus_1.
 
 verify reads phi(m^2)/phi(n^2) from totient._phi_ratio and range-checks only
-that ratio, by _checked: a pair whose totients alone leave the exponent range
-is answered whenever the ratio stays in it, and a refusal names the least
-prime whose exponent in the ratio leaves the range, with that exponent
-(negative when phi(n^2) holds more of that prime). Both results are named
-tuples; the report's common_value is expanded when first read, as
+that ratio: a pair whose totients alone leave the exponent range is answered
+whenever the ratio stays in it. A ratio equal to r is answered with r itself,
+canonical and in range; any other goes through _checked, whose refusal names
+the least prime whose exponent in the ratio leaves the range, with that
+exponent (negative when phi(n^2) holds more of that prime). Both results are
+named tuples; the report's common_value is expanded when first read, as
 prod p^(2b - 1) * (p - 1) over n's primes divided by q, so it factors no p - 1.
 """
 
@@ -39,10 +40,11 @@ from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
 from math import prod
+from operator import countOf
 
 from .factored import EXPANSION_BIT_LIMIT, EXPONENT_LIMIT, FactoredInteger, FactoredRational, check_exponent
 from .factored import _canonical, _checked
-from .primes import _factor_p_minus_1
+from .primes import _p_minus_1
 from .totient import _phi_ratio
 
 
@@ -80,7 +82,8 @@ class VerificationReport(namedtuple("VerificationReport", "holds lhs expected n"
 def represent(r: FactoredRational) -> Representation:
     """Find (m, n) with phi(m^2)/phi(n^2) = r and all primes of m*n <= max prime of r."""
     rest = dict(r.entries)
-    get, factor_p_minus_1 = rest.get, _factor_p_minus_1
+    get, p_minus_1 = rest.get, _p_minus_1
+    low, high = -EXPONENT_LIMIT, EXPONENT_LIMIT
     primes = list(rest)  # ascending, as r's entries are
     new: list[int] = []  # a max-heap of negated primes that r lacks, brought in by some q - 1
     m: dict[int, int] = {}
@@ -103,13 +106,13 @@ def represent(r: FactoredRational) -> Representation:
         else:
             n[q] = (1 - a) // 2
             sign = 1  # r is multiplied by (q - 1) * q^|a|
-        for p, e in factor_p_minus_1(q):
+        for p, e in p_minus_1[q]:
             s = get(p)
             if s is None:
                 heappush(new, -p)  # once: p stays in rest, even at 0
                 s = 0
             s += sign * e
-            if not -EXPONENT_LIMIT <= s <= EXPONENT_LIMIT:
+            if not low <= s <= high:
                 check_exponent(p, s)
             rest[p] = s
     # Canonical as built: every prime came from r or from factorize, each was popped once in
@@ -121,5 +124,10 @@ def represent(r: FactoredRational) -> Representation:
 
 def verify(m: FactoredInteger, n: FactoredInteger, r: FactoredRational) -> VerificationReport:
     """Check phi(m^2)/phi(n^2) = r by exact factored arithmetic."""
-    lhs = _checked(FactoredRational, _phi_ratio(m.entries, n.entries))
+    acc = _phi_ratio(m.entries, n.entries)
+    # r holds when each of its exponents is matched and no other prime is left nonzero.
+    if dict(r.entries).items() <= acc.items() and len(acc) - countOf(acc.values(), 0) == len(r.entries):
+        lhs = r if type(r) is FactoredRational else _canonical(FactoredRational, r.entries)
+    else:
+        lhs = _checked(FactoredRational, acc)
     return tuple.__new__(VerificationReport, (lhs.entries == r.entries, lhs, r, n))

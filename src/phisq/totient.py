@@ -7,14 +7,14 @@ For n = p1^a1 * ... * pk^ak,
 
 One accumulator, _phi_ratio, builds phi(m^2)/phi(n^2) as a plain exponent map
 in one pass: a prime p on one side, with exponent a, adds +/-(2a - 1) to p and
-+/- the factors of p - 1 (primes._factor_p_minus_1, cached); one on both sides,
++/- the factors of p - 1 (read from primes._p_minus_1); one on both sides,
 a in m and b in n, adds only 2(a - b), as its p - 1 factors cancel unread.
 totient_of_square reads the map with n = 1, totient less f's exponents (phi(n)
 = phi(n^2)/n), represent.verify its pair's; each range-checks only the result.
 """
 
 from .factored import FactoredInteger, _checked
-from .primes import _factor_p_minus_1
+from .primes import _p_minus_1
 
 
 def _phi_ratio(m_entries, n_entries) -> dict[int, int]:
@@ -30,11 +30,11 @@ def _phi_ratio(m_entries, n_entries) -> dict[int, int]:
             acc[p] = 2 * (a - b)
         else:
             acc[p] = 2 * a - 1
-            for q, c in _factor_p_minus_1(p):
+            for q, c in _p_minus_1[p]:
                 acc[q] = get(q, 0) + c
     for p, b in rest.items():
         acc[p] = get(p, 0) - 2 * b + 1
-        for q, c in _factor_p_minus_1(p):
+        for q, c in _p_minus_1[p]:
             acc[q] = get(q, 0) - c
     return acc
 

@@ -305,21 +305,58 @@ def test_search_hit_at_the_sieve_cap_fits_in_1_gb():
 
 
 # The exit-code contract at the grammar's edge: each line in a child limited to 1 GB,
-# with its exit code, stdout's line count and, where a row gives it, the last line.
+# with its exit code, stdout's line count and last line (where a row gives it), and its
+# exact stderr.
+LIMIT = "9223372036854775807"  # EXPONENT_LIMIT
+OVER = "9223372036854775808"
+SIEVE_CAP = "error: a totient sieve to 10000001 exceeds the cap of 10000000\n"
 EDGES = {
-    "sequence-at-the-cap": (["sequence", "10000000"], EXIT_OK, 10**7, "40000000000000"),
-    "sequence-past-the-cap": (["sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None),
-    "json-sequence-past-the-cap": (["--json", "sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None),
+    "sequence-at-the-cap": (["sequence", "10000000"], EXIT_OK, 10**7, "40000000000000", ""),
+    "sequence-past-the-cap": (["sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None, SIEVE_CAP),
+    "json-sequence-past-the-cap": (
+        ["--json", "sequence", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        '{"command": "sequence", "input": "10000001", "status": "unsupported_scale",'
+        ' "error": "a totient sieve to 10000001 exceeds the cap of 10000000"}\n',
+    ),
+    "exponent-at-the-limit": (["represent", f"2^{LIMIT}"], EXIT_OK, 5, "verified: true", ""),
+    "negative-exponent-at-the-limit": (["represent", f"3^-{LIMIT}"], EXIT_OK, 5, "verified: true", ""),
+    "exponent-past-the-limit": (
+        ["represent", f"3^{OVER}"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        f"error: exponent {OVER} for prime 3 exceeds +/-{LIMIT}\n",
+    ),
+    "negative-exponent-past-the-limit": (
+        ["represent", f"3^-{OVER}"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        f"error: exponent -{OVER} for prime 3 exceeds +/-{LIMIT}\n",
+    ),
+    # Python's default int-string limit is 4300 digits: the longest numeral int() reads.
+    "exponent-of-4300-digits": (
+        ["represent", "3^" + "1" * 4300], EXIT_UNSUPPORTED_SCALE, 0, None,
+        f"error: exponent a 4300-digit number for prime 3 exceeds +/-{LIMIT}\n",
+    ),
+    "exponent-of-4301-digits": (
+        ["represent", "3^" + "1" * 4301], EXIT_UNSUPPORTED_SCALE, 0, None,
+        "error: a numeral of 4301 digits exceeds the 4300-digit limit for reading integers\n",
+    ),
+    "factor-below-the-primality-bound": (
+        ["factor", "3317044064679887385961980"], EXIT_OK, 2,
+        "factors: 2^2 * 3^4 * 5^1 * 127^1 * 18778597^1 * 858557454841^1", "",
+    ),
+    "factor-at-the-primality-bound": (
+        ["factor", "3317044064679887385961981"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        "error: cannot certify primality of 3317044064679887385961981: >= deterministic bound"
+        " 3317044064679887385961981\n",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv, expected, lines, last", EDGES.values(), ids=EDGES)
-def test_a_line_at_the_grammars_edge_ends_in_its_exit_code_in_1_gb(argv, expected, lines, last):
+@pytest.mark.parametrize("argv, expected, lines, last, message", EDGES.values(), ids=EDGES)
+def test_a_line_at_the_grammars_edge_ends_in_its_exit_code_in_1_gb(argv, expected, lines, last, message):
     code, out_lines, out_last, err = in_1_gb(argv, 600)
     assert code == expected, err
     assert len(err) <= 500 and "Traceback" not in err, err
     assert out_lines == lines
     assert last is None or out_last == last
+    assert err == message
 
 
 def test_search_requires_bound(capsys):
@@ -707,12 +744,14 @@ def test_verify_answers_where_only_cancelling_factors_overflow(capsys):
 
 def test_verify_never_factors_p_minus_1_of_a_prime_on_both_sides(capsys, monkeypatch):
     # Were any p - 1 looked up, for the check or for the common value, the
-    # failure would exit 2.
-    def unfactorable(p):
-        raise FactorizationFailure(f"cannot factor {p - 1}")
+    # failure would exit 2. The mapping is empty and refuses every read, so
+    # what earlier tests left in the memo cannot answer one.
+    class Unfactorable(dict):
+        def __missing__(self, p):
+            raise FactorizationFailure(f"cannot factor {p - 1}")
 
     for module in ("phisq.represent", "phisq.totient"):
-        monkeypatch.setattr(importlib.import_module(module), "_factor_p_minus_1", unfactorable)
+        monkeypatch.setattr(importlib.import_module(module), "_p_minus_1", Unfactorable())
     f = "7^2 * 1000003^1"
     code, body = run_json(capsys, "verify", f, f, "1")
     assert code == EXIT_OK

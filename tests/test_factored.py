@@ -244,6 +244,7 @@ def test_parse_fraction_fixtures():
 
 def test_parse_accepts_non_lowest_terms():
     assert parse_rational("100/10") == rational_of({2: 1, 5: 1})
+    assert parse_rational("12/3").entries == ((2, 2),)  # 3 cancels, and its zero is dropped
 
 
 def test_parse_factored_literal():

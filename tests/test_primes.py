@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -213,10 +215,42 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
-# factorize itself caches nothing, but primes._factor_p_minus_1 does: a test
-# that patches the rho budget and reaches p - 1 through the construction or a
-# totient must call primes._factor_p_minus_1.cache_clear() first, or it may
-# read a factorization cached under the full budget.
+# factorize itself caches nothing, but primes._p_minus_1 does: a test that
+# patches the rho budget and reaches p - 1 through the construction or a
+# totient must call primes._p_minus_1.clear() first, or it may read a
+# factorization stored under the full budget.
+def test_threads_share_the_p_minus_1_memo(monkeypatch):
+    # A fill stores the same pairs whoever makes it, and a clear only causes refills: with the
+    # bound at 8, six threads switching every microsecond read only factorize(p - 1).
+    monkeypatch.setattr(primes, "_CACHE_SIZE", 8)
+    primes._p_minus_1.clear()
+    ps = primes_up_to(400)
+    expected = {p: tuple(factorize(p - 1).items()) for p in ps}
+    wrong, sizes = [], []
+
+    def read(k):
+        for _ in range(20):
+            for p in ps[k:] + ps[:k]:
+                if primes._p_minus_1[p] != expected[p]:
+                    wrong.append(p)
+                sizes.append(len(primes._p_minus_1))
+
+    threads = [threading.Thread(target=read, args=(7 * k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(sizes) == 6 * 20 * len(ps)
+    assert max(sizes) <= 8 - 1 + 6  # each thread stores at most one entry past the bound's check
+
+
 def test_factorize_reports_exhausted_budget(monkeypatch):
     monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
     with pytest.raises(FactorizationFailure):

@@ -9,10 +9,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from phisq import primes  # noqa: E402
 from phisq.primes import (  # noqa: E402
     PRIMALITY_BOUND,
     TRIAL_DIVISION_BOUND,
-    _factor_p_minus_1,
+    _p_minus_1,
     factorize,
     is_prime,
     primes_up_to,
@@ -84,8 +85,18 @@ LARGE_PRIMES = [next_prime(_RNG.randrange(2**36, 2**60)) for _ in range(6)]
 @given(st.sampled_from(primes_up_to(10**5)) | st.sampled_from(LARGE_PRIMES))
 @example(2)
 def test_factor_p_minus_1_is_factorize_of_p_minus_1(p):
-    assert _factor_p_minus_1(p) == tuple(factorize(p - 1).items())
+    assert _p_minus_1[p] == tuple(factorize(p - 1).items())
+    assert _p_minus_1[p] is _p_minus_1[p]  # stored on the first read
 
 
-def test_factor_p_minus_1_cache_is_bounded_like_is_prime():
-    assert _factor_p_minus_1.cache_info().maxsize == is_prime.cache_info().maxsize
+def test_factor_p_minus_1_cache_is_bounded_like_is_prime(monkeypatch):
+    # One bound for both; with it patched to 4, the memo empties itself each time it holds 4.
+    assert is_prime.cache_info().maxsize == primes._CACHE_SIZE
+    monkeypatch.setattr(primes, "_CACHE_SIZE", 4)
+    _p_minus_1.clear()
+    sizes = []
+    for p in primes_up_to(30):
+        assert _p_minus_1[p] == tuple(factorize(p - 1).items())
+        sizes.append(len(_p_minus_1))
+    assert sizes == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]
+    assert list(_p_minus_1) == [23, 29]

@@ -1,6 +1,7 @@
 import importlib
 import random
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,14 +13,17 @@ from phisq.factored import (
     EXPONENT_LIMIT,
     FactoredInteger,
     FactoredRational,
+    _canonical,
+    _checked,
     factor,
     check_exponent,
+    parse_integer,
     parse_rational,
 )
 from phisq.oracle import random_rational
 from phisq.primes import factorize, prime_pi, primes_up_to
-from phisq.represent import Representation, represent, verify
-from phisq.totient import totient_of_square
+from phisq.represent import Representation, VerificationReport, represent, verify
+from phisq.totient import _phi_ratio, totient_of_square
 from test_acceptance import euler_phi
 from test_primes import next_prime
 
@@ -206,7 +210,7 @@ def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
 
     monkeypatch.setattr(primes, "factorize", counting)
     monkeypatch.setattr(factored, "factorize", counting)
-    primes._factor_p_minus_1.cache_clear()
+    primes._p_minus_1.clear()
 
     def run():
         r = parse_rational("2^3 * 7^-1 * 97^5")
@@ -414,13 +418,16 @@ def test_verify_skips_p_minus_1_on_both_sides_and_expands_on_read(monkeypatch):
     # verify's one accumulator is totient._phi_ratio: its lookups are the ones counted.
     looked_up = []
 
-    def counting_lookup(p):
-        looked_up.append(p)
-        return primes._factor_p_minus_1(p)
+    class Recording(dict):
+        """Empty, so every read is a miss: each is recorded and answered from the memo."""
+
+        def __missing__(self, p):
+            looked_up.append(p)
+            return primes._p_minus_1[p]
 
     f = FactoredInteger(tuple((p, i % 3 + 1) for i, p in enumerate(primes_up_to(2000))))
     phi_f_squared = totient_of_square(f).value()
-    monkeypatch.setattr(importlib.import_module("phisq.totient"), "_factor_p_minus_1", counting_lookup)
+    monkeypatch.setattr(importlib.import_module("phisq.totient"), "_p_minus_1", Recording())
 
     report = verify(f, f, FactoredRational())
     assert report.holds
@@ -557,3 +564,100 @@ def test_verify_ratio_is_the_ratio_of_the_sides_totients(m, n):
     except ExponentOverflowError:
         assume(False)
     assert verify(m, n, expected).lhs == expected
+
+
+# --- verify answers a holding claim with r itself -------------------------------
+
+def reference_checked(cls, acc):
+    """factored._checked as it was before verify reused r: the sorted keys, their exponents
+    range-checked in key order, then the entries with a nonzero exponent."""
+    keys = sorted(acc)
+    exps = list(map(acc.__getitem__, keys))
+    if exps and (max(exps) > EXPONENT_LIMIT or min(exps) < -EXPONENT_LIMIT):
+        for p, e in zip(keys, exps):
+            check_exponent(p, e)
+    return _canonical(cls, tuple(compress(zip(keys, exps), exps)))
+
+
+def checked_outcome(check, cls, acc):
+    """The class and entries check builds, or its refusal's message."""
+    try:
+        found = check(cls, acc)
+    except ExponentOverflowError as exc:
+        return str(exc)
+    return type(found), found.entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(primes_up_to(50)), st.integers(-2, 2) | NEAR_THE_EDGE.map(lambda e: 2 * e - 1), max_size=6))
+@example({5: 0, 3: EXPONENT_LIMIT + 1, 2: -EXPONENT_LIMIT - 1})  # the least prime past the range is named
+def test_checked_matches_the_reference(acc):
+    # Keys in any order, zeros, and exponents on either side of the range's edge.
+    for cls in (FactoredRational, FactoredInteger):
+        assert checked_outcome(_checked, cls, acc) == checked_outcome(reference_checked, cls, acc)
+
+
+def checked_verify(m, n, r):
+    """verify as it was before it reused r: the ratio always goes through reference_checked."""
+    lhs = reference_checked(FactoredRational, _phi_ratio(m.entries, n.entries))
+    return tuple.__new__(VerificationReport, (lhs.entries == r.entries, lhs, r, n))
+
+
+def report_outcome(check, m, n, r):
+    """holds, lhs's class and entries, and common_value; or the refusal's type and message."""
+    try:
+        report = check(m, n, r)
+    except ExponentOverflowError as exc:
+        return type(exc), str(exc)
+    return report.holds, type(report.lhs), report.lhs.entries, report.common_value
+
+
+CLAIMS = ("ratio", "integer", "exponent + 1", "exponent - 1", "extra prime", "missing prime", "one")
+
+
+@settings(max_examples=400, deadline=None)
+@given(SIDE, SIDE, st.sampled_from(CLAIMS), st.integers(0, 9))
+@example(factor(2**3 * 7), FactoredInteger(), "integer", 0)  # phi(56^2) = 2^6 * 3 * 7
+@example(factor(7 * 13), factor(3 * 5), "missing prime", 0)
+@example(F, factor(7 * 13), "ratio", 0)  # the ratio holds 3^(2^63 - 1)
+@example(F, factor(7 * 13), "exponent - 1", 1)  # ... and the claim 3^(2^63 - 2)
+@example(F, factor(2), "one", 0)  # the ratio itself is past the range
+def test_verify_matches_the_checked_path(m, n, claim, i):
+    # The claim is the ratio (as a FactoredInteger where it is one), the ratio with one
+    # exponent off by 1, with a prime added or taken away, or 1.
+    ratio = report_outcome(checked_verify, m, n, FactoredRational())
+    r = FactoredRational()
+    if ratio[0] is not ExponentOverflowError and claim != "one":
+        entries = list(ratio[2])
+        k = i % len(entries) if entries else 0
+        if claim == "integer":
+            assume(all(e > 0 for _, e in entries))
+        elif claim in ("exponent + 1", "exponent - 1") and entries:
+            p, e = entries[k]
+            entries[k] = p, e + (1 if claim == "exponent + 1" else -1)
+            entries = [(p, e) for p, e in entries if e]
+        elif claim == "extra prime":
+            entries.append((53, 1))  # 53 divides no phi(k^2) with primes <= 50
+        elif claim == "missing prime" and entries:
+            del entries[k]
+        assume(all(abs(e) <= EXPONENT_LIMIT for _, e in entries))
+        r = (FactoredInteger if claim == "integer" else FactoredRational)(tuple(entries))
+    assert report_outcome(verify, m, n, r) == report_outcome(checked_verify, m, n, r)
+
+
+def test_verify_refuses_a_claim_that_leaves_out_a_prime_of_the_ratio():
+    # 19/47 is the ratio; the claim 19 matches every exponent it has, but 47 is left over.
+    r = parse_rational("19/47")
+    rep = represent(r)
+    for claim in ("19^1", "47^-1", "1"):
+        report = verify(rep.m, rep.n, parse_rational(claim))
+        assert not report.holds
+        assert report.lhs == r
+        assert report.common_value is None
+    report = verify(rep.m, rep.n, r)
+    assert report.holds and report.lhs is r
+    # A FactoredInteger claim holds, answered by a FactoredRational of its entries.
+    m, n = factor(2**3 * 7), FactoredInteger()
+    claim = parse_integer("2^6 * 3^1 * 7^1")
+    report = verify(m, n, claim)
+    assert report.holds and type(report.lhs) is FactoredRational and report.lhs == claim

@@ -92,7 +92,7 @@ def test_refusal_is_not_cached(monkeypatch):
     # p - 1 = 2^3 * 3 * 1000003 * 1000033: the cofactor past trial division needs rho.
     p = 24 * 1000003 * 1000033 + 1
     f = factor(p)
-    primes._factor_p_minus_1.cache_clear()
+    primes._p_minus_1.clear()
     monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
     messages = []
     for _ in range(2):
@@ -102,6 +102,7 @@ def test_refusal_is_not_cached(monkeypatch):
     assert messages[0] == messages[1] == (
         "could not split cofactor 1000036000099 within 0 rho attempts"
     )
+    assert p not in primes._p_minus_1
     monkeypatch.undo()
     assert totient_of_square(f).factors == {2: 3, 3: 1, 1000003: 1, 1000033: 1, p: 1}
 

@@ -57,6 +57,7 @@ T_PRIMES = "tests/test_primes.py::"
 T_FACTORED = "tests/test_factored.py::"
 T_REPRESENT = "tests/test_represent.py::"
 T_TOTIENT = "tests/test_totient.py::"
+T_PRIMES_PROPERTIES = "tests/test_primes_properties.py::"
 QUOTES = T_CLI + "test_a_refusal_quotes_long_outside_text_by_a_prefix_and_its_length"
 NUMBERS = T_CLI + "test_a_refusal_names_a_huge_number_by_its_digit_count"
 RANGES = T_ORACLE + "test_oracles_own_their_range_checks"
@@ -181,12 +182,20 @@ MUTATIONS = [
         "represent-even-exponent-not-least", REPRESENT, "c = 1 if half >= 0 else 1 - half", "c = 2 if half >= 0 else 2 - half",
         [T_ORACLE + "test_the_search_finds_the_constructions_pair_first"],
     ),
-    # verify range-checks the ratio it returns; the construction pushes each prime once.
+    # verify range-checks a ratio that is not r, and answers with r only when no other prime is
+    # left nonzero; _checked drops zeros. The construction pushes each prime once.
     Mutation(
-        "verify-ratio-unchecked", REPRESENT, "    lhs = _checked(FactoredRational, _phi_ratio(m.entries, n.entries))\n",
-        "    acc = _phi_ratio(m.entries, n.entries)\n"
-        "    lhs = _canonical(FactoredRational, tuple((p, e) for p, e in sorted(acc.items()) if e))\n",
+        "verify-ratio-unchecked", REPRESENT, "        lhs = _checked(FactoredRational, acc)\n",
+        "        lhs = _canonical(FactoredRational, tuple((p, e) for p, e in sorted(acc.items()) if e))\n",
         [T_REPRESENT + "test_verify_range_checks_the_ratio_not_each_side"],
+    ),
+    Mutation(
+        "verify-leftover-nonzero-ignored", REPRESENT, " and len(acc) - countOf(acc.values(), 0) == len(r.entries)", "",
+        [T_REPRESENT + "test_verify_refuses_a_claim_that_leaves_out_a_prime_of_the_ratio"],
+    ),
+    Mutation(
+        "checked-keeps-zeros", FACTORED, "sorted(filter(itemgetter(1), acc.items()))", "sorted(acc.items())",
+        [T_FACTORED + "test_parse_accepts_non_lowest_terms"],
     ),
     # One accumulator for phi(m^2)/phi(n^2): a prime on both sides looks up no p - 1.
     Mutation(
@@ -205,6 +214,16 @@ MUTATIONS = [
     Mutation(
         "construct-odd-negative-sign-flipped", REPRESENT, "            sign = 1  #", "            sign = -1  #",
         [T_REPRESENT + "test_represent_19_47_canonical_output"],
+    ),
+    # Each p - 1 is factored once, in a memo that empties itself at is_prime's bound.
+    Mutation(
+        "p-minus-1-memo-never-cleared", PRIMES, "            self.clear()  #", "            pass  #",
+        [T_PRIMES_PROPERTIES + "test_factor_p_minus_1_cache_is_bounded_like_is_prime"],
+    ),
+    # A valid entry takes one range test; a zero exponent is still named.
+    Mutation(
+        "validator-zero-exponent-accepted", FACTORED, "if not least <= e <= EXPONENT_LIMIT or e == 0:",
+        "if not least <= e <= EXPONENT_LIMIT:", [T_FACTORED + "test_rational_rejects_zero_exponent"],
     ),
     # A fraction parses into one exponent map; factorize sorts only after rho splits.
     Mutation(
