@@ -318,6 +318,21 @@ EDGES = {
         '{"command": "sequence", "input": "10000001", "status": "unsupported_scale",'
         ' "error": "a totient sieve to 10000001 exceeds the cap of 10000000"}\n',
     ),
+    # At the search cap: past it the sieve refuses; at it a prime above the bound or a side too
+    # wide misses before any table is built.  `search 7/1000003 --bound 10000000`, whose value
+    # index does not fit in 1 GB, still ends in exit 3 and has no row yet.
+    "search-past-the-cap": (["search", "7/1000003", "--bound", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None, SIEVE_CAP),
+    "json-search-past-the-cap": (
+        ["--json", "search", "7/1000003", "--bound", "10000001"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        '{"command": "search", "input": "7/1000003", "status": "unsupported_scale",'
+        ' "error": "a totient sieve to 10000001 exceeds the cap of 10000000"}\n',
+    ),
+    "search-at-the-cap-prime-above-the-bound": (
+        ["search", "7/10000019", "--bound", "10000000"], EXIT_OK, 4, "no pair with max(m, n) <= 10000000", "",
+    ),
+    "search-at-the-cap-side-too-wide": (
+        ["search", "2^97", "--bound", "10000000"], EXIT_OK, 4, "no pair with max(m, n) <= 10000000", "",
+    ),
     "exponent-at-the-limit": (["represent", f"2^{LIMIT}"], EXIT_OK, 5, "verified: true", ""),
     "negative-exponent-at-the-limit": (["represent", f"3^-{LIMIT}"], EXIT_OK, 5, "verified: true", ""),
     "exponent-past-the-limit": (

@@ -156,8 +156,27 @@ def test_sequence_text_equals_a_fresh_sieve_in_any_order(limits):
         with redirect_stdout(out):
             assert main(["sequence", str(limit)]) == 0
         assert out.getvalue() == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)) + "\n", limits
-        lines = len(kept.digits) - 1
-        assert kept.text.count("\n") == lines <= _KEPT and len(kept.text) == kept.digits[-1] + lines
+        assert kept.text.count("\n") == kept.lines <= _KEPT
+        rendering_holds(kept)
+
+
+def rendering_holds(table):
+    """The table's text is the lines of v[1..lines], and marks[c] is the length of its lines 1..c * _MARK."""
+    mark, lines = oracle._MARK, table.lines
+    rendered = [f"\n{x}" for x in table.v[1 : lines + 1]]
+    assert table.text == "".join(rendered)
+    ends = list(accumulate(map(len, rendered), initial=0))
+    assert list(table.marks) == ends[::mark]
+
+
+def test_the_kept_text_reads_at_and_around_each_mark():
+    # Reads that end one short of a mark, on it and one past it, each growing the text
+    # or reading a warm slice of it, are byte for byte a fresh render.
+    mark, phi = oracle._MARK, reference_totients()
+    for limit in (1, mark - 1, mark, mark + 1, 3 * mark - 1, 2 * mark, 3 * mark, 3 * mark + 1, 2, 5 * mark + 7):
+        assert oracle.phi_square_text(limit) == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)), limit
+        rendering_holds(oracle._kept)
+    assert oracle._kept.lines == 5 * mark + 7
 
 
 def test_sequence_json_equals_a_fresh_sieve():
@@ -230,6 +249,77 @@ def test_an_extended_sieve_equals_a_fresh_one(a, b):
     assert sieve_totients(low, phi) is phi and len(phi) == limit + 1
 
 
+def per_prime_totients(limit):
+    """phi(0..limit) from each prime's own pass over its multiples, phi(j) = j * prod (1 - 1/p):
+    no least factor, parity or slice in it."""
+    phi, prime = list(range(limit + 1)), [True] * (limit + 1)
+    for p in range(2, limit + 1):
+        if prime[p]:
+            for j in range(p, limit + 1, p):
+                prime[j] = j == p
+                phi[j] = phi[j] // p * (p - 1)
+    return phi
+
+
+_SIEVE_EDGES = st.one_of(
+    st.integers(0, 2100),
+    st.sampled_from([(1 << t) + d for t in range(1, 12) for d in (-1, 0, 1)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SIEVE_EDGES, _SIEVE_EDGES)
+@example(0, 0)
+@example(0, 1)
+@example(0, 2048)
+@example(1, 2)
+@example(1, 1025)
+@example(2, 3)
+@example(2, 1024)
+@example(7, 16)
+@example(8, 33)
+@example(15, 64)
+@example(64, 127)
+@example(1023, 2049)
+def test_an_extension_from_either_parity_equals_a_per_prime_sieve(a, b):
+    # A table grown from lo to limit, each odd or even, at and beside powers of two,
+    # where the even values' shifts change.
+    lo, limit = sorted((a, b))
+    phi = sieve_totients(lo)
+    assert sieve_totients(limit, phi) is phi
+    assert phi == per_prime_totients(limit), (lo, limit)
+
+
+class Brittle(list):
+    """A list whose writes through __setitem__ raise MemoryError once the given number of them is spent."""
+
+    def __init__(self, values, writes):
+        super().__init__(values)
+        self.writes = writes
+
+    def __setitem__(self, key, value):
+        self.writes -= 1
+        if self.writes == 0:
+            raise MemoryError
+        super().__setitem__(key, value)
+
+
+def test_an_interrupted_extension_leaves_phi_as_it_was():
+    # phi(101..1000) takes 450 writes of odd values, then one slice write for each
+    # shift t = 1..9 of the even ones.  A fault at any of them cuts phi back to
+    # phi(0..100), so no placeholder is left for a later request to read.
+    old = sieve_totients(100)
+    for fault in (1, 2, 200, 450, 451, 452, 455, 459):
+        phi = Brittle(old, fault)
+        with pytest.raises(MemoryError):
+            sieve_totients(1000, phi)
+        assert phi == old, fault
+        assert sieve_totients(1000, phi) is phi and phi == reference_totients()[:1001], fault
+    # With a write to spare, nothing raises.
+    phi = Brittle(old, 460)
+    assert sieve_totients(1000, phi) == reference_totients()[:1001]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(
     st.one_of(st.integers(1, 3000), st.sampled_from([_KEPT - 1, _KEPT, _KEPT + 1, _KEPT + 2, 20000])),
@@ -275,7 +365,7 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
     assert oracle.phi_square_text(3000).count("\n") == 2999
     assert injectivity_scan(3000) is None
     kept = oracle._kept
-    parts = {name: getattr(kept, name) for name in ("v", "phi", "index", "collision", "text", "digits")}
+    parts = {name: getattr(kept, name) for name in ("v", "phi", "index", "collision", "text", "marks", "lines")}
     contents = {name: copy.copy(part) for name, part in parts.items()}
     handed = []
     monkeypatch.setattr(
@@ -319,7 +409,7 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
             assert getattr(kept, part) is value and value == contents[part], (name, part)
     with pytest.raises(UnsupportedScaleError):
         phi_square_sequence(oracle._SIEVE_CAP + 1)
-    assert len(kept.v) == 3001 and len(kept.index) == 3000 and len(kept.digits) == 3001
+    assert len(kept.v) == 3001 and len(kept.index) == kept.lines == 3000
 
 
 def test_a_table_past_the_kept_bound_drops_phi_before_it_is_indexed(monkeypatch):
@@ -372,7 +462,7 @@ def answered_on(table, call):
 
 
 class TableMachine(RuleBasedStateMachine):
-    """A model of the table with _KEEP_LIMIT at 64: requests on either side of
+    """A model of the table with _KEEP_LIMIT at 64 and _MARK at 5: requests on either side of
     the bound, in any order, each answering as on an empty table, while the kept
     lists hold their invariants and never pass the bound.
 
@@ -397,7 +487,7 @@ class TableMachine(RuleBasedStateMachine):
     def unread(self):
         """The least k >= 2 whose kept value neither the index nor the text has read."""
         kept = oracle._kept
-        return max(len(kept.index), len(kept.digits) - 1, 1) + 1
+        return max(len(kept.index), kept.lines, 1) + 1
 
     @precondition(lambda self: self.collision is None and self.unread() <= _SMALL_KEEP)
     @rule(data=st.data())
@@ -445,9 +535,8 @@ class TableMachine(RuleBasedStateMachine):
         if c <= top:
             v[c] = v[j]  # the planted collision, and nothing else
         assert kept.v == v
-        lines = len(kept.digits) - 1
-        assert lines <= top and kept.text == "".join(f"\n{x}" for x in kept.v[1 : lines + 1])
-        assert list(kept.digits) == list(accumulate((len(str(x)) for x in kept.v[1 : lines + 1]), initial=0))
+        assert kept.lines <= top
+        rendering_holds(kept)
         # The index is exact up to its length; it stops at the planted collision and meets no other.
         n = len(kept.index)
         assert n <= top and kept.index == {v[k]: k for k in range(1, n + 1)}
@@ -456,6 +545,7 @@ class TableMachine(RuleBasedStateMachine):
 
 def test_the_table_answers_as_an_empty_one_in_any_order(monkeypatch):
     monkeypatch.setattr(oracle, "_KEEP_LIMIT", _SMALL_KEEP)
+    monkeypatch.setattr(oracle, "_MARK", 5)  # about a dozen marks in the model's kept text
     run_state_machine_as_test(TableMachine, settings=settings(max_examples=60, stateful_step_count=20, deadline=None))
 
 
@@ -505,6 +595,40 @@ def test_two_threads_grow_the_kept_table_one_after_the_other(monkeypatch, first,
     # A later request that grows the kept table reads what the two left behind.
     assert outcome(calls[2]) == expected[2]
     TableMachine.kept_lists_hold(SimpleNamespace(collision=None))
+
+
+@pytest.mark.parametrize(
+    "past, kept", [("sequence", "text"), ("text", "scan"), ("scan", "search"), ("search", "sequence")]
+)
+def test_a_request_past_the_kept_bound_leaves_the_lock_to_the_kept_table(monkeypatch, past, kept):
+    # A one-request table shares nothing with the kept one, so it is built and read
+    # without _lock: while its sieve waits, a request on the kept table answers.
+    calls = [lambda: READERS[past](_KEPT + 1), lambda: READERS[kept](100)]
+    expected = [answered_on(oracle._Table(), call) for call in calls]
+    building, release = threading.Event(), threading.Event()
+
+    def held(limit, phi=None):
+        if limit > _KEPT:
+            building.set()
+            release.wait(timeout=10)
+        return sieve_totients(limit, phi)
+
+    monkeypatch.setattr(oracle, "sieve_totients", held)
+    answers = [None, None]
+    threads = [threading.Thread(target=lambda i=i: answers.__setitem__(i, outcome(calls[i]))) for i in (0, 1)]
+    threads[0].start()
+    try:
+        assert building.wait(timeout=10)
+        threads[1].start()
+        threads[1].join(timeout=5)
+        assert not threads[1].is_alive() and answers[1] == expected[1]
+        assert answers[0] is None  # the past-bound request is still waiting on its sieve
+    finally:
+        release.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join(timeout=10)
+    assert answers == expected
 
 
 def test_the_sieve_names_a_huge_limit_by_its_digit_count():

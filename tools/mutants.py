@@ -76,10 +76,11 @@ SEARCH_HITS = (
 )
 COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
 PAST_THE_KEPT_BOUND = [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_kept_lists"]
-PAST_BOUND_BLOCKS = "[\"\\n\".join(map(str, table.v[k : k + _KEEP_LIMIT])) for k in range(1, limit + 1, _KEEP_LIMIT)]"
+PAST_BOUND_BLOCKS = "[_lines(v[k : k + _KEEP_LIMIT])[1:] for k in range(1, limit + 1, _KEEP_LIMIT)]"
 KEEP_RULE = "    if limit > _KEEP_LIMIT:\n"
 NEW_TABLE = "        table = _Table()\n"
 CANDIDATES = [T_ORACLE + "test_candidates_are_exactly_the_ks_x_divides"]
+SIEVE = [T_ORACLE + "test_sieve_equals_the_classic_sieve"]
 PRIME_AND_SIZE_RULES = "    if bound <= _SIEVE_CAP and (wide or r.entries and r.entries[-1][0] > bound):\n"
 PSI_9_TO_11 = "    3825123056546413051,\n" * 3
 BASE_SCREEN = (
@@ -118,9 +119,9 @@ MUTATIONS = [
         "one-request-table-starts-from-copies-of-the-kept-lists", ORACLE, NEW_TABLE,
         NEW_TABLE + "        table.phi, table.v = _kept.phi[:], _kept.v[:]\n", PAST_THE_KEPT_BOUND,
     ),
-    # Past the kept bound the text is one join of blocks of _KEEP_LIMIT lines, each rendered alone.
+    # Past the kept bound the text is one join of blocks of _KEEP_LIMIT lines, each formatted alone.
     Mutation(
-        "past-bound-text-in-one-list", ORACLE, PAST_BOUND_BLOCKS, "[str(x) for x in table.v[1 : limit + 1]]",
+        "past-bound-text-in-one-list", ORACLE, PAST_BOUND_BLOCKS, "[str(x) for x in v[1 : limit + 1]]",
         [T_CLI + "test_a_line_at_the_grammars_edge_ends_in_its_exit_code_in_1_gb[sequence-at-the-cap]"],
     ),
     Mutation(
@@ -128,10 +129,35 @@ MUTATIONS = [
         PAST_BOUND_BLOCKS.replace("k + _KEEP_LIMIT]", "k + _KEEP_LIMIT - 1]"),
         [T_ORACLE + "test_text_past_the_kept_bound_is_a_render_of_the_sieve_across_block_edges"],
     ),
-    # Each reader holds the one lock from _table_for until it has read the kept table.
+    # Each reader holds the one lock from _table_for until it has read the kept table, and
+    # a request past the kept bound holds none.
     Mutation(
         "kept-table-unlocked", ORACLE, "_lock = Lock()", "_lock = __import__(\"contextlib\").nullcontext()",
         [T_ORACLE + "test_two_threads_grow_the_kept_table_one_after_the_other"],
+    ),
+    Mutation(
+        "past-the-bound-holds-the-lock", ORACLE, "    return _lock if limit <= _KEEP_LIMIT else nullcontext()\n",
+        "    return _lock\n", [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_lock_to_the_kept_table"],
+    ),
+    # The sieve runs odd j in Python and fills each even j = 2^t * o as phi(o) << (t - 1), cutting
+    # phi back if anything raises; the kept text is cut at marks and read by formatting its tail.
+    Mutation("sieve-even-shift-off-by-one", ORACLE, "repeat(t - 1)", "repeat(t)", SIEVE),
+    Mutation("sieve-odd-start-at-lo", ORACLE, "    odd = lo | 1  #", "    odd = lo  #", SIEVE),
+    Mutation(
+        "sieve-cut-back-removed", ORACLE, "        del phi[lo:]\n", "",
+        [T_ORACLE + "test_an_interrupted_extension_leaves_phi_as_it_was"],
+    ),
+    Mutation(
+        "text-tail-one-line-short", ORACLE, "table.v[c * _MARK + 1 : limit + 1]", "table.v[c * _MARK + 1 : limit]",
+        [T_ORACLE + "test_the_kept_text_reads_at_and_around_each_mark"],
+    ),
+    Mutation(
+        "text-mark-skipped", ORACLE, "initial=marks[-1]))[1:]", "initial=marks[-1]))[2:]",
+        [T_ORACLE + "test_the_kept_text_reads_at_and_around_each_mark"],
+    ),
+    Mutation(
+        "text-regrown-past-its-last-mark", ORACLE, "[self.text[: marks[-1]], *parts", "[self.text, *parts",
+        [T_ORACLE + "test_the_kept_text_reads_at_and_around_each_mark"],
     ),
     # The value index, grown in C and by hand past a collision; the scan and the search share it.
     Mutation(
