@@ -28,7 +28,6 @@ from .errors import ExponentOverflowError, FactorizationFailure, ParseError, Uns
 from .factored import (
     EXPANSION_BIT_LIMIT,
     FactoredInteger,
-    FactoredRational,
     _decimal,
     factor,
     parse_integer,
@@ -60,10 +59,6 @@ SELFTEST_SEED = 20260811
 Result = tuple[dict, list[str], int]
 
 
-def _factors_obj(f: FactoredRational) -> dict[str, int]:
-    return {str(p): e for p, e in f.entries}
-
-
 def _printable(value: int) -> bool:
     """Whether str(value) stays within Python's int-string conversion limit."""
     limit = sys.get_int_max_str_digits()
@@ -71,7 +66,7 @@ def _printable(value: int) -> bool:
 
 
 def _integer_body(f: FactoredInteger, expanded: bool) -> dict:
-    body: dict = {"factors": _factors_obj(f)}
+    body: dict = {"factors": f.factors}
     if expanded:
         if f.bit_size() > EXPANSION_BIT_LIMIT:
             raise UnsupportedScaleError(
@@ -114,11 +109,11 @@ def cmd_verify(args: SimpleNamespace) -> Result:
     if common is not None and not _printable(common):
         common = None
     payload = {
-        "m": {"factors": _factors_obj(mf)},
-        "n": {"factors": _factors_obj(nf)},
+        "m": {"factors": mf.factors},
+        "n": {"factors": nf.factors},
         "holds": report.holds,
-        "computed": _factors_obj(report.lhs),
-        "expected": _factors_obj(report.expected),
+        "computed": report.lhs.factors,
+        "expected": report.expected.factors,
         "common_value": common,
     }
     lines = [
@@ -139,7 +134,7 @@ def cmd_factor(args: SimpleNamespace) -> Result:
     if not s.isdecimal():
         raise ParseError(f"factor takes a plain positive integer, got {cut(args.n, repr)}")
     f = parse_integer(s)
-    payload = {"factors": _factors_obj(f), "value": f.value()}
+    payload = {"factors": f.factors, "value": f.value()}
     lines = [f"input: {args.n}", f"factors: {f}"]
     return payload, lines, EXIT_OK
 

@@ -96,8 +96,8 @@ def _lines(values: list[int]) -> str:
 
 class _Table:
     """phi(0..L) and v[0..L]; the index v[k] -> k for k = 1..len(index), stopped
-    by its first collision (j, k), v[j] = v[k]; and the rendering _lines(v[1..lines]),
-    whose line c * _MARK ends at offset marks[c]."""
+    by its first collision (j, k), v[j] = v[k], which grow_index alone reads; and the
+    rendering _lines(v[1..lines]), whose line c * _MARK ends at offset marks[c]."""
 
     def __init__(self):
         self.phi, self.v, self.index, self.collision = [0], [0], {}, None
@@ -110,18 +110,19 @@ class _Table:
             phi = self.phi = sieve_totients(limit, self.phi)
             v += map(mul, range(len(v), limit + 1), islice(phi, len(v), limit + 1))
 
-    def grow_index(self, limit: int) -> None:
-        """Indexes v[k] -> k up to limit, in C, unless a collision stopped it."""
+    def grow_index(self, limit: int) -> tuple[int, int] | None:
+        """Indexes v[k] -> k up to limit, in C, unless a collision stopped it; returns the
+        first collision (j, k) with k <= limit, else None: the index is exact below k."""
         index, v, n = self.index, self.v, len(self.index)
-        if self.collision or limit <= n:
-            return
-        index.update(zip(islice(v, n + 1, limit + 1), range(n + 1, limit + 1)))
-        if len(index) < limit:  # update kept the last k of a repeated value: redo by hand to name the first
-            index.clear()
-            for k in range(1, limit + 1):
-                if (j := index.setdefault(v[k], k)) != k:
-                    self.collision = (j, k)
-                    return
+        if not self.collision and limit > n:
+            index.update(zip(islice(v, n + 1, limit + 1), range(n + 1, limit + 1)))
+            if len(index) < limit:  # update kept the last k of a repeated value: redo by hand to name the first
+                index.clear()
+                for k in range(1, limit + 1):
+                    if (j := index.setdefault(v[k], k)) != k:
+                        self.collision = (j, k)
+                        break
+        return self.collision if self.collision and self.collision[1] <= limit else None
 
     def grow_text(self, stop: int) -> None:
         """Renders the lines of v up to stop that the text lacks: from its last mark on, whole parts of
@@ -186,9 +187,7 @@ def injectivity_scan(limit: int) -> tuple[int, int] | None:
     if limit < 2:
         raise ParseError(f"limit must be >= 2, got {shown(limit, 'number')}")
     with _held(limit):
-        table = _table_for(limit)
-        table.grow_index(limit)
-        return table.collision if table.collision and table.collision[1] <= limit else None
+        return _table_for(limit).grow_index(limit)
 
 
 class SearchResult(namedtuple("SearchResult", "found m n bound")):
@@ -253,8 +252,7 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
         top = 0
         while top < bound:
             top = min(max(2 * top, 64), bound)
-            table.grow_index(top)
-            j, c = table.collision or (0, bound + 1)
+            j, c = table.grow_index(top) or (0, bound + 1)
             limit = min(top, c - 1)  # the index is exact below its collision
             hits = [(k, i) for k in _candidates(v, x, ell, limit)
                     if (i := index.get(v[k] // x * y, limit + 1)) <= limit]

@@ -352,6 +352,16 @@ EDGES = {
         ["represent", "3^" + "1" * 4301], EXIT_UNSUPPORTED_SCALE, 0, None,
         "error: a numeral of 4301 digits exceeds the 4300-digit limit for reading integers\n",
     ),
+    # At EXPANSION_BIT_LIMIT: m = 2^2500000 is 5,000,000 bits, which the bit check lets through to
+    # the 4300-digit limit, and m = 2^2500001 one bit past it.
+    "expanded-at-the-bit-limit": (
+        ["represent", "2^4999998", "--expanded"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        "error: expanded value would exceed 4300 decimal digits; rerun without --expanded\n",
+    ),
+    "expanded-past-the-bit-limit": (
+        ["represent", "2^5000000", "--expanded"], EXIT_UNSUPPORTED_SCALE, 0, None,
+        "error: expanded value would exceed 5000000 bits; rerun without --expanded\n",
+    ),
     "factor-below-the-primality-bound": (
         ["factor", "3317044064679887385961980"], EXIT_OK, 2,
         "factors: 2^2 * 3^4 * 5^1 * 127^1 * 18778597^1 * 858557454841^1", "",

@@ -8,6 +8,11 @@ pool, and bounds and limits stay at most 2000 (or past the sieve cap).  Other
 text is arbitrary: control characters, quotes, backslashes and non-ASCII, up
 to a few thousand characters.  selftest takes no input and is left out.
 
+Where a line is answered (exit 0 or 4), its plain lines, read back, say what
+its --json record says.  Few fuzzed lines get that far, so lines that are
+answered are also drawn on purpose: ratios and integers over the primes up
+to 1000, and limits and bounds up to 2000.
+
 The reader is also held, line by line, to the argparse parser it replaced,
 kept in argparse_reference.py: it reads each line as argparse does, or
 leaves it with argparse's refusal and message.  That property runs only
@@ -15,8 +20,10 @@ where the installed argparse still reads a refused command as 3.11 did.
 """
 
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +35,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from argparse_reference import reading, reference  # noqa: E402
 from phisq import cli  # noqa: E402
 from phisq.errors import ParseError  # noqa: E402
+from phisq.factored import parse_integer, parse_rational  # noqa: E402
 from phisq.primes import primes_up_to  # noqa: E402
+from phisq.represent import represent  # noqa: E402
 
 PAST_THE_DIGIT_LIMIT = st.integers(4301, 4400).map(lambda digits: "7" * digits)
 NUMERAL = st.one_of(st.integers(0, 10**12 - 1).map(str), PAST_THE_DIGIT_LIMIT)
@@ -76,22 +85,115 @@ OPERANDS = {
 }
 
 
-@st.composite
-def command_lines(draw):
-    """A command (or an unknown word) with its operands, and the global flags anywhere."""
-    command = draw(st.sampled_from((*OPERANDS, "frobnicate", "Represent", "sequences")))
-    operands = draw(OPERANDS.get(command, st.tuples(VALUE)))
-    argv = [command, *operands]
+def with_flags(draw, argv):
+    """argv with the global flags drawn in anywhere."""
     for flag in draw(st.lists(st.sampled_from(tuple(cli.FLAGS)), max_size=2, unique=True)):
         argv.insert(draw(st.integers(0, len(argv))), flag)
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(command_lines())
-def test_every_command_line_ends_in_a_documented_exit_code(argv):
-    # Each line plain and under --json, which keeps its drawn place when it has one.
+@st.composite
+def command_lines(draw):
+    """A command (or an unknown word) with its operands, and the global flags anywhere."""
+    command = draw(st.sampled_from((*OPERANDS, "frobnicate", "Represent", "sequences")))
+    operands = draw(OPERANDS.get(command, st.tuples(VALUE)))
+    return with_flags(draw, [command, *operands])
+
+
+def literal(factors):
+    return " * ".join(f"{p}^{e}" for p, e in factors.items()) or "1"
+
+
+def side(factors, sign):
+    """The product of p^|e| over the factors whose exponent has this sign."""
+    return prod(p ** abs(e) for p, e in factors.items() if e * sign > 0)
+
+
+# Ratios over the primes up to 1000 as literals or fractions, and integers as literals or numerals.
+SMALL_PRIME = st.sampled_from(primes_up_to(1000))
+FACTORS = st.dictionaries(SMALL_PRIME, st.integers(-3, 3).filter(bool), max_size=5)
+WHOLE = st.dictionaries(SMALL_PRIME, st.integers(1, 3), max_size=5)
+RATIO = FACTORS.flatmap(lambda f: st.sampled_from((literal(f), f"{side(f, 1)}/{side(f, -1)}")))
+NUMERAL_OVER_SMALL_PRIMES = WHOLE.map(lambda f: str(side(f, 1)))
+INTEGER = st.one_of(WHOLE.map(literal), NUMERAL_OVER_SMALL_PRIMES)
+SMALL_LIMIT = st.integers(1, 2000).map(str)
+
+
+def represented(ratio):
+    """m, n and ratio, where m and n are the construction's pair for it."""
+    rep = represent(parse_rational(ratio))
+    return str(rep.m), str(rep.n), ratio
+
+
+ACCEPTED = {
+    "represent": st.tuples(RATIO),
+    "verify": st.one_of(st.tuples(INTEGER, INTEGER, RATIO), RATIO.map(represented)),
+    "factor": st.tuples(NUMERAL_OVER_SMALL_PRIMES),
+    "sequence": st.tuples(SMALL_LIMIT),
+    "search": st.tuples(RATIO, SMALL_LIMIT).map(lambda ab: (ab[0], "--bound", ab[1])),
+}
+
+
+@st.composite
+def accepted_lines(draw):
+    """A command with operands it answers, and the global flags anywhere."""
+    command = draw(st.sampled_from(tuple(ACCEPTED)))
+    return with_flags(draw, [command, *draw(ACCEPTED[command])])
+
+
+def factors(record):
+    """A --json factor map with its keys read back as primes."""
+    return {int(p): e for p, e in record.items()}
+
+
+def assert_same_meaning(command, out, record):
+    """The plain output of an answered line, read back, equals its --json record."""
+    if command == "sequence":
+        assert list(map(int, out.split())) == record["values"]
+        return
+    head = f"input: {record['input']}\n"
+    assert out.startswith(head), (out, record)
+    lines = out[len(head):].rstrip("\n").split("\n")
+    fields = dict(line.split(": ", 1) for line in lines if ": " in line)
+    if command == "represent":
+        expanded = "value" in record["m"]
+        assert fields.keys() == {"m", "n", "depth", "verified"} | ({"m value", "n value"} if expanded else set())
+        for name in "mn":
+            assert parse_integer(fields[name]).factors == factors(record[name]["factors"])
+            if expanded:
+                assert int(fields[f"{name} value"]) == record[name]["value"]
+        assert int(fields["depth"]) == record["depth"]
+        assert fields["verified"] == json.dumps(record["verified"])
+    elif command == "verify":
+        common = record["common_value"]
+        names = {"m", "n", "computed ratio", "expected ratio", "holds"}
+        assert fields.keys() == names | ({"common value"} if common is not None else set())
+        assert parse_integer(fields["m"]).factors == factors(record["m"]["factors"])
+        assert parse_integer(fields["n"]).factors == factors(record["n"]["factors"])
+        assert parse_rational(fields["computed ratio"]).factors == factors(record["computed"])
+        assert parse_rational(fields["expected ratio"]).factors == factors(record["expected"])
+        assert fields["holds"] == json.dumps(record["holds"])
+        assert common is None or int(fields["common value"]) == common
+    elif command == "factor":
+        assert fields.keys() == {"factors"}
+        assert parse_integer(fields["factors"]).factors == factors(record["factors"])
+    else:
+        assert command == "search"
+        assert fields.keys() == {"bound", "found"} | ({"m", "n"} if record["found"] else set())
+        assert int(fields["bound"]) == record["bound"]
+        assert fields["found"] == json.dumps(record["found"])
+        if record["found"]:
+            assert (int(fields["m"]), int(fields["n"])) == (record["m"], record["n"])
+        else:
+            assert record["m"] is None and record["n"] is None
+            assert lines[-1] == f"no pair with max(m, n) <= {record['bound']}"
+
+
+def run_both_ways(argv):
+    """Runs a line plain and under --json, which keeps its drawn place when it has one: each
+    ends in a documented exit code, and where answered, both say the same.  Returns the code."""
     plain = [a for a in argv if a != "--json"]
+    outputs = []
     for line in (plain, argv if "--json" in argv else [*plain, "--json"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -101,6 +203,25 @@ def test_every_command_line_ends_in_a_documented_exit_code(argv):
         assert bool(err.getvalue()) == (code in (1, 2)), line
         # A refusal quotes outside text only after bounding it, as repr and JSON escape it.
         assert len(err.getvalue()) <= 500, (line, err.getvalue())
+        outputs.append((code, out.getvalue()))
+    (code, out), (json_code, json_out) = outputs
+    assert code == json_code, argv
+    if code in (0, 4):
+        record = json.loads(json_out)
+        assert_same_meaning(record["command"], out, record)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    run_both_ways(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_lines())
+def test_an_answered_line_says_the_same_plain_and_under_json(argv):
+    assert run_both_ways(argv) in (0, 4), argv
 
 
 def reference_differs():

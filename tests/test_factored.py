@@ -40,13 +40,6 @@ def rational_of(factors):
     return FactoredRational.from_factors(factors)
 
 
-def as_fraction(r):
-    f = Fraction(1)
-    for p, e in r.entries:
-        f *= Fraction(p) ** e
-    return f
-
-
 # --- construction invariants ---
 
 def test_integer_rejects_composite_key():

@@ -66,8 +66,7 @@ DOUBLE_DASH = "            if not slots and not last:\n"
 REFUSAL = "    print(_output(args, code, {\"error\": message}, [f\"error: {message}\"]), file=sys.stderr)\n"
 
 SEARCH_STAGE = (
-    "            table.grow_index(top)\n"
-    "            j, c = table.collision or (0, bound + 1)\n"
+    "            j, c = table.grow_index(top) or (0, bound + 1)\n"
     "            limit = min(top, c - 1)  # the index is exact below its collision\n"
 )
 SEARCH_HITS = (
@@ -165,8 +164,8 @@ MUTATIONS = [
     ),
     Mutation(
         "search-index-by-plain-assignment", ORACLE,
-        "                if (j := index.setdefault(v[k], k)) != k:\n",
-        "                index[v[k]] = k\n                if (j := index[v[k]]) != k:\n",
+        "                    if (j := index.setdefault(v[k], k)) != k:\n",
+        "                    index[v[k]] = k\n                    if (j := index[v[k]]) != k:\n",
         [*COLLIDING, T_ORACLE + "test_injectivity_scan_reports_first_collision"],
     ),
     Mutation(
@@ -176,11 +175,11 @@ MUTATIONS = [
     # The search walks one side's candidates in stages, against the index.
     Mutation(
         "search-indexes-after-its-lookups", ORACLE, SEARCH_STAGE + SEARCH_HITS,
-        SEARCH_STAGE.replace("            table.grow_index(top)\n", "") + SEARCH_HITS + "            table.grow_index(top)\n",
+        SEARCH_STAGE.replace("table.grow_index(top) or ", "") + SEARCH_HITS + "            table.grow_index(top)\n",
         [T_ORACLE + "test_brute_force_fixtures"],
     ),
     Mutation(
-        "search-indexes-the-whole-bound-first", ORACLE, "            table.grow_index(top)\n", "            table.grow_index(bound)\n",
+        "search-indexes-the-whole-bound-first", ORACLE, "table.grow_index(top) or", "table.grow_index(bound) or",
         [T_CLI + "test_search_hit_at_the_sieve_cap_fits_in_1_gb"],
     ),
     Mutation(
