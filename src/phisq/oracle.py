@@ -252,14 +252,14 @@ def brute_force_minimal(r: FactoredRational, bound: int) -> SearchResult:
         top = 0
         while top < bound:
             top = min(max(2 * top, 64), bound)
-            j, c = table.grow_index(top) or (0, bound + 1)
-            limit = min(top, c - 1)  # the index is exact below its collision
+            j, c = table.grow_index(top) or (0, top + 1)
+            limit = c - 1  # the index is exact below its collision
             hits = [(k, i) for k in _candidates(v, x, ell, limit)
                     if (i := index.get(v[k] // x * y, limit + 1)) <= limit]
             if hits:
                 m, n = min(hits if walk_p else [(i, k) for k, i in hits], key=lambda mn: (max(mn), mn))
                 return SearchResult(found=True, m=m, n=n, bound=bound)
-            if top >= c:
+            if c <= top:
                 raise RuntimeError(f"phi(k^2) collides at k = {j} and k = {c}")
         return SearchResult(found=False, m=None, n=None, bound=bound)
 

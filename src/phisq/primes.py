@@ -25,7 +25,11 @@ divisor f not tried, so one loop certifies each piece: below f * f it is
 prime, else is_prime decides and a composite is split again.  Rho is seeded
 from the cofactor, so factorization is deterministic, and every result and
 refusal (UnsupportedScaleError, FactorizationFailure, with their messages) is
-that of full trial division.
+that of full trial division.  Every block's primes are read from one sieve
+of the odd numbers up to the bound, built when a walk first reaches a block.
+Rho's advance takes two steps per reduction mod the cofactor, and its product
+two differences, at the residues one reduction each gives, so it finds the
+same factors.
 
 The totients and the construction need p - 1 factored for each prime p they
 meet.  The dict _p_minus_1 factors each prime's p - 1 on its first read, and
@@ -126,15 +130,27 @@ def _rho_split(n: int) -> int:
         iterations = 0
         x = ys = y
         while g == 1 and iterations < RHO_MAX_ITERATIONS:
+            # The advance takes two steps per reduction (t is y's next term,
+            # unreduced), and two differences share one reduction of q, so each
+            # y, q and gcd is the residue a reduction per step gives.  Only r = 1
+            # leaves an odd count of steps.
             x = y
-            for _ in range(r):
+            if r == 1:
                 y = (y * y + c) % n
+            for _ in range(r // 2):
+                t = y * y + c
+                y = (t * t + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                if r == 1:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
+                for _ in range(min(m, r - k) // 2):
+                    y = (y * y + c) % n
+                    a = x - y
+                    y = (y * y + c) % n
+                    q = q * a * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -152,28 +168,26 @@ def _rho_split(n: int) -> int:
     )
 
 
-def _sieve(start: int, stop: int, primes) -> bytearray:
-    """1 at n - start for each prime n in [start, stop), 2 <= start, else 0; primes ascend and reach isqrt(stop - 1)."""
-    size = stop - start
-    sieve = bytearray([1]) * size
-    for p in primes:
-        if p * p >= stop:
-            break
-        first = max(p * p, -(-start // p) * p) - start
-        sieve[first::p] = bytes(len(range(first, size, p)))
+@lru_cache(maxsize=None)
+def _odd_sieve() -> bytearray:
+    """1 at i for each 2i + 1 below _TRIAL_END that is 1 or prime, else 0: one sieve for every block."""
+    sieve = bytearray([1]) * (_TRIAL_END // 2)
+    for p in _SMALL_PRIMES[1:]:  # odd, and they reach isqrt(_TRIAL_END - 1)
+        sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
     return sieve
 
 
 @lru_cache(maxsize=None)
-def _block_product(start: int) -> int:
-    """Product of the primes among the trial candidates of the block at f = start.
+def _block_product(f: int) -> int:
+    """Product of the primes among the trial candidates of the block at f.
 
     When factorize reaches the block, its cofactor has no prime factor below
-    start, so its gcd with this product is the product of the block's primes
-    that divide it, which factorize then splits.  _SMALL_PRIMES sieve the block.
+    f, so its gcd with this product is the product of the block's primes that
+    divide it, which factorize then splits.  The block is read from
+    _odd_sieve, built once, by the first block any walk reaches.
     """
-    stop = min(start + 6 * _BLOCK_PAIRS, _TRIAL_END)
-    return prod(compress(range(start, stop, 2), _sieve(start, stop, _SMALL_PRIMES)[::2]))  # start is odd
+    stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
+    return prod(compress(range(f, stop, 2), _odd_sieve()[f // 2 : stop // 2]))  # f and stop are odd
 
 
 def _split(g: int, candidates) -> list[int]:
@@ -261,11 +275,14 @@ def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, sieved by the primes up to its square root."""
     if limit < 2:
         return []
-    return list(compress(range(2, limit + 1), _sieve(2, limit + 1, primes_up_to(isqrt(limit)))))
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in primes_up_to(isqrt(limit)):
+        sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
 
 
 # The primes below _BLOCK_START: trial division's first stage, and the primes
-# that sieve each block (every block ends below _BLOCK_START ** 2).
+# that sieve the blocks (_TRIAL_END is below _BLOCK_START ** 2).
 _SMALL_PRIMES = primes_up_to(_BLOCK_START - 1)
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 

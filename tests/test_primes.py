@@ -1,6 +1,8 @@
 import random
 import sys
 import threading
+from bisect import bisect_left
+from math import gcd, prod
 
 import pytest
 
@@ -439,6 +441,94 @@ def test_staged_matches_reference_on_exhausted_budget(monkeypatch, rho_args):
     assert rho_args == [n]
 
 
+# --- rho against the loop with one reduction per step -----------------------
+
+
+def reference_rho_split(n, gcd=gcd):
+    """_rho_split with one reduction mod n per step, the loop the paired steps replaced.
+
+    Kept as the oracle: the paired steps reduce the same residues, so they must
+    take the same gcds, return the same factor and raise the same message
+    under the same budget.
+    """
+    rng = random.Random(n)
+    for _ in range(primes.RHO_MAX_ATTEMPTS):
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        iterations = 0
+        x = ys = y
+        while g == 1 and iterations < primes.RHO_MAX_ITERATIONS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+            iterations += r
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    raise FactorizationFailure(f"could not split cofactor {n} within {primes.RHO_MAX_ATTEMPTS} rho attempts")
+
+
+def random_prime(rng):
+    """The least prime at or above a random number of 20 to 32 bits."""
+    bits = rng.randint(20, 32)
+    return next_prime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+RHO_RNG = random.Random(20261020)
+RHO_SEMIPRIMES = [random_prime(RHO_RNG) * random_prime(RHO_RNG) for _ in range(100)]
+
+
+def rho_outcome(split, n):
+    """split(n), or the type and message of the FactorizationFailure it raises."""
+    try:
+        return split(n)
+    except FactorizationFailure as exc:
+        return type(exc), str(exc)
+
+
+def test_rho_split_matches_the_one_reduction_loop(monkeypatch):
+    # Every value given to gcd is the same residue mod n in both loops, so a
+    # walk shifted by one step fails here even where it finds the same factor.
+    calls = []
+
+    def recording(a, b):
+        calls.append((a % b, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(primes, "gcd", recording)
+    for n in RHO_SEMIPRIMES:
+        calls.clear()
+        factor, gcds = primes._rho_split(n), list(calls)
+        calls.clear()
+        assert (factor, gcds) == (reference_rho_split(n, recording), calls), n
+
+
+@pytest.mark.parametrize("budget", [2, 300, 1000, 3000])
+def test_rho_split_refuses_where_the_one_reduction_loop_does(monkeypatch, budget):
+    # Budgets that end each walk after 1, 8, 9 and 11 doublings of r refuse every
+    # cofactor, about seven in ten, half and one in five: each is split or
+    # refused, with the same factor or message, by both loops.
+    monkeypatch.setattr(primes, "RHO_MAX_ITERATIONS", budget)
+    outcomes = [rho_outcome(primes._rho_split, n) for n in RHO_SEMIPRIMES]
+    assert outcomes == [rho_outcome(reference_rho_split, n) for n in RHO_SEMIPRIMES]
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
 # --- one gcd per stage, split candidate by candidate -------------------------
 
 BLOCK = 6 * primes._BLOCK_PAIRS
@@ -451,6 +541,16 @@ STARTS = (primes._BLOCK_START, primes._BLOCK_START + BLOCK, PRIME_START, primes.
 
 def primes_in_block(start):
     return [p for p in range(start, min(start + BLOCK, primes._TRIAL_END)) if is_prime(p)]
+
+
+def test_every_block_product_is_the_product_of_its_primes():
+    # Both caches are cleared, so each product is read from a sieve built here.
+    primes._odd_sieve.cache_clear()
+    primes._block_product.cache_clear()
+    ps = primes_up_to(primes._TRIAL_END)
+    for f in range(primes._BLOCK_START, primes._TRIAL_END, BLOCK):
+        block = ps[bisect_left(ps, f) : bisect_left(ps, min(f + BLOCK, primes._TRIAL_END))]
+        assert primes._block_product(f) == prod(block), f
 
 
 def test_staged_matches_reference_on_products_within_one_block(rho_args):

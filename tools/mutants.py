@@ -66,13 +66,21 @@ DOUBLE_DASH = "            if not slots and not last:\n"
 REFUSAL = "    print(_output(args, code, {\"error\": message}, [f\"error: {message}\"]), file=sys.stderr)\n"
 
 SEARCH_STAGE = (
-    "            j, c = table.grow_index(top) or (0, bound + 1)\n"
-    "            limit = min(top, c - 1)  # the index is exact below its collision\n"
+    "            j, c = table.grow_index(top) or (0, top + 1)\n"
+    "            limit = c - 1  # the index is exact below its collision\n"
 )
 SEARCH_HITS = (
     "            hits = [(k, i) for k in _candidates(v, x, ell, limit)\n"
     "                    if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
 )
+BLOCK_PRODUCTS = T_PRIMES + "test_every_block_product_is_the_product_of_its_primes"
+ODD_SIEVE_ROW = "        sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))\n"
+RHO_REFERENCE = T_PRIMES + "test_rho_split_matches_the_one_reduction_loop"
+# r = 1's one step alone, in the advance and in the product phase, each before its paired steps.
+RHO_STEP = "            if r == 1:\n                y = (y * y + c) % n\n"
+RHO_PAIRS = "            for _ in range(r // 2):\n"
+RHO_PRODUCT_STEP = "                if r == 1:\n                    y = (y * y + c) % n\n                    q = q * (x - y) % n\n"
+RHO_PRODUCT_PAIRS = "                for _ in range(min(m, r - k) // 2):\n"
 COLLIDING = [T_ORACLE + "test_search_refuses_a_colliding_index", T_ORACLE + "test_a_collision_counts_only_within_the_callers_limit"]
 PAST_THE_KEPT_BOUND = [T_ORACLE + "test_a_request_past_the_kept_bound_leaves_the_kept_lists"]
 PAST_BOUND_BLOCKS = "[_lines(v[k : k + _KEEP_LIMIT])[1:] for k in range(1, limit + 1, _KEEP_LIMIT)]"
@@ -189,7 +197,7 @@ MUTATIONS = [
     Mutation("search-stops-a-stage-early", ORACLE, "        while top < bound:\n", "        while 2 * top < bound:\n",
              [T_ORACLE + "test_brute_force_fixtures"]),
     Mutation(
-        "search-collision-raise-past-the-stage", ORACLE, "            if top >= c:\n", "            if top > c:\n",
+        "search-collision-raise-past-the-stage", ORACLE, "            if c <= top:\n", "            if c < top:\n",
         [T_ORACLE + "test_a_kept_index_meets_a_collision_the_table_grew_into"],
     ),
     Mutation(
@@ -269,10 +277,12 @@ MUTATIONS = [
         [T_PRIMES + "test_known_fixtures"],
     ),
     Mutation(
-        "block-product-6k-plus-5-only", PRIMES, "range(start, stop, 2), _sieve(start, stop, _SMALL_PRIMES)[::2]",
-        "range(start, stop, 6), _sieve(start, stop, _SMALL_PRIMES)[::6]",
-        [T_PRIMES + "test_staged_matches_reference_on_products_within_one_block"],
+        "block-product-6k-plus-5-only", PRIMES, "range(f, stop, 2), _odd_sieve()[f // 2 : stop // 2]",
+        "range(f, stop, 6), _odd_sieve()[f // 2 : stop // 2 : 3]",
+        [T_PRIMES + "test_staged_matches_reference_on_products_within_one_block", BLOCK_PRODUCTS],
     ),
+    Mutation("odd-sieve-start-not-halved", PRIMES, ODD_SIEVE_ROW, ODD_SIEVE_ROW.replace("p * p // 2", "p * p"),
+             [BLOCK_PRODUCTS]),
     # Refusals quote outside text through errors.cut.
     Mutation(
         "cut-measures-before-escaping", ERRORS, "    if len(dumps(form(text))) - 2 <= limit:\n",
@@ -360,9 +370,17 @@ MUTATIONS = [
         "psi-12-is-the-bound", PRIMES, "    318665857834031151167461,\n", "    3_317_044_064_679_887_385_961_981,\n",
         [T_PRIMES + "test_each_psi_is_refused_and_its_neighbours_match_all_bases"],
     ),
+    # Brent's rho reduces y once per two advance steps and q once per two differences; each gcd
+    # sees the residue of the one-reduction loop.
     Mutation(
-        "rho-product-off-by-one", PRIMES, "q = q * (x - y) % n", "q = q * (x - y + 1) % n",
-        [T_PRIMES + "test_rho_split_returns_the_recorded_factor"],
+        "rho-product-off-by-one", PRIMES, "q = q * a * (x - y) % n", "q = q * a * (x - y + 1) % n",
+        [T_PRIMES + "test_rho_split_returns_the_recorded_factor", RHO_REFERENCE],
+    ),
+    Mutation("rho-pair-drops-a-factor", PRIMES, "q = q * a * (x - y) % n", "q = q * (x - y) % n", [RHO_REFERENCE]),
+    Mutation("rho-advance-drops-the-single-step", PRIMES, RHO_STEP + RHO_PAIRS, RHO_PAIRS, [RHO_REFERENCE]),
+    Mutation(
+        "rho-product-drops-the-single-step", PRIMES, RHO_PRODUCT_STEP + RHO_PRODUCT_PAIRS, RHO_PRODUCT_PAIRS,
+        [RHO_REFERENCE],
     ),
     # Trial division's one exit, and the literal reader.
     Mutation(
