@@ -24,6 +24,13 @@ Values render as (and parse from) the literal grammar
 so values round-trip through text, e.g.  "2^1 * 3^2 * 5^-1".  A literal is
 read in a fixed number of whole-text passes (split, strip, isdecimal, int); only
 a literal they refuse is walked term by term, to name its first wrong part.
+The dicts _BASES and _EXPONENTS, one per role, map each raw numeral text of an
+accepted literal (whitespace kept) to the int the passes read from it, and a
+literal whose numerals all are known is read from them.  They are filled only
+after the validator accepted a literal, and only from a literal of at most
+4096 terms whose numerals all are at most 32 characters long, so a kept
+numeral reads the same under any int() digit limit.  Both are emptied at
+is_prime's cache bound; threads may share them, as a clear only causes refills.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from math import prod
 from operator import contains, itemgetter
 
 from .errors import ExponentOverflowError, ParseError, UnsupportedScaleError, ZeroValueError, cut, shown
-from .primes import factorize, is_prime
+from .primes import _CACHE_SIZE, factorize, is_prime
 
 # Exponents are kept inside the signed 64-bit range; arithmetic that would
 # leave it reports ExponentOverflowError instead of silently continuing.
@@ -199,22 +206,50 @@ def _parse_nat(text: str, what: str) -> int:
     return n
 
 
+# Raw numeral text -> its int, for the bases and the exponents of accepted literals.
+_BASES: dict[str, int] = {}
+_EXPONENTS: dict[str, int] = {}
+_KEY_LIMIT = 32  # characters: far below the least digit limit int() can be given, 640
+_TERM_LIMIT = 4096  # terms: the fill of a longer literal would add about 7% to a cold library-scale parse
+
+
+def _remember(raw: list[str], numbers: list[int]) -> None:
+    """Keep a short accepted literal's raw numerals with their ints if none is long; past the bound, empty both dicts."""
+    if len(raw) <= 2 * _TERM_LIMIT and max(map(len, raw)) <= _KEY_LIMIT:
+        _BASES.update(zip(raw[::2], numbers[::2]))
+        _EXPONENTS.update(zip(raw[1::2], numbers[1::2]))
+        if len(_BASES) > _CACHE_SIZE or len(_EXPONENTS) > _CACHE_SIZE:
+            _BASES.clear()
+            _EXPONENTS.clear()
+
+
 def _parse_literal(text: str, cls):
     """A factored literal as a cls; the grammar is checked here, the values by cls."""
     terms = text.split("*")
     # One "^" in each term and no "_", which int() reads as a digit separator; then each base
     # is decimal and each numeral, stripped, is one int() can read: a sign only on an exponent.
     if text.count("^") == len(terms) and all(map(contains, terms, repeat("^"))) and "_" not in text:
-        parts = list(map(str.strip, text.replace("*", "^").split("^")))
-        if all(map(str.isdecimal, parts[::2])):
-            try:
-                numbers = list(map(int, parts))
-            except ValueError:  # an exponent off the grammar, or a numeral past the digit limit
+        raw = text.replace("*", "^").split("^")
+        factors, numbers = {}, None
+        if raw[0] in _BASES:  # else the lookups would stop at once, at the price of a KeyError
+            try:  # every numeral known from an accepted literal
+                factors = dict(zip(map(_BASES.__getitem__, raw[::2]), map(_EXPONENTS.__getitem__, raw[1::2])))
+            except KeyError:
                 pass
-            else:
-                factors = dict(zip(numbers[::2], numbers[1::2]))
-                if len(factors) == len(terms):  # no base repeated
-                    return cls.from_factors(factors)
+        if not factors:
+            parts = list(map(str.strip, raw))
+            if all(map(str.isdecimal, parts[::2])):
+                try:
+                    numbers = list(map(int, parts))
+                except ValueError:  # an exponent off the grammar, or a numeral past the digit limit
+                    pass
+                else:
+                    factors = dict(zip(numbers[::2], numbers[1::2]))
+        if len(factors) == len(terms):  # no base repeated
+            value = cls.from_factors(factors)
+            if numbers is not None:
+                _remember(raw, numbers)
+            return value
     # A refusal: read term by term, to name its first wrong part.
     acc: dict[int, int] = {}
     for term in terms:

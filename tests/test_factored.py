@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
@@ -25,7 +26,7 @@ from phisq.factored import (
     parse_rational,
 )
 from phisq.oracle import brute_force_minimal
-from phisq.primes import PRIMALITY_BOUND, factorize, is_prime, primes_up_to
+from phisq.primes import _CACHE_SIZE, PRIMALITY_BOUND, factorize, is_prime, primes_up_to
 from phisq.represent import represent, verify
 from test_primes import next_prime
 
@@ -188,6 +189,15 @@ def test_mul_result_type():
         assert type(product) is FactoredRational
         assert product == rational_of({3: 1})
     assert type(factor(6).inverse()) is FactoredRational
+
+
+@pytest.mark.parametrize("cls", [FactoredRational, FactoredInteger])
+def test_a_plain_int_is_neither_a_factor_nor_an_equal(cls):
+    # __mul__ and __eq__ answer NotImplemented, so Python refuses the product and falls back to identity.
+    two = cls.from_factors({2: 1})
+    with pytest.raises(TypeError):
+        two * 2
+    assert (two == 2) is False
 
 
 def test_mul_exponent_overflow_is_reported():
@@ -569,6 +579,169 @@ def test_a_literal_refusal_names_its_first_wrong_part(text, message):
         parse_rational(text)
     assert str(info.value) == message
     assert literal_outcome(reference_parse, text, FactoredRational) == (ParseError, message)
+
+
+# --- the numeral dicts, which answer the passes' ints for numerals read before
+
+def clear_numeral_dicts():
+    phisq.factored._BASES.clear()
+    phisq.factored._EXPONENTS.clear()
+
+
+def numeral_dicts():
+    return dict(phisq.factored._BASES), dict(phisq.factored._EXPONENTS)
+
+
+def other_role(text):
+    """A literal holding text's raw numerals with bases and exponents swapped, between two
+    terms of primes past LITERAL_PRIMES, so that no numeral loses its outer whitespace."""
+    raw = text.strip().replace("*", "^").split("^")
+    return "*".join(["8009^1", *(f"{e}^{b}" for b, e in zip(raw[::2], raw[1::2])), "8011^1"])
+
+
+DEFAULT_DIGIT_LIMIT = 4300  # CPython's
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(PARSE_ALPHABET, max_size=24), near_literals(), NEAR_NUMERALS, LARGE_FRACTIONS, wide_literals()),
+    st.sampled_from((FactoredRational, FactoredInteger)),
+    st.sampled_from((640, DEFAULT_DIGIT_LIMIT)),
+)
+@example("2^+5", FactoredRational, 640)
+@example("+5^2", FactoredRational, DEFAULT_DIGIT_LIMIT)  # "+5" is known as an exponent only
+def test_the_numeral_dicts_never_change_an_outcome(text, cls, limit):
+    # Cold, warm, and with the text's numerals known in the other role: each time the same
+    # value and class, or the same exception type and message, as the regexes give.
+    with int_digit_limit(limit):
+        expected = literal_outcome(reference_parse, text, cls)
+        read = lambda t, c: PARSERS[c](t)  # noqa: E731
+        clear_numeral_dicts()
+        assert literal_outcome(read, text, cls) == expected
+        assert literal_outcome(read, text, cls) == expected
+        clear_numeral_dicts()
+        literal_outcome(read, other_role(text), FactoredRational)
+        assert literal_outcome(read, text, cls) == expected
+
+
+def test_a_numeral_is_read_from_the_dicts_only_in_its_role():
+    clear_numeral_dicts()
+    assert parse_rational("3^1") == rational_of({3: 1})
+    assert parse_rational("2^+5") == rational_of({2: 5})
+    assert numeral_dicts() == ({"3": 3, "2": 2}, {"1": 1, "+5": 5})
+    with pytest.raises(ParseError) as info:
+        parse_rational("+5^1")
+    assert str(info.value) == "base '+5' must be an unsigned integer"
+
+
+def test_a_literal_the_validator_refuses_stores_nothing():
+    clear_numeral_dicts()
+    for _ in range(2):
+        with pytest.raises(ParseError, match="^base 4 is not prime$"):
+            parse_rational("4^1 * 3^1")
+    assert numeral_dicts() == ({}, {})
+
+
+@pytest.mark.parametrize("long, short, factors", [
+    ("0" * 31 + "13^1", "0" * 30 + "13^1", {13: 1}),
+    ("2^-" + "0" * 31 + "1", "2^-" + "0" * 30 + "1", {2: -1}),
+    ("2^1" + " " * 32 + "* 3^1", "2^1" + " " * 31 + "* 3^1", {2: 1, 3: 1}),
+], ids=["base", "exponent", "spaces"])
+def test_a_literal_with_a_numeral_past_32_characters_stores_nothing(long, short, factors):
+    clear_numeral_dicts()
+    for _ in range(2):
+        assert parse_rational(long) == rational_of(factors)
+        assert numeral_dicts() == ({}, {})
+    assert parse_rational(short) == rational_of(factors)
+    assert max(map(len, (*phisq.factored._BASES, *phisq.factored._EXPONENTS))) == 32
+
+
+def test_the_numeral_dicts_stay_within_the_cache_bound():
+    # 17 literals of the same 4096 primes, each prime padded to 32 characters by a variant of
+    # its own, with exponents of 2^62 and more: 69,632 numerals in each role, each key held
+    # in four bytes a character, each exponent in the largest int an exponent takes.
+    clear_numeral_dicts()
+    zero = "\U0001d7ce"  # MATHEMATICAL BOLD DIGIT ZERO, a decimal digit outside the BMP
+
+    def padded(n, spaces):
+        return zero * (32 - spaces - len(str(n))) + str(n) + " " * spaces
+
+    def deep_size(d):
+        return sys.getsizeof(d) + sum(map(sys.getsizeof, d)) + sum(map(sys.getsizeof, d.values()))
+
+    primes = primes_up_to(40000)[:4096]
+    full = 0
+    for j in range(17):
+        parse_rational("*".join(f"{padded(p, j)}^{padded(2**62 + 4096 * j + i, 0)}" for i, p in enumerate(primes)))
+        sizes = len(phisq.factored._BASES), len(phisq.factored._EXPONENTS)
+        assert sizes == (((j + 1) * 4096,) * 2 if j < 16 else (0, 0))  # past the bound: both emptied
+        if sizes[0] == _CACHE_SIZE:
+            # Both dicts at the bound; a base near PRIMALITY_BOUND would take 8 bytes more than these.
+            bases, exps = phisq.factored._BASES, phisq.factored._EXPONENTS
+            full = deep_size(bases) + deep_size(exps)
+            full += sum(sys.getsizeof(PRIMALITY_BOUND) - sys.getsizeof(p) for p in bases.values())
+    assert 30 * 2**20 < full <= 36 * 2**20  # 31.7 MiB on CPython 3.13, 33.7 on 3.11, about 35 on 3.10
+
+
+def test_a_literal_of_more_than_4096_terms_is_not_kept():
+    clear_numeral_dicts()
+    primes = primes_up_to(40000)
+    assert len(parse_rational("*".join(f"{p}^1" for p in primes[:4097])).entries) == 4097
+    assert numeral_dicts() == ({}, {})
+    assert len(parse_rational("*".join(f"{p}^1" for p in primes[:4096])).entries) == 4096
+    assert tuple(map(len, numeral_dicts())) == (4096, 1)
+
+
+def test_a_value_planted_in_the_base_dict_is_read():
+    # Read from the dict, not by the passes, which would read "0007" as 7.
+    clear_numeral_dicts()
+    parse_rational("3^1")
+    phisq.factored._BASES["0007"] = 11
+    try:
+        assert parse_rational("0007^1") == rational_of({11: 1})
+    finally:
+        clear_numeral_dicts()
+    assert parse_rational("0007^1") == rational_of({7: 1})
+
+
+def test_threads_read_the_numeral_dicts_while_another_clears_them():
+    literals = [
+        " * ".join(f"{p}^{(-1) ** i * (i % 3 + 1)}" for i, p in enumerate(LITERAL_PRIMES[:200])),
+        "2^+5 * 3^1", "3^1 * 2^+5", "+5^1", "4^1 * 3^1", "2^1 * 3^1 * 2^1", "٣^٣ * ５^-1",
+    ]
+    cold = {}
+    for text in literals:
+        clear_numeral_dicts()
+        cold[text] = literal_outcome(lambda t, c: parse_rational(t), text, FactoredRational)
+    wrong, done = [], threading.Event()
+
+    def read():
+        for _ in range(300):
+            for text in literals:
+                outcome = literal_outcome(lambda t, c: parse_rational(t), text, FactoredRational)
+                if outcome != cold[text]:
+                    wrong.append((text, outcome))
+
+    def clear():
+        while not done.is_set():
+            clear_numeral_dicts()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        clearer = threading.Thread(target=clear)
+        for thread in (*readers, clearer):
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=120)
+        done.set()
+        clearer.join(timeout=10)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in (*readers, clearer))
+    assert wrong == []
 
 
 # --- the constructors against the entry-by-entry walk ---------------------------

@@ -34,3 +34,17 @@ def test_layers_passes_the_exit_code_through_and_needs_a_command():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("exit 1; ")
     assert layers().returncode == 2
+
+
+def test_layers_exits_cleanly_when_its_reader_closes_early():
+    # As in "python tools/layers.py -- factor 1000036000099 | true": the read end is closed
+    # before the profiled command (a cold trial-division walk) ends, so the table's first
+    # line meets a closed pipe.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, str(ROOT / "tools" / "layers.py"), "--", "factor", "1000036000099"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, b"")

@@ -12,10 +12,12 @@ profiled time, spent in builtins and in the standard library, is listed as
 is not seen as a call: its time lands in the caller.  phisq is imported before the
 profile starts, as installed or from PYTHONPATH, else from this checkout's src.
 Shares of a short command swing by a few points from run to run.
+A reader that closes the pipe early ends it with exit 0, as it ends phisq.
 """
 
 import cProfile
 import io
+import os
 import pstats
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -53,11 +55,16 @@ def main(argv: list[str]) -> int:
         code = profile.runcall(phisq.cli.main, argv)
     found, total = layers(pstats.Stats(profile))
     outside = total - sum(s for s, _ in found.values())
-    print(f"exit {code}; {total * 1e3:.3f} ms of self time profiled")
-    print(f"{'layer':<10} {'self':>7} {'calls':>10}")
-    for name, (self_s, calls) in sorted(found.items(), key=lambda item: -item[1][0]):
-        print(f"{name:<10} {self_s / total:>7.1%} {calls:>10}")
-    print(f"{'outside':<10} {outside / total:>7.1%}")
+    try:
+        print(f"exit {code}; {total * 1e3:.3f} ms of self time profiled")
+        print(f"{'layer':<10} {'self':>7} {'calls':>10}")
+        for name, (self_s, calls) in sorted(found.items(), key=lambda item: -item[1][0]):
+            print(f"{name:<10} {self_s / total:>7.1%} {calls:>10}")
+        print(f"{'outside':<10} {outside / total:>7.1%}")
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader left early. As in phisq.cli.main, point stdout at devnull, where the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

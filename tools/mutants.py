@@ -400,7 +400,7 @@ MUTATIONS = [
         'exp.lstrip("+-").isdecimal()', [T_FACTORED + "test_parse_rejects_malformed_input"],
     ),
     Mutation(
-        "literal-strips-spaces-only", FACTORED, "list(map(str.strip, text.replace(", "list(map(lambda s: s.strip(\" \"), text.replace(",
+        "literal-strips-spaces-only", FACTORED, "list(map(str.strip, raw))", "list(map(lambda s: s.strip(\" \"), raw))",
         [T_FACTORED + "test_the_passes_read_every_literal_they_accept"],
     ),
     Mutation(
@@ -422,6 +422,23 @@ MUTATIONS = [
              [T_FACTORED + "test_a_literal_refusal_names_its_first_wrong_part"]),
     Mutation("literal-always-walked", FACTORED, 'if text.count("^")', 'if False and text.count("^")',
              [T_FACTORED + "test_the_passes_read_every_literal_they_accept"]),
+    # The numeral dicts: one per role, filled only after the validator and from short numerals, bounded, and read.
+    Mutation("numeral-dicts-one-for-both-roles", FACTORED, "_EXPONENTS: dict[str, int] = {}\n", "_EXPONENTS = _BASES\n",
+             [T_FACTORED + "test_a_numeral_is_read_from_the_dicts_only_in_its_role"]),
+    Mutation(
+        "numeral-dicts-filled-before-validation", FACTORED,
+        "            value = cls.from_factors(factors)\n            if numbers is not None:\n                _remember(raw, numbers)\n",
+        "            if numbers is not None:\n                _remember(raw, numbers)\n            value = cls.from_factors(factors)\n",
+        [T_FACTORED + "test_a_literal_the_validator_refuses_stores_nothing"],
+    ),
+    Mutation("numeral-dicts-never-cleared", FACTORED, "            _BASES.clear()\n            _EXPONENTS.clear()\n", "            pass\n",
+             [T_FACTORED + "test_the_numeral_dicts_stay_within_the_cache_bound"]),
+    Mutation("numeral-dicts-keep-a-literal-past-4096-terms", FACTORED, "len(raw) <= 2 * _TERM_LIMIT and ", "",
+             [T_FACTORED + "test_a_literal_of_more_than_4096_terms_is_not_kept"]),
+    Mutation("numeral-dicts-keep-long-keys", FACTORED, " and max(map(len, raw)) <= _KEY_LIMIT:\n", ":\n",
+             [T_FACTORED + "test_a_literal_with_a_numeral_past_32_characters_stores_nothing"]),
+    Mutation("numeral-dicts-never-read", FACTORED, "map(_BASES.__getitem__, raw[::2])", "map({}.__getitem__, raw[::2])",
+             [T_FACTORED + "test_a_value_planted_in_the_base_dict_is_read"]),
     Mutation(
         "fraction-read-as-integer", FACTORED, 'if "/" in s and not cls._integral:', 'if "/" in s:',
         [T_FACTORED + "test_parse_integer"],
