@@ -6,7 +6,7 @@ avoiding the factored-arithmetic path it is meant to cross-check.
 The sequence, the search and the injectivity scan all read one _Table per
 process: phi, v[k] = phi(k^2) = k * phi(k), the value index v[k] -> k and the
 decimal lines of v.  Each part grows by the values it lacks, in place while a
-request's limit is at most 1 << 16 (the bound of the primes caches); a larger
+request's limit is at most _KEEP_LIMIT (README, "Per-process stores"); a larger
 request builds a table of its own from nothing, which serves it alone, shares
 no list with the kept one and renders no text.  A request reads v and a
 collision only up to its own limit, so what ran before never changes an answer.
@@ -27,7 +27,7 @@ from threading import Lock
 
 from .errors import ParseError, UnsupportedScaleError, shown
 from .factored import FactoredRational
-from .primes import primes_up_to
+from .primes import _CACHE_SIZE, primes_up_to
 
 
 # Sieves past this many values are refused before anything is allocated: a
@@ -36,7 +36,7 @@ from .primes import primes_up_to
 _SIEVE_CAP = 10**7
 
 # The largest limit whose table outlives the request that built it.
-_KEEP_LIMIT = 1 << 16
+_KEEP_LIMIT = _CACHE_SIZE
 
 # The kept text marks the end of every _MARK-th line; a read formats the lines past its last mark
 # to find its own end.  At 16 that adds about 1 us to a warm read, at 64 3-4 us, and both

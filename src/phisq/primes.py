@@ -25,17 +25,18 @@ divisor f not tried, so one loop certifies each piece: below f * f it is
 prime, else is_prime decides and a composite is split again.  Rho is seeded
 from the cofactor, so factorization is deterministic, and every result and
 refusal (UnsupportedScaleError, FactorizationFailure, with their messages) is
-that of full trial division.  Every block's primes are read from one sieve
-of the odd numbers up to the bound, built when a walk first reaches a block.
+that of full trial division.  One sieve of the odd numbers lists the primes:
+the first stage's, those of primes_up_to and prime_pi, and every block's.
 Rho's advance takes two steps per reduction mod the cofactor, and its product
 two differences, at the residues one reduction each gives, so it finds the
 same factors.
 
 The totients and the construction need p - 1 factored for each prime p they
 meet.  The dict _p_minus_1 factors each prime's p - 1 on its first read, and
-empties itself at is_prime's cache bound; a refusal is raised, not stored.
+empties itself at _CACHE_SIZE entries; a refusal is raised, not stored.
 Threads may share it: a fill stores the same pairs whoever makes it, and a
-clear only causes refills.
+clear only causes refills.  The README's table "Per-process stores" gives
+every store of the package, its bound and its memory at the bound.
 """
 
 from bisect import bisect_right
@@ -81,7 +82,7 @@ _BLOCK_PAIRS = 512
 RHO_MAX_ATTEMPTS = 16
 RHO_MAX_ITERATIONS = 2_000_000
 
-_CACHE_SIZE = 1 << 16  # entries kept by is_prime's cache and by _p_minus_1
+_CACHE_SIZE = 1 << 16  # the bound of every per-process store that grows with its input
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -168,13 +169,33 @@ def _rho_split(n: int) -> int:
     )
 
 
+def _sieve(stop: int) -> bytearray:
+    """1 at i for each 2i + 1 below stop >= 1 that is 1 or prime, else 0: the one sieve of Eratosthenes here."""
+    sieve = bytearray([1]) * (stop // 2)
+    for p in range(3, isqrt(stop - 1) + 1, 2):
+        if sieve[p // 2]:  # p is prime: its odd multiples from p * p are not
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return sieve
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit: 2, then the odd ones _sieve flags."""
+    return [2, *compress(range(3, limit + 1, 2), _sieve(limit + 1)[1:])] if limit >= 2 else []
+
+
+def prime_pi(x: int) -> int:
+    """Count of primes <= x: the flag of 1 counts 2."""
+    return _sieve(x + 1).count(1) if x >= 2 else 0
+
+
+_SMALL_PRIMES = primes_up_to(_BLOCK_START - 1)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+
+
 @lru_cache(maxsize=None)
 def _odd_sieve() -> bytearray:
-    """1 at i for each 2i + 1 below _TRIAL_END that is 1 or prime, else 0: one sieve for every block."""
-    sieve = bytearray([1]) * (_TRIAL_END // 2)
-    for p in _SMALL_PRIMES[1:]:  # odd, and they reach isqrt(_TRIAL_END - 1)
-        sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
-    return sieve
+    """_sieve(_TRIAL_END), built once, by the first block any walk reaches."""
+    return _sieve(_TRIAL_END)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +204,7 @@ def _block_product(f: int) -> int:
 
     When factorize reaches the block, its cofactor has no prime factor below
     f, so its gcd with this product is the product of the block's primes that
-    divide it, which factorize then splits.  The block is read from
-    _odd_sieve, built once, by the first block any walk reaches.
+    divide it, which factorize then splits.  The block is read from _odd_sieve.
     """
     stop = min(f + 6 * _BLOCK_PAIRS, _TRIAL_END)
     return prod(compress(range(f, stop, 2), _odd_sieve()[f // 2 : stop // 2]))  # f and stop are odd
@@ -269,24 +289,3 @@ class _PMinus1(dict):
 
 
 _p_minus_1 = _PMinus1()
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, sieved by the primes up to its square root."""
-    if limit < 2:
-        return []
-    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
-    for p in primes_up_to(isqrt(limit)):
-        sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(compress(range(limit + 1), sieve))
-
-
-# The primes below _BLOCK_START: trial division's first stage, and the primes
-# that sieve the blocks (_TRIAL_END is below _BLOCK_START ** 2).
-_SMALL_PRIMES = primes_up_to(_BLOCK_START - 1)
-_SMALL_PRODUCT = prod(_SMALL_PRIMES)
-
-
-def prime_pi(x: int) -> int:
-    """Count of primes <= x."""
-    return len(primes_up_to(x))

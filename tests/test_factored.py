@@ -28,6 +28,7 @@ from phisq.factored import (
 from phisq.oracle import brute_force_minimal
 from phisq.primes import _CACHE_SIZE, PRIMALITY_BOUND, factorize, is_prime, primes_up_to
 from phisq.represent import represent, verify
+from conftest import empty_stores
 from test_primes import next_prime
 
 
@@ -583,11 +584,6 @@ def test_a_literal_refusal_names_its_first_wrong_part(text, message):
 
 # --- the numeral dicts, which answer the passes' ints for numerals read before
 
-def clear_numeral_dicts():
-    phisq.factored._BASES.clear()
-    phisq.factored._EXPONENTS.clear()
-
-
 def numeral_dicts():
     return dict(phisq.factored._BASES), dict(phisq.factored._EXPONENTS)
 
@@ -616,16 +612,15 @@ def test_the_numeral_dicts_never_change_an_outcome(text, cls, limit):
     with int_digit_limit(limit):
         expected = literal_outcome(reference_parse, text, cls)
         read = lambda t, c: PARSERS[c](t)  # noqa: E731
-        clear_numeral_dicts()
-        assert literal_outcome(read, text, cls) == expected
-        assert literal_outcome(read, text, cls) == expected
-        clear_numeral_dicts()
-        literal_outcome(read, other_role(text), FactoredRational)
-        assert literal_outcome(read, text, cls) == expected
+        with empty_stores():
+            assert literal_outcome(read, text, cls) == expected
+            assert literal_outcome(read, text, cls) == expected
+        with empty_stores():
+            literal_outcome(read, other_role(text), FactoredRational)
+            assert literal_outcome(read, text, cls) == expected
 
 
-def test_a_numeral_is_read_from_the_dicts_only_in_its_role():
-    clear_numeral_dicts()
+def test_a_numeral_is_read_from_the_dicts_only_in_its_role(emptied_stores):
     assert parse_rational("3^1") == rational_of({3: 1})
     assert parse_rational("2^+5") == rational_of({2: 5})
     assert numeral_dicts() == ({"3": 3, "2": 2}, {"1": 1, "+5": 5})
@@ -634,8 +629,7 @@ def test_a_numeral_is_read_from_the_dicts_only_in_its_role():
     assert str(info.value) == "base '+5' must be an unsigned integer"
 
 
-def test_a_literal_the_validator_refuses_stores_nothing():
-    clear_numeral_dicts()
+def test_a_literal_the_validator_refuses_stores_nothing(emptied_stores):
     for _ in range(2):
         with pytest.raises(ParseError, match="^base 4 is not prime$"):
             parse_rational("4^1 * 3^1")
@@ -647,8 +641,7 @@ def test_a_literal_the_validator_refuses_stores_nothing():
     ("2^-" + "0" * 31 + "1", "2^-" + "0" * 30 + "1", {2: -1}),
     ("2^1" + " " * 32 + "* 3^1", "2^1" + " " * 31 + "* 3^1", {2: 1, 3: 1}),
 ], ids=["base", "exponent", "spaces"])
-def test_a_literal_with_a_numeral_past_32_characters_stores_nothing(long, short, factors):
-    clear_numeral_dicts()
+def test_a_literal_with_a_numeral_past_32_characters_stores_nothing(long, short, factors, emptied_stores):
     for _ in range(2):
         assert parse_rational(long) == rational_of(factors)
         assert numeral_dicts() == ({}, {})
@@ -656,11 +649,10 @@ def test_a_literal_with_a_numeral_past_32_characters_stores_nothing(long, short,
     assert max(map(len, (*phisq.factored._BASES, *phisq.factored._EXPONENTS))) == 32
 
 
-def test_the_numeral_dicts_stay_within_the_cache_bound():
+def test_the_numeral_dicts_stay_within_the_cache_bound(emptied_stores):
     # 17 literals of the same 4096 primes, each prime padded to 32 characters by a variant of
     # its own, with exponents of 2^62 and more: 69,632 numerals in each role, each key held
     # in four bytes a character, each exponent in the largest int an exponent takes.
-    clear_numeral_dicts()
     zero = "\U0001d7ce"  # MATHEMATICAL BOLD DIGIT ZERO, a decimal digit outside the BMP
 
     def padded(n, spaces):
@@ -683,8 +675,7 @@ def test_the_numeral_dicts_stay_within_the_cache_bound():
     assert 30 * 2**20 < full <= 36 * 2**20  # 31.7 MiB on CPython 3.13, 33.7 on 3.11, about 35 on 3.10
 
 
-def test_a_literal_of_more_than_4096_terms_is_not_kept():
-    clear_numeral_dicts()
+def test_a_literal_of_more_than_4096_terms_is_not_kept(emptied_stores):
     primes = primes_up_to(40000)
     assert len(parse_rational("*".join(f"{p}^1" for p in primes[:4097])).entries) == 4097
     assert numeral_dicts() == ({}, {})
@@ -694,13 +685,10 @@ def test_a_literal_of_more_than_4096_terms_is_not_kept():
 
 def test_a_value_planted_in_the_base_dict_is_read():
     # Read from the dict, not by the passes, which would read "0007" as 7.
-    clear_numeral_dicts()
-    parse_rational("3^1")
-    phisq.factored._BASES["0007"] = 11
-    try:
+    with empty_stores():
+        parse_rational("3^1")
+        phisq.factored._BASES["0007"] = 11
         assert parse_rational("0007^1") == rational_of({11: 1})
-    finally:
-        clear_numeral_dicts()
     assert parse_rational("0007^1") == rational_of({7: 1})
 
 
@@ -711,8 +699,8 @@ def test_threads_read_the_numeral_dicts_while_another_clears_them():
     ]
     cold = {}
     for text in literals:
-        clear_numeral_dicts()
-        cold[text] = literal_outcome(lambda t, c: parse_rational(t), text, FactoredRational)
+        with empty_stores():
+            cold[text] = literal_outcome(lambda t, c: parse_rational(t), text, FactoredRational)
     wrong, done = [], threading.Event()
 
     def read():
@@ -724,7 +712,8 @@ def test_threads_read_the_numeral_dicts_while_another_clears_them():
 
     def clear():
         while not done.is_set():
-            clear_numeral_dicts()
+            with empty_stores():
+                pass
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

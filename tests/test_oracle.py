@@ -6,7 +6,7 @@ import json
 import random
 import threading
 from bisect import bisect_right
-from contextlib import redirect_stdout
+from contextlib import ExitStack, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
@@ -31,18 +31,16 @@ from phisq.oracle import (
 )
 from phisq.primes import primes_up_to
 from phisq.represent import represent
+from conftest import empty_stores
 from test_acceptance import euler_phi
 
 # The module, not the function the package exports under the same name.
 represent_module = importlib.import_module("phisq.represent")
 
 
-@pytest.fixture(autouse=True)
-def fresh_table(monkeypatch):
-    """Each test starts from an empty kept table (values, phi, index and
-    rendering), and a table built from a patched sieve_totients is gone once
-    the test ends."""
-    monkeypatch.setattr(oracle, "_kept", oracle._Table())
+# Each test starts from an empty kept table (values, phi, index and rendering),
+# and a table built from a patched sieve_totients is gone once the test ends.
+pytestmark = pytest.mark.usefixtures("emptied_stores")
 
 
 def classic_totients(limit):
@@ -134,11 +132,11 @@ _KEPT = oracle._KEEP_LIMIT
 def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
     # Growing, shrinking and crossing the kept bound in any order gives the
     # sieve's own answer, and no table past the bound is kept.
-    oracle._kept = oracle._Table()
-    for limit in limits:
-        phi = sieve_totients(limit)
-        assert phi_square_sequence(limit) == [k * phi[k] for k in range(1, limit + 1)], limits
-        assert len(oracle._kept.v) <= _KEPT + 1
+    with empty_stores() as kept:
+        for limit in limits:
+            phi = sieve_totients(limit)
+            assert phi_square_sequence(limit) == [k * phi[k] for k in range(1, limit + 1)], limits
+            assert len(kept.v) <= _KEPT + 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -149,15 +147,15 @@ def test_sequence_equals_a_fresh_sieve_in_any_order(limits):
 def test_sequence_text_equals_a_fresh_sieve_in_any_order(limits):
     # The plain output is a slice of the kept rendering, grown in any order:
     # it is byte for byte a fresh render, and never covers more than the bound.
-    oracle._kept = kept = oracle._Table()
-    for limit in limits:
-        phi = sieve_totients(limit)
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(["sequence", str(limit)]) == 0
-        assert out.getvalue() == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)) + "\n", limits
-        assert kept.text.count("\n") == kept.lines <= _KEPT
-        rendering_holds(kept)
+    with empty_stores() as kept:
+        for limit in limits:
+            phi = sieve_totients(limit)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["sequence", str(limit)]) == 0
+            assert out.getvalue() == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)) + "\n", limits
+            assert kept.text.count("\n") == kept.lines <= _KEPT
+            rendering_holds(kept)
 
 
 def rendering_holds(table):
@@ -329,14 +327,14 @@ def test_table_equals_the_classic_sieve_in_any_order(limits):
     # Growing and shrinking across the kept bound, on the kept path and the
     # dropped one, gives k * phi(k) of the classic sieve; the kept lists stay
     # equal to it and never pass the bound.
-    oracle._kept = table = oracle._Table()
     phi = reference_totients()
-    for limit in limits:
-        assert oracle._table_for(limit).v[: limit + 1] == [k * phi[k] for k in range(limit + 1)], limits
-        kept = len(table.v) - 1
-        assert kept <= _KEPT and len(table.phi) == kept + 1
-        assert table.phi == phi[: kept + 1]
-        assert table.v == [k * phi[k] for k in range(kept + 1)]
+    with empty_stores() as table:
+        for limit in limits:
+            assert oracle._table_for(limit).v[: limit + 1] == [k * phi[k] for k in range(limit + 1)], limits
+            kept = len(table.v) - 1
+            assert kept <= _KEPT and len(table.phi) == kept + 1
+            assert table.phi == phi[: kept + 1]
+            assert table.v == [k * phi[k] for k in range(kept + 1)]
 
 
 def test_a_growth_computes_only_the_missing_values():
@@ -394,9 +392,8 @@ def test_a_request_past_the_kept_bound_leaves_the_kept_lists(monkeypatch):
         ),
     ]
     for name, answer, holds in requests:
-        oracle._kept = oracle._Table()
-        on_an_empty_table = answer()
-        oracle._kept = kept
+        with empty_stores():
+            on_an_empty_table = answer()
         handed.clear()
         out = answer()
         assert holds(out) and out == on_an_empty_table, name
@@ -454,11 +451,8 @@ def outcome(call):
 
 def answered_on(table, call):
     """outcome(call) with table as the kept one, and the kept one back."""
-    kept, oracle._kept = oracle._kept, table
-    try:
+    with empty_stores(table):
         return outcome(call)
-    finally:
-        oracle._kept = kept
 
 
 class TableMachine(RuleBasedStateMachine):
@@ -468,12 +462,17 @@ class TableMachine(RuleBasedStateMachine):
 
     One rule plants a collision (j, c) in the kept table, v[c] = v[j], and the
     empty table each answer is compared against carries it too.  A table past
-    the bound is a new one and stays clean."""
+    the bound is a new one and stays clean.  Each run's kept table, grown under
+    the patched bounds and perhaps planted, is put back once the run ends."""
 
     def __init__(self):
         super().__init__()
-        oracle._kept = oracle._Table()
+        self.stores = ExitStack()
+        self.stores.enter_context(empty_stores())
         self.collision = None
+
+    def teardown(self):
+        self.stores.close()
 
     def empty(self):
         return planted(oracle._Table(), *self.collision) if self.collision else oracle._Table()
@@ -682,18 +681,18 @@ def test_a_collision_counts_only_within_the_callers_limit(monkeypatch):
     # The scan and the search grow one index, in either order.  A search whose
     # stages stop below the collision, then a scan below it, read none; a scan
     # at the collision reads it.
-    monkeypatch.setattr(oracle, "_kept", oracle._Table())
-    assert phi_square_sequence(100)[49:51] == [2550, 2550]
-    assert brute_force_minimal(parse_rational("1/768"), 40) == SearchResult(False, None, None, 40)
-    assert len(oracle._kept.index) == 40
-    assert injectivity_scan(50) is None
-    assert injectivity_scan(51) == (50, 51)
+    with empty_stores() as kept:
+        assert phi_square_sequence(100)[49:51] == [2550, 2550]
+        assert brute_force_minimal(parse_rational("1/768"), 40) == SearchResult(False, None, None, 40)
+        assert len(kept.index) == 40
+        assert injectivity_scan(50) is None
+        assert injectivity_scan(51) == (50, 51)
     # A scan past the collision, then a search hit below it, still answers.
-    monkeypatch.setattr(oracle, "_kept", oracle._Table())
-    assert injectivity_scan(100) == (50, 51)
-    assert brute_force_minimal(parse_rational("3"), 60) == SearchResult(True, 3, 2, 60)
-    assert injectivity_scan(50) is None and injectivity_scan(51) == (50, 51)
-    assert oracle._kept.collision == (50, 51) and len(oracle._kept.index) == 50
+    with empty_stores() as kept:
+        assert injectivity_scan(100) == (50, 51)
+        assert brute_force_minimal(parse_rational("3"), 60) == SearchResult(True, 3, 2, 60)
+        assert injectivity_scan(50) is None and injectivity_scan(51) == (50, 51)
+        assert kept.collision == (50, 51) and len(kept.index) == 50
 
 
 def test_brute_force_fixtures():
@@ -842,14 +841,14 @@ TWO_THREE = parse_rational("2^18 * 3^-11")
 def test_search_equals_the_index_scan(warm, searches):
     # On a cold table or one sieved to `warm`, searches in turn share the kept
     # index, and each answers as the full index scan does.
-    oracle._kept = oracle._Table()
-    if warm:
-        phi_square_sequence(warm)
-    for r, (kind, b) in searches:
-        if kind == "near":
-            first = index_minimal(r, _SCAN_TOP)
-            b = max(max(first.m, first.n) + b, 1) if first.found else _SCAN_TOP
-        assert brute_force_minimal(r, b) == index_minimal(r, b), (r, b)
+    with empty_stores():
+        if warm:
+            phi_square_sequence(warm)
+        for r, (kind, b) in searches:
+            if kind == "near":
+                first = index_minimal(r, _SCAN_TOP)
+                b = max(max(first.m, first.n) + b, 1) if first.found else _SCAN_TOP
+            assert brute_force_minimal(r, b) == index_minimal(r, b), (r, b)
 
 
 CANDIDATE_CASES = [
@@ -1079,9 +1078,9 @@ def test_a_new_table_starts_a_new_index(monkeypatch):
         mp.setattr(oracle, "sieve_totients", corrupted)
         with pytest.raises(RuntimeError, match="k = 2 and k = 3"):
             brute_force_minimal(parse_rational("3"), 10)
-    monkeypatch.setattr(oracle, "_kept", oracle._Table())
-    assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
-    assert oracle._kept.collision is None and len(oracle._kept.index) == 10
+    with empty_stores() as kept:
+        assert brute_force_minimal(parse_rational("3"), 10) == SearchResult(True, 3, 2, 10)
+        assert kept.collision is None and len(kept.index) == 10
 
 
 def test_search_at_a_large_bound():

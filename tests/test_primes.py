@@ -1,8 +1,8 @@
 import random
 import sys
 import threading
-from bisect import bisect_left
-from math import gcd, prod
+from bisect import bisect_left, bisect_right
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -219,13 +219,12 @@ def test_factorize_rejects_nonpositive():
 
 # factorize itself caches nothing, but primes._p_minus_1 does: a test that
 # patches the rho budget and reaches p - 1 through the construction or a
-# totient must call primes._p_minus_1.clear() first, or it may read a
-# factorization stored under the full budget.
-def test_threads_share_the_p_minus_1_memo(monkeypatch):
+# totient must empty the stores first (the emptied_stores fixture), or it may
+# read a factorization stored under the full budget.
+def test_threads_share_the_p_minus_1_memo(monkeypatch, emptied_stores):
     # A fill stores the same pairs whoever makes it, and a clear only causes refills: with the
     # bound at 8, six threads switching every microsecond read only factorize(p - 1).
     monkeypatch.setattr(primes, "_CACHE_SIZE", 8)
-    primes._p_minus_1.clear()
     ps = primes_up_to(400)
     expected = {p: tuple(factorize(p - 1).items()) for p in ps}
     wrong, sizes = [], []
@@ -296,6 +295,32 @@ def test_prime_pi():
     assert prime_pi(2) == 1
     assert prime_pi(97) == 25
     assert prime_pi(10**4) == 1229
+
+
+def classic_primes(limit):
+    """The primes <= limit by the classic sieve over every integer, sharing no code with phisq's."""
+    composite = bytearray(limit + 1)
+    for i in range(2, isqrt(limit) + 1):
+        if not composite[i]:
+            composite[i * i :: i] = b"\1" * len(range(i * i, limit + 1, i))
+    return [i for i in range(2, limit + 1) if not composite[i]]
+
+
+def test_the_sieve_matches_trial_division_to_3000():
+    ps = [n for n in range(3001) if trial_division_is_prime(n)]
+    for n in range(-2, 3001):
+        below = ps[: bisect_right(ps, n)]
+        assert primes_up_to(n) == below and prime_pi(n) == len(below), n
+
+
+def test_the_sieve_stops_at_the_right_square():
+    # At p^2 - 1, p^2 and p^2 + 1 for each prime p <= 1009: p^2 is the first value only p
+    # crosses out, so a sieve stopping one odd short of isqrt(limit) lists it as prime.
+    ps = classic_primes(1009**2 + 1)
+    for p in ps[: bisect_right(ps, 1009)]:
+        for n in (p * p - 1, p * p, p * p + 1):
+            below = bisect_right(ps, n)
+            assert prime_pi(n) == below and primes_up_to(n) == ps[:below], n
 
 
 # --- factorize against full trial division ----------------------------------
@@ -543,11 +568,10 @@ def primes_in_block(start):
     return [p for p in range(start, min(start + BLOCK, primes._TRIAL_END)) if is_prime(p)]
 
 
-def test_every_block_product_is_the_product_of_its_primes():
-    # Both caches are cleared, so each product is read from a sieve built here.
-    primes._odd_sieve.cache_clear()
-    primes._block_product.cache_clear()
-    ps = primes_up_to(primes._TRIAL_END)
+def test_every_block_product_is_the_product_of_its_primes(emptied_stores):
+    # The stores start empty, so each product is read from a sieve built here, and checked
+    # against the classic sieve, which shares no code with it.
+    ps = classic_primes(primes._TRIAL_END)
     for f in range(primes._BLOCK_START, primes._TRIAL_END, BLOCK):
         block = ps[bisect_left(ps, f) : bisect_left(ps, min(f + BLOCK, primes._TRIAL_END))]
         assert primes._block_product(f) == prod(block), f

@@ -89,11 +89,10 @@ def test_factor_p_minus_1_is_factorize_of_p_minus_1(p):
     assert _p_minus_1[p] is _p_minus_1[p]  # stored on the first read
 
 
-def test_factor_p_minus_1_cache_is_bounded_like_is_prime(monkeypatch):
+def test_factor_p_minus_1_cache_is_bounded_like_is_prime(monkeypatch, emptied_stores):
     # One bound for both; with it patched to 4, the memo empties itself each time it holds 4.
     assert is_prime.cache_info().maxsize == primes._CACHE_SIZE
     monkeypatch.setattr(primes, "_CACHE_SIZE", 4)
-    _p_minus_1.clear()
     sizes = []
     for p in primes_up_to(30):
         assert _p_minus_1[p] == tuple(factorize(p - 1).items())

@@ -201,7 +201,7 @@ def test_deep_products_construct_and_verify(limit):
     assert rep.depth <= prime_pi(top)
 
 
-def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
+def test_each_p_minus_1_is_factored_once_per_process(monkeypatch, emptied_stores):
     calls = []
 
     def counting(n):
@@ -210,7 +210,6 @@ def test_each_p_minus_1_is_factored_once_per_process(monkeypatch):
 
     monkeypatch.setattr(primes, "factorize", counting)
     monkeypatch.setattr(factored, "factorize", counting)
-    primes._p_minus_1.clear()
 
     def run():
         r = parse_rational("2^3 * 7^-1 * 97^5")

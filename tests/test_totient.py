@@ -88,11 +88,10 @@ def test_phi_square_value_fixtures():
     assert totient_of_square(factor(7)).value() == 42
 
 
-def test_refusal_is_not_cached(monkeypatch):
+def test_refusal_is_not_cached(monkeypatch, emptied_stores):
     # p - 1 = 2^3 * 3 * 1000003 * 1000033: the cofactor past trial division needs rho.
     p = 24 * 1000003 * 1000033 + 1
     f = factor(p)
-    primes._p_minus_1.clear()
     monkeypatch.setattr(primes, "RHO_MAX_ATTEMPTS", 0)
     messages = []
     for _ in range(2):

@@ -74,7 +74,8 @@ SEARCH_HITS = (
     "                    if (i := index.get(v[k] // x * y, limit + 1)) <= limit]\n"
 )
 BLOCK_PRODUCTS = T_PRIMES + "test_every_block_product_is_the_product_of_its_primes"
-ODD_SIEVE_ROW = "        sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))\n"
+ODD_SIEVE_ROW = "            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))\n"
+SIEVE_TO_3000 = T_PRIMES + "test_the_sieve_matches_trial_division_to_3000"
 RHO_REFERENCE = T_PRIMES + "test_rho_split_matches_the_one_reduction_loop"
 # r = 1's one step alone, in the advance and in the product phase, each before its paired steps.
 RHO_STEP = "            if r == 1:\n                y = (y * y + c) % n\n"
@@ -283,6 +284,12 @@ MUTATIONS = [
     ),
     Mutation("odd-sieve-start-not-halved", PRIMES, ODD_SIEVE_ROW, ODD_SIEVE_ROW.replace("p * p // 2", "p * p"),
              [BLOCK_PRODUCTS]),
+    # The one sieve behind primes_up_to, prime_pi, the first stage's primes and the blocks.
+    Mutation("sieve-stops-one-odd-short", PRIMES, "range(3, isqrt(stop - 1) + 1, 2)", "range(3, isqrt(stop - 1) - 1, 2)",
+             [T_PRIMES + "test_the_sieve_stops_at_the_right_square"]),
+    Mutation("prime-pi-drops-the-flag-of-2", PRIMES, "_sieve(x + 1).count(1)", "_sieve(x + 1)[1:].count(1)",
+             [SIEVE_TO_3000]),
+    Mutation("primes-up-to-drops-the-limit", PRIMES, "range(3, limit + 1, 2)", "range(3, limit, 2)", [SIEVE_TO_3000]),
     # Refusals quote outside text through errors.cut.
     Mutation(
         "cut-measures-before-escaping", ERRORS, "    if len(dumps(form(text))) - 2 <= limit:\n",
