@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from argparse_reference import reference
+from test_factored import PRIMES_TO_4000
 from phisq import cli
 from phisq.cli import (
     EXIT_INVARIANT_VIOLATION,
@@ -72,9 +73,10 @@ def test_represent_without_expanded_omits_values(capsys):
 
 
 def test_represent_accepts_factored_literals(capsys):
-    code, body = run_json(capsys, "represent", "2^3 * 3^-2 * 53^5")
-    assert code == EXIT_OK
-    assert body["verified"] is True
+    for literal in ("2^3 * 3^-2 * 53^5", PRIMES_TO_4000):
+        code, body = run_json(capsys, "represent", literal)
+        assert code == EXIT_OK
+        assert body["verified"] is True
 
 
 def test_verify_holds(capsys):
@@ -82,6 +84,8 @@ def test_verify_holds(capsys):
     assert code == EXIT_OK
     assert "holds: true" in out
     assert "common value: 19673280" in out
+    # A claim equal to the computed ratio is answered with the claim itself.
+    assert "computed ratio: 19^1 * 47^-1" in out.splitlines()
 
 
 def test_verify_second_known_pair(capsys):
@@ -92,10 +96,12 @@ def test_verify_second_known_pair(capsys):
 
 
 def test_verify_false_exits_4(capsys):
-    code, out, err = run(capsys, "verify", "2", "1", "3")
-    assert code == EXIT_VERIFY_FALSE
-    assert "holds: false" in out
-    assert "computed ratio: 2^1" in out
+    # Any other claim goes through the range-checked path, and prints the same computed ratio.
+    for argv, computed in ((("2", "1", "3"), "2^1"), (("39330", "55836", "38/47"), "19^1 * 47^-1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FALSE
+        assert "holds: false" in out
+        assert f"computed ratio: {computed}" in out.splitlines()
 
 
 def test_verify_accepts_factored_literals(capsys):
@@ -104,13 +110,17 @@ def test_verify_accepts_factored_literals(capsys):
     assert body["holds"] is True
 
 
-def test_factor_command(capsys):
+def test_factor_command(capsys, emptied_stores):
     code, out, err = run(capsys, "factor", "55836")
     assert code == EXIT_OK
     assert "factors: 2^2 * 3^3 * 11^1 * 47^1" in out
     code, body = run_json(capsys, "factor", "55836")
     assert body["factors"] == {"2": 2, "3": 3, "11": 1, "47": 1}
     assert body["value"] == 55836
+    # Two primes just above 10^6: the whole trial-division walk, cold, then rho.
+    code, out, err = run(capsys, "factor", "1000036000099")
+    assert code == EXIT_OK
+    assert "factors: 1000003^1 * 1000033^1" in out.splitlines()
 
 
 def test_factor_names_a_huge_cofactor_by_its_digit_count(capsys):

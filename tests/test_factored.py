@@ -492,6 +492,8 @@ LARGE_FRACTIONS = st.tuples(SPACE, SMOOTH, LARGE_SIDE, st.sampled_from(("/", " /
 # "*" or "^", an inserted "_", sign, Unicode space or Unicode digit, a base repeated far
 # from its first use, or a base or exponent zero-padded past the 4300-digit limit.
 LITERAL_PRIMES = tuple(primes_up_to(8000))
+# Every prime to 4000 (550 terms), exponents cycling 1, -1, 2, -2, 3, -3.
+PRIMES_TO_4000 = " * ".join(f"{p}^{(1, -1, 2, -2, 3, -3)[i % 6]}" for i, p in enumerate(primes_up_to(4000)))
 INSERTED = ("_", "+", "-", " ", "\u2003", "\x1c", "\u3000", "٣", "５")
 
 
@@ -537,6 +539,8 @@ PARSERS = {FactoredRational: parse_rational, FactoredInteger: parse_integer}
 )
 @example(f"{PAST_BOUND[2]}/{PAST_BOUND[0]}", FactoredRational, 0)  # both refused: the numerator's cofactor is named
 @example(f"{1000003 * 1000037 * WIDE_PRIMES[0]}/{1000037**2 * 1000039 * 6}", FactoredRational, 640)
+@example(PRIMES_TO_4000, FactoredRational, 4300)
+@example(f"{PRIMES_TO_4000} * 2^1", FactoredRational, 4300)  # a repeated base is still named
 def test_parsers_match_the_regex_reference(text, cls, limit):
     # parse_rational or parse_integer (by cls): the same value and class, or the same
     # exception type and message, as the regexes give.
@@ -606,6 +610,7 @@ DEFAULT_DIGIT_LIMIT = 4300  # CPython's
 )
 @example("2^+5", FactoredRational, 640)
 @example("+5^2", FactoredRational, DEFAULT_DIGIT_LIMIT)  # "+5" is known as an exponent only
+@example(PRIMES_TO_4000, FactoredRational, DEFAULT_DIGIT_LIMIT)
 def test_the_numeral_dicts_never_change_an_outcome(text, cls, limit):
     # Cold, warm, and with the text's numerals known in the other role: each time the same
     # value and class, or the same exception type and message, as the regexes give.

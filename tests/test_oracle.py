@@ -169,12 +169,13 @@ def rendering_holds(table):
 
 def test_the_kept_text_reads_at_and_around_each_mark():
     # Reads that end one short of a mark, on it and one past it, each growing the text
-    # or reading a warm slice of it, are byte for byte a fresh render.
+    # or reading a warm slice of it, are byte for byte a fresh render; 4096 is a mark too.
     mark, phi = oracle._MARK, reference_totients()
-    for limit in (1, mark - 1, mark, mark + 1, 3 * mark - 1, 2 * mark, 3 * mark, 3 * mark + 1, 2, 5 * mark + 7):
+    limits = (1, mark - 1, mark, mark + 1, 3 * mark - 1, 2 * mark, 3 * mark, 3 * mark + 1, 2, 5 * mark + 7, 4096, 4097)
+    for limit in limits:
         assert oracle.phi_square_text(limit) == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)), limit
         rendering_holds(oracle._kept)
-    assert oracle._kept.lines == 5 * mark + 7
+    assert oracle._kept.lines == max(limits)
 
 
 def test_sequence_json_equals_a_fresh_sieve():
@@ -189,8 +190,10 @@ def test_sequence_json_equals_a_fresh_sieve():
 def test_text_past_the_kept_bound_is_a_render_of_the_sieve_across_block_edges():
     # Past the bound the text is joined in blocks of _KEEP_LIMIT lines: at an
     # edge no line is lost, repeated or joined without its newline.
-    phi = sieve_totients(3 * _KEPT + 5)
-    for limit in (_KEPT + 1, 2 * _KEPT, 2 * _KEPT + 1, 3 * _KEPT + 5):
+    # Within the classic sieve's reach, the reference shares no code with phisq's sieve.
+    sieved, classic = sieve_totients(3 * _KEPT + 5), reference_totients()
+    for limit, phi in ((_KEPT + 1, sieved), (65600, classic), (2 * _KEPT, sieved), (2 * _KEPT + 1, sieved),
+                       (3 * _KEPT + 5, sieved)):
         assert oracle.phi_square_text(limit) == "\n".join(str(k * phi[k]) for k in range(1, limit + 1)), limit
     assert len(oracle._kept.v) == 1
 

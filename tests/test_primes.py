@@ -1,8 +1,10 @@
 import random
+import subprocess
 import sys
 import threading
 from bisect import bisect_left, bisect_right
 from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from phisq.primes import PRIMALITY_BOUND, factorize, is_prime, prime_pi, primes_
 # Mersenne prime above the deterministic Miller-Rabin bound.
 M127 = 2**127 - 1
 P40 = 1099511627791  # the first prime above 2^40
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def trial_division_is_prime(n):
@@ -250,6 +253,29 @@ def test_threads_share_the_p_minus_1_memo(monkeypatch, emptied_stores):
     assert wrong == []
     assert len(sizes) == 6 * 20 * len(ps)
     assert max(sizes) <= 8 - 1 + 6  # each thread stores at most one entry past the bound's check
+
+
+def test_the_p_minus_1_store_stays_within_its_memory_at_the_bound():
+    # The store factors p - 1 whatever p is: keys p = M*k + 1, M the product of the primes to
+    # 47, fill it to 2^16 entries of 15 or more distinct primes each.  What emptying it frees,
+    # read by tracemalloc in a fresh interpreter, is pinned; the run takes about 6 s (2 vCPU).
+    script = (
+        "import sys, tracemalloc\n"
+        "from math import prod\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from phisq import primes\n"
+        "M = prod(primes.primes_up_to(47))\n"
+        "tracemalloc.start()\n"
+        "for k in range(1, primes._CACHE_SIZE + 1):\n"
+        "    primes._p_minus_1[M * k + 1]\n"
+        "assert len(primes._p_minus_1) == primes._CACHE_SIZE\n"
+        "full = tracemalloc.get_traced_memory()[0]\n"
+        "primes._p_minus_1.clear()\n"
+        "print(full - tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, SRC], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert 64 * 2**20 < int(proc.stdout) <= 74 * 2**20  # 71.4 MiB on CPython 3.10, 71.6 on 3.11 to 3.13
 
 
 def test_factorize_reports_exhausted_budget(monkeypatch):
